@@ -1,19 +1,16 @@
 //! Criterion benchmark: the fused (and optionally multi-threaded) execution
-//! layer against the PR-1 per-gate sequential kernel on a 20-qubit hidden
+//! plan against the PR-1 per-gate sequential kernel on a 20-qubit hidden
 //! shift circuit.
 //!
 //! The baseline replays the circuit gate by gate through
 //! `Statevector::apply_gate` (the single-kernel dispatch every execution
 //! path used before the fusion layer existed). The contenders compile the
-//! same circuit to a `FusedProgram` first: the H/X shift sandwiches merge
-//! into single dense ops, the CZ layers run as subspace-enumerating phase
-//! multiplies instead of full scans, and — where the host has more than one
-//! CPU — the dense and phase sweeps split across scoped threads. The
-//! `plan_*` variants go one layer further and lower the fused program to an
-//! `ExecPlan`: split re/im amplitude storage, adjacent dense ops batched
-//! into 4×4 applications, cache-blocked sweeps, and a persistent worker
-//! pool instead of per-op thread spawns.
-
+//! same circuit to an `ExecPlan`: split re/im amplitude storage and
+//! cache-blocked sweeps. `plan_unfused_sequential` keeps one record per
+//! gate; `plan_sequential` adds fusion — the H/X shift sandwiches merge into
+//! single dense ops, commuting ops cluster into block-local runs and
+//! adjacent dense ops batch into 4×4 applications; `plan_parallel_auto`
+//! adds the worker pool where the host has more than one CPU.
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
@@ -63,21 +60,11 @@ fn bench_fusion_vs_baseline(c: &mut Criterion) {
         })
     });
 
-    // Fused program on the legacy interleaved path, single-threaded:
-    // isolates the fusion win over the per-gate baseline.
-    group.bench_function("fused_sequential", |b| {
+    // ExecPlan without fusion, single-threaded: one record per gate, which
+    // isolates the plan layout's win from the fusion win.
+    group.bench_function("plan_unfused_sequential", |b| {
         b.iter(|| {
-            let config = ExecConfig::sequential().with_plan(false);
-            let state = Statevector::run(&circuit, &config).unwrap();
-            state.amplitude(0)
-        })
-    });
-
-    // Legacy path with the auto-threaded configuration.
-    group.bench_function("fused_parallel_auto", |b| {
-        b.iter(|| {
-            let config = ExecConfig::default().with_plan(false);
-            let state = Statevector::run(&circuit, &config).unwrap();
+            let state = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();
             state.amplitude(0)
         })
     });
@@ -91,8 +78,8 @@ fn bench_fusion_vs_baseline(c: &mut Criterion) {
         })
     });
 
-    // ExecPlan with the full auto configuration: the persistent worker pool
-    // picks up block batches where the host has more than one CPU.
+    // ExecPlan with the full auto configuration: the worker pool picks up
+    // block batches where the host has more than one CPU.
     group.bench_function("plan_parallel_auto", |b| {
         b.iter(|| {
             let state = Statevector::run(&circuit, &ExecConfig::auto()).unwrap();

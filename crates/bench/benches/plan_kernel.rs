@@ -5,9 +5,9 @@
 //! this bench separates the plan pipeline into its stages: compiling the
 //! circuit down to flat dispatch records, and interpreting a precompiled
 //! plan against a resident split re/im register. The block-size variants
-//! show the cache-blocking trade-off directly, and the no-pair-fusion
-//! variant prices the bit-compatibility mode the differential suites and
-//! the noisy replay run in.
+//! show the cache-blocking trade-off directly, and the unfused variant
+//! prices the one-record-per-gate mode the differential suites and the
+//! noisy replay run in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
@@ -79,10 +79,10 @@ fn bench_plan_kernel(c: &mut Criterion) {
         })
     });
 
-    // Bit-compatibility mode: 4x4 batching disabled, one record per fused
-    // op, exactly the arithmetic of the legacy interleaved path.
-    group.bench_function("apply_20q_no_pair_fusion", |b| {
-        let exact = config.with_pair_fusion(false);
+    // Fusion off: one record per gate, bit-identical at every block size
+    // and thread count.
+    group.bench_function("apply_20q_unfused", |b| {
+        let exact = config.with_fusion(false);
         let plan = ExecPlan::compile(&circuit, &exact);
         let mut state = SoaStatevector::zero_state(NUM_QUBITS, plan.block_bits());
         b.iter(|| {

@@ -1,35 +1,32 @@
-//! The batch execution subsystem: deduplicated compilation plus parallel,
-//! reproducible sampling for many jobs at once.
+//! The batch execution subsystem: one straight-line job executor plus
+//! reproducible, shot-sharded sampling.
 //!
 //! A [`BatchJob`] is one workload — an [`OracleSpec`] plus a shot count, a
 //! sampling seed and a simulation [`BackendChoice`] (dense, sparse,
-//! stabilizer, or automatic). [`BatchEngine::run_batch`] executes a whole
-//! slice of jobs:
+//! stabilizer, or automatic). [`BatchEngine::run_job`] executes one job:
 //!
-//! 1. jobs under [`BackendChoice::Auto`] are **resolved** first
-//!    ([`BatchEngine::resolve_backends`]): the spec is compiled through the
-//!    cache, censused ([`qdaflow_quantum::GateCensus`]) and routed by
-//!    [`resolve_backend`] — so every key and log entry downstream names a
-//!    concrete backend, never `auto`;
-//! 2. every job is keyed by the canonical hash of its spec *and* resolved
-//!    backend ([`BatchJob::cache_key`]) and **deduplicated** through the
-//!    engine's [`OracleCache`], so `N` jobs over `k` distinct oracles cost
-//!    `k` compilations (or fewer, when the cache is warm from a previous
-//!    batch);
-//! 3. the distinct programs are compiled and simulated **in parallel** over
-//!    `std::thread::scope` workers (one simulated state — dense, sparse, or
-//!    a stabilizer support sampler per the job's backend — per distinct
-//!    program, shared by every job that uses it);
-//! 4. each job samples its shots with the **shot-sharded** sampler
+//! 1. **one cache lookup** in the engine's [`OracleCache`], under the job's
+//!    [`BatchJob::cache_key`], so `N` jobs over `k` distinct oracles cost
+//!    `k` compilations (or fewer, when the cache is warm from earlier
+//!    jobs). A [`BackendChoice::Auto`] job is looked up under the raw spec
+//!    key instead, censused ([`qdaflow_quantum::GateCensus`]) and routed by
+//!    [`resolve_backend`]; the program is then aliased into the resolved
+//!    backend's slot, so cache entries name a concrete backend, never
+//!    `auto`;
+//! 2. the program is **simulated** on its backend: a dense statevector, a
+//!    sparse statevector, or a stabilizer support sampler;
+//! 3. the job samples its shots with the **shot-sharded** sampler
 //!    ([`Statevector::sample_counts_sharded`] /
 //!    [`SparseStatevector::sample_counts_sharded`] /
 //!    [`StabilizerSampler::sample_counts_sharded`]) under its own seed.
 //!
-//! Results come back in job order and are fully reproducible: a job's
-//! histogram depends only on `(spec, backend, shots, seed,
-//! shot_shard_size)` — never on the thread count, the batch composition, or
-//! the cache state. Auto resolution is reproducible too: it is a pure
-//! function of the compiled circuit.
+//! The [`JobService`](crate::JobService) workers call `run_job` directly,
+//! and [`BatchEngine::run_batch`] and [`BatchEngine::try_run_batch`] are
+//! loops over it. Results come back in job order and are fully
+//! reproducible: a job's histogram depends only on `(spec, backend, shots,
+//! seed, shot_shard_size)` — never on the thread count, the batch
+//! composition, or the cache state. Auto resolution is reproducible too: it
+//! is a pure function of the compiled circuit.
 
 use crate::cache::{CompiledProgram, OracleCache, OracleSpec};
 use crate::engine::{note_dispatch, resolve_backend, BackendChoice};
@@ -37,18 +34,16 @@ use crate::EngineError;
 use qdaflow_pipeline::spec::{CanonicalHasher, SpecKey};
 use qdaflow_quantum::backend::ExecutionResult;
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{GateCensus, QuantumError, Statevector};
+use qdaflow_quantum::{GateCensus, QuantumCircuit, QuantumError, Statevector};
 use qdaflow_sparse::SparseStatevector;
 use qdaflow_stabilizer::{StabilizerSampler, StabilizerTableau};
 use qdaflow_telemetry as telemetry;
-use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread;
 
 /// Renders a caught panic payload into the text carried by
 /// [`EngineError::JobPanicked`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -57,10 +52,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `body` with panics converted into [`EngineError::JobPanicked`] —
-/// the per-job fault boundary of the batch engine and the job service.
-pub(crate) fn catch_job_panic<T>(
-    body: impl FnOnce() -> Result<T, EngineError>,
-) -> Result<T, EngineError> {
+/// the per-job fault boundary of [`BatchEngine::run_job`].
+fn catch_job_panic<T>(body: impl FnOnce() -> Result<T, EngineError>) -> Result<T, EngineError> {
     panic::catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
         Err(EngineError::JobPanicked {
             message: panic_message(payload),
@@ -111,23 +104,12 @@ impl BatchJob {
     /// deliberately compiles (and caches) it once *per backend* — the cache
     /// records the execution-ready artifact per engine, trading one
     /// redundant compilation for unambiguous per-backend provenance.
-    /// [`BackendChoice::Auto`] jobs are resolved to a concrete backend
-    /// before keying on the batch path ([`BatchEngine::resolve_backends`]),
-    /// so cache entries stay backend-exact; the defensive `backend:auto` tag
-    /// only appears if an unresolved job is keyed directly.
+    /// [`BackendChoice::Auto`] jobs are stored under the key of the
+    /// backend they resolve to ([`BatchEngine::run_job`]), so cache entries
+    /// stay backend-exact; the `backend:auto` tag only keys the service's
+    /// single-flight of unresolved jobs.
     pub fn cache_key(&self) -> SpecKey {
-        let base = self.spec.cache_key();
-        let tag = match self.backend {
-            BackendChoice::Dense => return base,
-            BackendChoice::Sparse => "backend:sparse",
-            BackendChoice::Stabilizer => "backend:stabilizer",
-            BackendChoice::Auto => "backend:auto",
-        };
-        let mut hasher = CanonicalHasher::new();
-        hasher.write_u64((base.0 >> 64) as u64);
-        hasher.write_u64(base.0 as u64);
-        hasher.write_str(tag);
-        hasher.finish()
+        backend_key(self.spec.cache_key(), self.backend)
     }
 
     /// The canonical identity digest of the whole job: the compilation
@@ -150,20 +132,55 @@ impl BatchJob {
     }
 }
 
-/// The simulated output state of one distinct batch program, on whichever
-/// engine its jobs selected.
+/// Extends a spec's raw cache key with the backend tag of
+/// [`BatchJob::cache_key`] (dense keeps the raw key).
+fn backend_key(base: SpecKey, backend: BackendChoice) -> SpecKey {
+    let tag = match backend {
+        BackendChoice::Dense => return base,
+        BackendChoice::Sparse => "backend:sparse",
+        BackendChoice::Stabilizer => "backend:stabilizer",
+        BackendChoice::Auto => "backend:auto",
+    };
+    let mut hasher = CanonicalHasher::new();
+    hasher.write_u64((base.0 >> 64) as u64);
+    hasher.write_u64(base.0 as u64);
+    hasher.write_str(tag);
+    hasher.finish()
+}
+
+/// The simulated output state of one job's program, on whichever engine
+/// the job selected.
 #[derive(Debug)]
 enum SimulatedState {
     Dense(Statevector),
     Sparse(SparseStatevector),
     /// The stabilizer path stores the enumerated support sampler rather
     /// than a tableau, so support-extraction errors surface at simulate
-    /// time (in the fallible batch path) and per-job sampling stays
-    /// infallible like the other backends.
+    /// time and sampling stays infallible like the other backends.
     Stabilizer(StabilizerSampler),
 }
 
 impl SimulatedState {
+    /// Simulates a compiled circuit on a concrete backend.
+    fn simulate(
+        circuit: &QuantumCircuit,
+        backend: BackendChoice,
+        config: &ExecConfig,
+    ) -> Result<Self, EngineError> {
+        Ok(match backend {
+            BackendChoice::Dense => Self::Dense(Statevector::run(circuit, config)?),
+            BackendChoice::Sparse => Self::Sparse(SparseStatevector::from_circuit(circuit)?),
+            BackendChoice::Stabilizer => {
+                let tableau =
+                    StabilizerTableau::from_circuit(circuit).map_err(QuantumError::from)?;
+                Self::Stabilizer(tableau.sampler().map_err(QuantumError::from)?)
+            }
+            // `run_job` resolves Auto before simulating; if that invariant
+            // ever breaks it is a typed error, not a process abort.
+            BackendChoice::Auto => return Err(EngineError::AutoUnresolved),
+        })
+    }
+
     /// Samples a job's shots with the shot-sharded sampler and builds its
     /// [`ExecutionResult`]; all engines use the same `(seed, shard)` RNG
     /// scheme, so equal-seed jobs agree across backends.
@@ -227,9 +244,9 @@ impl BatchEngine {
     }
 
     /// Creates an engine with an explicit execution configuration
-    /// (`config.threads` bounds both the per-program simulation workers and
-    /// the shot-sharded sampling workers; `config.shot_shard_size` is part
-    /// of the sampling reproducibility contract).
+    /// (`config.threads` bounds both the dense kernel's worker pool and the
+    /// shot-sharded sampling workers; `config.shot_shard_size` is part of
+    /// the sampling reproducibility contract).
     pub fn with_config(config: ExecConfig) -> Self {
         Self {
             cache: OracleCache::new(),
@@ -259,24 +276,44 @@ impl BatchEngine {
         &self.cache
     }
 
-    /// Executes a batch of jobs with the engine's own configuration; see
-    /// [`BatchEngine::run_batch_with`].
+    /// Executes a batch of jobs with the engine's own configuration, one
+    /// after another through [`BatchEngine::run_job`]. Results are returned
+    /// in job order.
     ///
     /// # Errors
     ///
-    /// Returns the first compilation or simulation error (by distinct-spec
-    /// order); on error no partial results are returned.
+    /// [`EngineError::ZeroShots`] (checked for every job before anything
+    /// runs), else the first failing job's error; on error no partial
+    /// results are returned.
     pub fn run_batch(&self, jobs: &[BatchJob]) -> Result<Vec<ExecutionResult>, EngineError> {
-        self.run_batch_with(jobs, &self.config)
+        if let Some(index) = jobs.iter().position(|job| job.shots == 0) {
+            return Err(EngineError::ZeroShots { index });
+        }
+        jobs.iter()
+            .map(|job| self.run_job(job, &self.config))
+            .collect()
+    }
+
+    /// Executes a batch with **per-job fault isolation**: every job gets
+    /// its own `Result` from [`BatchEngine::run_job`], in job order. A job
+    /// whose compilation or simulation fails — including one that
+    /// *panics* — fails alone; its siblings complete normally.
+    pub fn try_run_batch(&self, jobs: &[BatchJob]) -> Vec<Result<ExecutionResult, EngineError>> {
+        jobs.iter()
+            .enumerate()
+            .map(|(index, job)| match job.shots {
+                0 => Err(EngineError::ZeroShots { index }),
+                _ => self.run_job(job, &self.config),
+            })
+            .collect()
     }
 
     /// Resolves every job's backend to a concrete choice: jobs already on a
     /// concrete backend pass through unchanged, [`BackendChoice::Auto`] jobs
-    /// are compiled through the cache (under the raw spec key, shared with
-    /// dense callers), censused, and routed by [`resolve_backend`]. The
+    /// take the resolution step of [`BatchEngine::run_job`] (compile through
+    /// the cache under the raw spec key, census, [`resolve_backend`]). The
     /// returned vector is in job order and never contains `Auto` — the shell
-    /// logs it per job, and [`BatchEngine::run_batch_with`] keys the cache
-    /// with it.
+    /// logs it per job.
     ///
     /// # Errors
     ///
@@ -284,303 +321,69 @@ impl BatchEngine {
     pub fn resolve_backends(&self, jobs: &[BatchJob]) -> Result<Vec<BackendChoice>, EngineError> {
         jobs.iter()
             .map(|job| match job.backend {
-                BackendChoice::Auto => {
-                    let program = self.cache.get_or_compile(&job.spec)?;
-                    Ok(resolve_backend(&GateCensus::of(program.circuit())))
-                }
+                BackendChoice::Auto => Ok(self.resolve_auto(&job.spec)?.1),
                 concrete => Ok(concrete),
             })
             .collect()
     }
 
-    /// Executes a batch of jobs under an explicit execution configuration:
-    /// automatic-backend resolution, deduplicated compilation through the
-    /// cache, parallel compilation + simulation of the distinct programs,
-    /// and shot-sharded sampling per job. Results are returned in job order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first compilation or simulation error (by distinct-spec
-    /// order); on error no partial results are returned.
-    pub fn run_batch_with(
+    /// Compiles (or looks up) a spec under its raw cache key and routes the
+    /// program by its gate census.
+    fn resolve_auto(
         &self,
-        jobs: &[BatchJob],
-        config: &ExecConfig,
-    ) -> Result<Vec<ExecutionResult>, EngineError> {
-        if let Some(index) = jobs.iter().position(|job| job.shots == 0) {
-            return Err(EngineError::ZeroShots { index });
-        }
-        let _span = telemetry::span!("batch", "run_batch: {} jobs", jobs.len());
-        // Explicitly requested backends are dispatch decisions too; Auto
-        // jobs are counted inside `resolve_backend` when resolved below.
-        for job in jobs.iter().filter(|job| job.backend != BackendChoice::Auto) {
-            note_dispatch(job.backend);
-        }
-        // Resolve Auto jobs to concrete backends first, so cache keys and
-        // simulated states are always backend-exact. The materialized copy
-        // is only made when the batch actually contains an Auto job. The
-        // program resolution just compiled under the raw spec key is aliased
-        // into the backend-tagged slot, so resolution and execution share
-        // one compilation per distinct spec.
-        let materialized: Option<Vec<BatchJob>> =
-            if jobs.iter().any(|job| job.backend == BackendChoice::Auto) {
-                let resolved = self.resolve_backends(jobs)?;
-                Some(
-                    jobs.iter()
-                        .zip(resolved)
-                        .map(|(job, backend)| {
-                            let was_auto = job.backend == BackendChoice::Auto;
-                            let resolved_job = job.clone().with_backend(backend);
-                            let tagged = resolved_job.cache_key();
-                            if was_auto && tagged != job.spec.cache_key() {
-                                if let Some(program) = self.cache.peek(job.spec.cache_key()) {
-                                    self.cache.alias_keyed(tagged, &program);
-                                }
-                            }
-                            resolved_job
-                        })
-                        .collect(),
-                )
-            } else {
-                None
-            };
-        let jobs = materialized.as_deref().unwrap_or(jobs);
-        // Deduplicate jobs by canonical (spec, backend) key, keeping
-        // first-appearance order so error reporting and work distribution
-        // are deterministic.
-        let keys: Vec<SpecKey> = jobs.iter().map(BatchJob::cache_key).collect();
-        let mut seen = HashSet::with_capacity(jobs.len());
-        let mut distinct: Vec<(SpecKey, &OracleSpec, BackendChoice)> = Vec::new();
-        for (job, &key) in jobs.iter().zip(&keys) {
-            if seen.insert(key) {
-                distinct.push((key, &job.spec, job.backend));
-            }
-        }
-        let executed = self.compile_and_simulate(&distinct, config);
-        // All-or-nothing contract: surface the first failure in
-        // distinct-spec order (deterministic), no partial results.
-        for (key, _, _) in &distinct {
-            if let Err(error) = &executed[key] {
-                return Err(error.clone());
-            }
-        }
-        let mut results = Vec::with_capacity(jobs.len());
-        for (job, key) in jobs.iter().zip(&keys) {
-            let (program, state) = executed[key].as_ref().expect("checked above");
-            results.push(state.sample_job(program, job.shots, job.seed, config));
-        }
-        Ok(results)
+        spec: &OracleSpec,
+    ) -> Result<(Arc<CompiledProgram>, BackendChoice), EngineError> {
+        let program = self.cache.get_or_compile(spec)?;
+        let backend = resolve_backend(&GateCensus::of(program.circuit()));
+        Ok((program, backend))
     }
 
-    /// Executes a batch with **per-job fault isolation**: every job gets
-    /// its own `Result`, in job order. A job whose compilation or
-    /// simulation fails — including one that *panics* (converted to
-    /// [`EngineError::JobPanicked`] at the worker boundary) — fails alone;
-    /// its siblings complete normally. Duplicate jobs over a failed spec
-    /// share the (cloned) error, exactly as they would have shared the
-    /// compiled program. This is the execution path of the
-    /// [`JobService`](crate::JobService); [`BatchEngine::run_batch`] keeps
-    /// the historical all-or-nothing contract on top of the same machinery.
-    pub fn try_run_batch(&self, jobs: &[BatchJob]) -> Vec<Result<ExecutionResult, EngineError>> {
-        self.try_run_batch_with(jobs, &self.config)
-    }
-
-    /// [`BatchEngine::try_run_batch`] under an explicit execution
-    /// configuration.
-    pub fn try_run_batch_with(
-        &self,
-        jobs: &[BatchJob],
-        config: &ExecConfig,
-    ) -> Vec<Result<ExecutionResult, EngineError>> {
-        let _span = telemetry::span!("batch", "try_run_batch: {} jobs", jobs.len());
-        // Per-job backend resolution, each under its own panic boundary: a
-        // spec whose *resolution* compile panics fails only its own job.
-        let mut slots: Vec<Option<Result<ExecutionResult, EngineError>>> =
-            jobs.iter().map(|_| None).collect();
-        let mut resolved: Vec<Option<BatchJob>> = Vec::with_capacity(jobs.len());
-        for (index, job) in jobs.iter().enumerate() {
-            if job.shots == 0 {
-                slots[index] = Some(Err(EngineError::ZeroShots { index }));
-                resolved.push(None);
-                continue;
-            }
-            let outcome = catch_job_panic(|| {
-                Ok(match job.backend {
-                    BackendChoice::Auto => {
-                        let program = self.cache.get_or_compile(&job.spec)?;
-                        let backend = resolve_backend(&GateCensus::of(program.circuit()));
-                        let materialized = job.clone().with_backend(backend);
-                        self.cache.alias_keyed(materialized.cache_key(), &program);
-                        materialized
-                    }
-                    explicit => {
-                        note_dispatch(explicit);
-                        job.clone()
-                    }
-                })
-            });
-            match outcome {
-                Ok(materialized) => resolved.push(Some(materialized)),
-                Err(error) => {
-                    slots[index] = Some(Err(error));
-                    resolved.push(None);
-                }
-            }
-        }
-        let mut seen = HashSet::new();
-        let mut distinct: Vec<(SpecKey, &OracleSpec, BackendChoice)> = Vec::new();
-        for job in resolved.iter().flatten() {
-            let key = job.cache_key();
-            if seen.insert(key) {
-                distinct.push((key, &job.spec, job.backend));
-            }
-        }
-        let executed = self.compile_and_simulate(&distinct, config);
-        for (index, job) in resolved.iter().enumerate() {
-            let Some(job) = job else { continue };
-            slots[index] = Some(match &executed[&job.cache_key()] {
-                Ok((program, state)) => {
-                    catch_job_panic(|| Ok(state.sample_job(program, job.shots, job.seed, config)))
-                }
-                Err(error) => Err(error.clone()),
-            });
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every job received an outcome"))
-            .collect()
-    }
-
-    /// Executes one job (the [`JobService`](crate::JobService) worker
-    /// path): resolution, cached compilation, simulation and sampling, with
-    /// panics converted to [`EngineError::JobPanicked`].
+    /// Executes one job — the executor behind [`BatchEngine::run_batch`],
+    /// [`BatchEngine::try_run_batch`] and the
+    /// [`JobService`](crate::JobService) workers: one cache lookup (for
+    /// `Auto`: under the raw spec key, then census, resolution and an alias
+    /// into the resolved backend's slot), simulation on the backend, and
+    /// shot-sharded sampling under the job's seed. Panics anywhere inside
+    /// become [`EngineError::JobPanicked`].
     ///
     /// # Errors
     ///
     /// Any compilation, simulation or validation failure of the job,
-    /// including [`EngineError::ZeroShots`] and panics.
+    /// including [`EngineError::ZeroShots`] (with index 0) and panics.
     pub fn run_job(
         &self,
         job: &BatchJob,
         config: &ExecConfig,
     ) -> Result<ExecutionResult, EngineError> {
-        self.try_run_batch_with(std::slice::from_ref(job), config)
-            .pop()
-            .expect("one job in, one outcome out")
-    }
-
-    /// Compiles (through the cache) and simulates every distinct spec on its
-    /// selected backend, in parallel over up to `config.threads` scoped
-    /// workers. **Fault-isolated**: every spec gets its own `Result`, and a
-    /// worker that panics mid-job (the `catch_unwind` boundary wraps each
-    /// job individually) poisons only that job's slot with
-    /// [`EngineError::JobPanicked`] — siblings on the same and other
-    /// workers run to completion.
-    #[allow(clippy::type_complexity)]
-    fn compile_and_simulate(
-        &self,
-        distinct: &[(SpecKey, &OracleSpec, BackendChoice)],
-        config: &ExecConfig,
-    ) -> HashMap<SpecKey, Result<(Arc<CompiledProgram>, SimulatedState), EngineError>> {
-        let workers = config.threads.max(1).min(distinct.len().max(1));
-        // Avoid thread oversubscription: the per-simulation thread budget is
-        // the config's, divided by the batch workers running concurrently.
-        let simulate_config = config.with_threads((config.threads / workers).max(1));
-        // Parallel compiles run on scoped worker threads: capture the batch
-        // span here so each per-spec span stays parented under it.
-        let trace_parent = telemetry::current_span();
-        let run_one = |key: SpecKey,
-                       spec: &OracleSpec,
-                       backend: BackendChoice|
-         -> Result<(Arc<CompiledProgram>, SimulatedState), EngineError> {
-            catch_job_panic(|| {
-                let _span = if telemetry::enabled() {
-                    telemetry::span_with_parent(
-                        "dispatch",
-                        format!("compile+simulate on {backend}"),
-                        trace_parent,
-                    )
-                } else {
-                    telemetry::SpanGuard::disabled()
-                };
-                let program = self.cache.get_or_compile_keyed(key, spec)?;
-                // run_batch_with resolves Auto before keying; this guard only
-                // fires when compile_and_simulate is reached some other way.
-                let backend = match backend {
-                    BackendChoice::Auto => resolve_backend(&GateCensus::of(program.circuit())),
-                    concrete => concrete,
-                };
-                let state = match backend {
-                    BackendChoice::Dense => SimulatedState::Dense(Statevector::run(
-                        program.circuit(),
-                        &simulate_config,
-                    )?),
-                    BackendChoice::Sparse => {
-                        SimulatedState::Sparse(SparseStatevector::from_circuit(program.circuit())?)
-                    }
-                    BackendChoice::Stabilizer => {
-                        let tableau = StabilizerTableau::from_circuit(program.circuit())
-                            .map_err(QuantumError::from)?;
-                        SimulatedState::Stabilizer(tableau.sampler().map_err(QuantumError::from)?)
-                    }
-                    // resolve_backend only returns concrete choices; if this
-                    // invariant ever breaks it is a typed error, not a
-                    // process abort.
-                    BackendChoice::Auto => return Err(EngineError::AutoUnresolved),
-                };
-                Ok((program, state))
-            })
-        };
-        let mut outcomes: Vec<Option<Result<_, EngineError>>> = if workers <= 1 {
-            distinct
-                .iter()
-                .map(|&(key, spec, backend)| Some(run_one(key, spec, backend)))
-                .collect()
-        } else {
-            let mut slots: Vec<Option<Result<_, EngineError>>> =
-                (0..distinct.len()).map(|_| None).collect();
-            thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for worker in 0..workers {
-                    let run_one = &run_one;
-                    handles.push(scope.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut index = worker;
-                        while index < distinct.len() {
-                            let (key, spec, backend) = distinct[index];
-                            local.push((index, run_one(key, spec, backend)));
-                            index += workers;
-                        }
-                        local
-                    }));
+        if job.shots == 0 {
+            return Err(EngineError::ZeroShots { index: 0 });
+        }
+        catch_job_panic(|| {
+            let _span =
+                telemetry::span!("batch", "run_job: {} shots on {}", job.shots, job.backend);
+            let (program, backend) = match job.backend {
+                BackendChoice::Auto => {
+                    let (program, backend) = self.resolve_auto(&job.spec)?;
+                    // Aliasing is bookkeeping, not a lookup: it leaves the
+                    // hit/miss counters alone.
+                    self.cache
+                        .alias_keyed(backend_key(program.key(), backend), &program);
+                    (program, backend)
                 }
-                for handle in handles {
-                    // Individual jobs are panic-isolated inside `run_one`,
-                    // so a worker can only fail to join on a double panic
-                    // (e.g. a panicking Drop of a panic payload). Even
-                    // then: the worker's jobs become typed per-job errors —
-                    // never a crash of the whole batch.
-                    if let Ok(local) = handle.join() {
-                        for (index, outcome) in local {
-                            slots[index] = Some(outcome);
-                        }
-                    }
+                explicit => {
+                    note_dispatch(explicit);
+                    let program = self
+                        .cache
+                        .get_or_compile_keyed(job.cache_key(), &job.spec)?;
+                    (program, explicit)
                 }
-            });
-            slots
-        };
-        distinct
-            .iter()
-            .zip(outcomes.iter_mut())
-            .map(|(&(key, _, _), outcome)| {
-                let outcome = outcome.take().unwrap_or_else(|| {
-                    Err(EngineError::JobPanicked {
-                        message: "batch worker terminated before reporting its jobs".to_owned(),
-                    })
-                });
-                (key, outcome)
-            })
-            .collect()
+            };
+            let state = {
+                let _span = telemetry::span!("dispatch", "simulate on {backend}");
+                SimulatedState::simulate(program.circuit(), backend, config)?
+            };
+            Ok(state.sample_job(&program, job.shots, job.seed, config))
+        })
     }
 }
 
@@ -845,6 +648,35 @@ mod tests {
         // reuses those programs through tagged-slot aliases instead of
         // compiling again.
         assert_eq!(engine.cache().stats().misses, 3);
+    }
+
+    #[test]
+    fn auto_jobs_take_one_cache_lookup() {
+        // Resolution and execution share one lookup, whether the resolved
+        // backend keeps the raw key (dense) or a tagged one (sparse): a
+        // fresh job is one miss, a repeat one hit.
+        let dense = OracleSpec::qasm(
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\nh q[1];\nh q[2];\nt q[0];\n",
+        );
+        let sparse = OracleSpec::permutation(
+            Permutation::new(vec![0, 2, 3, 5, 7, 1, 4, 6]).unwrap(),
+            SynthesisChoice::default(),
+        );
+        let engine = BatchEngine::new();
+        let counts = || {
+            let stats = engine.cache().stats();
+            (stats.hits, stats.misses)
+        };
+        for spec in [dense, sparse] {
+            let job = BatchJob::new(spec, 64, 1).with_backend(BackendChoice::Auto);
+            let before = counts();
+            engine.run_job(&job, &engine.exec_config()).unwrap();
+            let fresh = counts();
+            assert_eq!((fresh.0 - before.0, fresh.1 - before.1), (0, 1));
+            engine.run_job(&job, &engine.exec_config()).unwrap();
+            let repeat = counts();
+            assert_eq!((repeat.0 - fresh.0, repeat.1 - fresh.1), (1, 0));
+        }
     }
 
     #[test]

@@ -211,12 +211,12 @@ impl MainEngine {
         }
     }
 
-    /// Creates an engine targeting the exact statevector simulator. Under
-    /// the default [`ExecConfig`] the backend executes circuits through the
+    /// Creates an engine targeting the exact statevector simulator. The
+    /// backend executes circuits through the
     /// [`ExecPlan`](qdaflow_quantum::plan::ExecPlan) SoA kernel (split
-    /// re/im amplitude arrays, cache-blocked multi-op sweeps); set
-    /// `plan: false` via [`MainEngine::with_simulator_config`] to replay
-    /// the legacy interleaved fused path instead.
+    /// re/im amplitude arrays, cache-blocked multi-op sweeps) under the
+    /// default [`ExecConfig`]; [`MainEngine::with_simulator_config`] picks
+    /// the thread count, fusion and cache-block size.
     pub fn with_simulator() -> Self {
         Self::new(Box::new(StatevectorBackend::default()))
     }
@@ -259,8 +259,8 @@ impl MainEngine {
     }
 
     /// Creates an engine targeting the statevector simulator with an
-    /// explicit execution configuration (thread count, gate fusion, plan
-    /// kernel selection and its block/batching knobs).
+    /// explicit execution configuration (thread count, gate fusion, sampler
+    /// shard size and the plan's cache-block size).
     pub fn with_simulator_config(config: ExecConfig) -> Self {
         let mut engine = Self::with_simulator();
         engine.set_exec_config(config);
@@ -890,13 +890,13 @@ mod tests {
     }
 
     #[test]
-    fn plan_and_legacy_paths_sample_identically_through_the_engine() {
+    fn block_sizes_sample_identically_through_the_engine() {
         // The same non-trivial program (superposition, phase oracle,
-        // multi-controlled mixing) through the plan SoA kernel and the
-        // legacy interleaved path. Sequential execution on both sides is
-        // bit-identical, so equal seeds must produce equal histograms.
-        let run = |plan: bool| {
-            let config = ExecConfig::sequential().with_plan(plan);
+        // multi-controlled mixing) through the unfused plan on one cache
+        // block and on eight 2-amplitude blocks over the worker pool. The
+        // unfused plan is bit-identical at every block size and thread
+        // count, so equal seeds must produce equal histograms.
+        let run = |config: ExecConfig| {
             let mut engine = MainEngine::with_simulator_config(config);
             let qubits = engine.allocate_qureg(4);
             let f = Expr::parse("(x0 & x1) ^ (x2 & x3)").unwrap();
@@ -915,7 +915,10 @@ mod tests {
             engine.all_h(&qubits).unwrap();
             engine.flush(512).unwrap().counts
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(
+            run(ExecConfig::baseline()),
+            run(ExecConfig::baseline().with_block_bits(1).with_threads(2))
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! checkpoint/resume, and Prometheus metrics.
 //!
 //! [`BatchEngine::run_batch`] is a one-shot synchronous call that lives and
-//! dies with its caller. [`JobService`] turns the same execution machinery
-//! into a persistent service — the serving layer the paper's
-//! compile-once-run-many oracle workloads want:
+//! dies with its caller. [`JobService`] turns the same executor,
+//! [`BatchEngine::run_job`], into a persistent service — the serving layer
+//! the paper's compile-once-run-many oracle workloads want. Its worker
+//! threads take queued jobs one at a time and call `run_job` directly:
 //!
 //! * **Submission API** — [`JobService::submit`] enqueues a [`BatchJob`]
 //!   and returns a [`JobId`]; [`JobService::poll`] reports its
@@ -55,7 +56,7 @@
 //! # }
 //! ```
 
-use crate::batch::{catch_job_panic, BatchEngine, BatchJob};
+use crate::batch::{BatchEngine, BatchJob};
 use crate::store::disk::DiskCache;
 use crate::store::journal::{Journal, JournalEntry};
 use crate::{EngineError, OracleCache};
@@ -734,17 +735,16 @@ fn worker_loop(inner: &ServiceInner) {
                 }
             }
         };
-        // Execute outside the lock, under the per-job panic boundary (the
-        // engine catches its own panics too — this is the outer net for
-        // anything around it). The span is parented under the span that was
-        // open when the job was submitted — possibly on another thread.
+        // Execute outside the lock; `run_job` is the per-job panic
+        // boundary. The span is parented under the span that was open when
+        // the job was submitted — possibly on another thread.
         let started = Instant::now();
         let span = if telemetry::enabled() {
             telemetry::span_with_parent("job", format!("job {id} running"), trace_parent)
         } else {
             telemetry::SpanGuard::disabled()
         };
-        let outcome = catch_job_panic(|| inner.engine.run_job(&job, &inner.exec));
+        let outcome = inner.engine.run_job(&job, &inner.exec);
         drop(span);
         let wall = started.elapsed();
         inner.metrics.duration.observe_duration(wall);
@@ -830,7 +830,7 @@ fn worker_loop(inner: &ServiceInner) {
 mod tests {
     use super::*;
     use crate::oracle::SynthesisChoice;
-    use crate::OracleSpec;
+    use crate::{BackendChoice, OracleSpec};
     use qdaflow_boolfn::Permutation;
 
     fn perm_job(shots: usize, seed: u64) -> BatchJob {
@@ -864,6 +864,44 @@ mod tests {
         let direct = BatchEngine::new().run_batch(&[job]).unwrap();
         assert_eq!(result, direct[0]);
         assert_eq!(service.poll(id), Some(JobStatus::Done(direct[0].clone())));
+    }
+
+    #[test]
+    fn mixed_batches_match_run_batch_job_for_job() {
+        // Dense, sparse, stabilizer and Auto jobs, with duplicates of each
+        // kind: the service workers and the synchronous loop run the same
+        // executor, so every job's result must be identical.
+        let dense = OracleSpec::qasm(
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\nh q[1];\nh q[2];\nt q[0];\n",
+        );
+        let clifford = OracleSpec::qasm(
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncz q[1],q[2];\n",
+        );
+        let perm = perm_job(1, 0).spec;
+        let jobs = vec![
+            BatchJob::new(dense.clone(), 300, 1),
+            BatchJob::new(perm.clone(), 300, 2).with_backend(BackendChoice::Sparse),
+            BatchJob::new(clifford.clone(), 300, 3).with_backend(BackendChoice::Stabilizer),
+            BatchJob::new(dense.clone(), 300, 4).with_backend(BackendChoice::Auto),
+            BatchJob::new(perm.clone(), 300, 5).with_backend(BackendChoice::Auto),
+            BatchJob::new(clifford.clone(), 300, 6).with_backend(BackendChoice::Auto),
+            BatchJob::new(dense, 300, 1),
+            BatchJob::new(perm, 300, 5).with_backend(BackendChoice::Auto),
+            BatchJob::new(clifford, 300, 3).with_backend(BackendChoice::Stabilizer),
+        ];
+        let service = JobService::new(fast_config()).unwrap();
+        let ids = service.submit_batch(&jobs).unwrap();
+        let served: Vec<ExecutionResult> = ids
+            .into_iter()
+            .map(|id| match service.wait(id) {
+                Some(JobStatus::Done(result)) => result,
+                other => panic!("job {id} ended as {other:?}"),
+            })
+            .collect();
+        let direct = BatchEngine::with_config(fast_config().exec)
+            .run_batch(&jobs)
+            .unwrap();
+        assert_eq!(served, direct);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! the same permutation as the reversible circuit it was mapped from.
 
 use crate::MappingError;
-use qdaflow_quantum::fusion::{ExecConfig, FusedProgram};
+use qdaflow_quantum::fusion::ExecConfig;
+use qdaflow_quantum::plan::ExecPlan;
 use qdaflow_quantum::statevector::Statevector;
 use qdaflow_quantum::QuantumCircuit;
 use qdaflow_reversible::ReversibleCircuit;
@@ -28,7 +29,7 @@ pub fn quantum_matches_reversible(
 }
 
 /// [`quantum_matches_reversible`] with an explicit execution configuration.
-/// The quantum circuit is compiled once to a fused program and replayed on
+/// The quantum circuit is compiled once to an [`ExecPlan`] and replayed on
 /// every basis state.
 ///
 /// # Errors
@@ -40,11 +41,11 @@ pub fn quantum_matches_reversible_with(
     reversible: &ReversibleCircuit,
     config: &ExecConfig,
 ) -> Result<bool, MappingError> {
-    let program = FusedProgram::compile(quantum, config);
+    let plan = ExecPlan::compile(quantum, config);
     let lines = reversible.num_lines();
     for basis in 0..(1usize << lines) {
         let mut state = Statevector::basis_state(quantum.num_qubits(), basis)?;
-        program.apply(state.amplitudes_mut(), config);
+        plan.apply(state.amplitudes_mut(), config);
         let expected = reversible.apply(basis);
         if state.probability_of(expected) < 1.0 - 1e-9 {
             return Ok(false);

@@ -7,12 +7,11 @@
 //! [`StatevectorBackend`], the [`NoisyHardwareBackend`] standing in for the
 //! IBM Quantum Experience chip, and the [`ResourceCounterBackend`].
 //!
-//! Dense state evolution inside these backends is governed by the
-//! [`ExecConfig`] they are built with: by default circuits compile into the
-//! [`ExecPlan`](crate::plan::ExecPlan) kernel (structure-of-arrays amplitudes,
-//! cache-blocked sweeps, persistent worker pool); setting
-//! [`ExecConfig::plan`] to `false` replays the legacy fused gate-at-a-time
-//! path instead.
+//! Dense state evolution inside these backends compiles circuits into the
+//! [`ExecPlan`](crate::plan::ExecPlan) kernel (structure-of-arrays
+//! amplitudes, cache-blocked sweeps, a worker pool for large states),
+//! governed by the [`ExecConfig`] the backend is built with: thread count,
+//! fusion, sampler shard size and cache-block size.
 
 use crate::fusion::ExecConfig;
 use crate::noise::{NoiseModel, NoisySimulator};

@@ -1,31 +1,30 @@
-//! Gate fusion and chunked multi-threaded statevector execution.
+//! Gate fusion: the input IR of the dense execution plan.
 //!
-//! This module is the optimized execution layer sitting on top of the scalar
-//! [`kernel`]: a circuit is first *compiled* into a
-//! [`FusedProgram`] — a short list of [`FusedOp`] kernel operations in which
-//! runs of adjacent diagonal gates on the same subspace mask have been
-//! coalesced into a single phase multiply and adjacent dense single-qubit
-//! gates on the same qubit have been merged into one 2×2 matrix product —
-//! and the program is then *applied* to the amplitude slice with
-//! cache-friendly loops that skip the untouched part of the index space and,
-//! for large registers, split the work over scoped OS threads.
+//! A circuit is first lowered into a [`FusedProgram`], a list of
+//! [`FusedOp`] kernel operations. With fusion on ([`FusedProgram::fuse`]),
+//! runs of adjacent diagonal gates on the same subspace mask coalesce into a
+//! single phase multiply and adjacent dense single-qubit gates on the same
+//! qubit merge into one 2×2 matrix product; with fusion off
+//! ([`FusedProgram::lower`]) every gate becomes exactly one op. The
+//! [`ExecPlan`](crate::plan::ExecPlan) then lowers the program into flat
+//! dispatch records and executes it; this module runs nothing itself.
 //!
-//! The [`ExecConfig`] knob selects the thread count, toggles the fusion pass
-//! and sets the register size below which threading is never attempted. It
-//! is threaded through every execution path of the workspace: the
+//! The [`ExecConfig`] knob selects the thread count, the fusion toggle, the
+//! sampler shard size and the plan's cache-block size. It is threaded
+//! through every execution path of the workspace: the
 //! [`Statevector`](crate::statevector::Statevector) simulator, the
 //! Monte-Carlo noisy simulator, the sampling backends, the engine crate's
 //! `MainEngine` and the RevKit-style shell's `exec` command.
 //!
-//! Correctness of the fused, parallel path is established differentially:
-//! the `tests/differential.rs` property suites compare it
-//! amplitude-for-amplitude against the deliberately naive
+//! Correctness of the fused program is established differentially: the
+//! `tests/differential.rs` and `tests/plan_differential.rs` property suites
+//! compare fused and unfused plans amplitude-for-amplitude against the
+//! deliberately naive
 //! [`DenseReference`](crate::reference::DenseReference) oracle.
 
 use crate::circuit::QuantumCircuit;
 use crate::complex::Complex;
 use crate::gate::QuantumGate;
-use crate::kernel;
 use std::thread;
 
 /// Tolerance under which a fused operation is recognized as the identity and
@@ -34,52 +33,40 @@ const IDENTITY_EPS: f64 = 1e-12;
 
 /// Hard cap on the configured thread count; beyond this the memory-bound
 /// amplitude sweeps stop scaling.
-const MAX_THREADS: usize = 16;
+pub(crate) const MAX_THREADS: usize = 16;
 
-/// How the execution layer runs a circuit: thread count, fusion toggle and
-/// the parallelism threshold.
+/// How the execution layer runs a circuit: thread count, fusion toggle,
+/// sampler shard size and cache-block size.
 ///
 /// The default configuration enables fusion and uses one thread per
-/// available CPU (capped), falling back to sequential execution for
-/// registers smaller than [`ExecConfig::parallel_threshold`] amplitudes
-/// where thread startup would dominate.
+/// available CPU (capped at 16). The plan interpreter starts its worker
+/// pool only for states of at least eight cache blocks (2^16 amplitudes at
+/// the default block size); below that, thread startup would dominate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of worker threads; `1` (or `0`) executes sequentially.
     pub threads: usize,
-    /// Whether the gate-fusion pass runs before execution.
+    /// Whether circuits are optimized before execution: the gate-fusion
+    /// pass ([`FusedProgram::fuse`]) plus the plan lowering's commuting-op
+    /// clustering and 4×4 batching. Exact up to floating-point rounding
+    /// (reordering only ever swaps commuting ops, merging adds one rounding
+    /// per composed matrix). Off, the plan holds one dispatch record per
+    /// gate, and its amplitudes are bit-identical at every block size and
+    /// thread count.
     pub fusion: bool,
-    /// Minimum amplitude-slice length before threads are spawned.
-    pub parallel_threshold: usize,
     /// Shots per shard of the sharded measurement sampler (see
     /// [`crate::sampling`]). Part of the reproducibility contract: together
     /// with the seed and the shot count it fully determines the sharded
     /// histogram, independent of the thread count.
     pub shot_shard_size: usize,
-    /// Whether circuits execute through the [`ExecPlan`] SoA interpreter
-    /// (the production path) or the legacy interleaved `Vec<Complex>` fused
-    /// path (kept as the differential oracle).
-    ///
-    /// [`ExecPlan`]: crate::plan::ExecPlan
-    pub plan: bool,
     /// log2 of the amplitudes per cache block of the plan interpreter;
     /// `0` selects [`DEFAULT_BLOCK_BITS`](crate::plan::DEFAULT_BLOCK_BITS).
     /// Clamped to the register size.
     pub block_bits: usize,
-    /// Whether the plan lowering may reorder and batch ops: commuting ops
-    /// are clustered so block-local runs stay unbroken, same-qubit dense
-    /// pairs multiply into one 2×2, and adjacent cross-block dense ops
-    /// batch into single 4×4 applications. Exact up to floating-point
-    /// rounding (reordering only ever swaps commuting ops, batching adds
-    /// one rounding in the composed matrix); disable for bit-identical
-    /// replay of the legacy op order.
-    pub pair_fusion: bool,
 }
 
 impl ExecConfig {
-    /// Fusion on, one worker per available CPU (capped at 16), threading
-    /// only for registers of at least 2^16 amplitudes — below that, per-op
-    /// thread startup costs more than the sweep itself.
+    /// Fusion on, one worker per available CPU (capped at 16).
     pub fn auto() -> Self {
         Self {
             threads: thread::available_parallelism()
@@ -87,11 +74,8 @@ impl ExecConfig {
                 .unwrap_or(1)
                 .min(MAX_THREADS),
             fusion: true,
-            parallel_threshold: 1 << 16,
             shot_shard_size: crate::sampling::DEFAULT_SHOT_SHARD_SIZE,
-            plan: true,
             block_bits: 0,
-            pair_fusion: true,
         }
     }
 
@@ -103,15 +87,13 @@ impl ExecConfig {
         }
     }
 
-    /// The pre-fusion behaviour: one kernel op per gate, single-threaded,
-    /// on the legacy interleaved path. This is the baseline the
-    /// `fusion_vs_baseline` bench compares against.
+    /// The unoptimized behaviour: one plan record per gate, single-threaded
+    /// — the setting under which the dense, sparse and stabilizer engines
+    /// produce bit-identical amplitudes.
     pub fn baseline() -> Self {
         Self {
             threads: 1,
             fusion: false,
-            parallel_threshold: usize::MAX,
-            plan: false,
             ..Self::auto()
         }
     }
@@ -123,17 +105,10 @@ impl ExecConfig {
         self
     }
 
-    /// Enables or disables the fusion pass.
+    /// Enables or disables fusion (see [`ExecConfig::fusion`]).
     #[must_use]
     pub fn with_fusion(mut self, fusion: bool) -> Self {
         self.fusion = fusion;
-        self
-    }
-
-    /// Replaces the parallelism threshold.
-    #[must_use]
-    pub fn with_parallel_threshold(mut self, parallel_threshold: usize) -> Self {
-        self.parallel_threshold = parallel_threshold;
         self
     }
 
@@ -145,37 +120,12 @@ impl ExecConfig {
         self
     }
 
-    /// Selects the plan interpreter (`true`, default) or the legacy
-    /// interleaved path (`false`).
-    #[must_use]
-    pub fn with_plan(mut self, plan: bool) -> Self {
-        self.plan = plan;
-        self
-    }
-
     /// Replaces the plan interpreter's cache-block size (log2 amplitudes;
     /// `0` = auto).
     #[must_use]
     pub fn with_block_bits(mut self, block_bits: usize) -> Self {
         self.block_bits = block_bits;
         self
-    }
-
-    /// Enables or disables commuting-op clustering and dense batching in
-    /// the plan lowering (see [`ExecConfig::pair_fusion`]).
-    #[must_use]
-    pub fn with_pair_fusion(mut self, pair_fusion: bool) -> Self {
-        self.pair_fusion = pair_fusion;
-        self
-    }
-
-    /// The number of threads actually used for a slice of `len` amplitudes.
-    pub(crate) fn effective_threads(&self, len: usize) -> usize {
-        if self.threads <= 1 || len < self.parallel_threshold.max(2) {
-            1
-        } else {
-            self.threads.min(MAX_THREADS).min(len / 2)
-        }
     }
 }
 
@@ -185,8 +135,8 @@ impl Default for ExecConfig {
     }
 }
 
-/// One operation of a compiled [`FusedProgram`], the instruction set of the
-/// execution layer. Gates that act identically on the amplitude slice lower
+/// One operation of a compiled [`FusedProgram`], the input instruction set
+/// of the execution plan. Gates that act identically on the amplitudes lower
 /// to the same op (e.g. Z, CZ and MCZ are all a [`FusedOp::Phase`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FusedOp {
@@ -333,9 +283,10 @@ impl FusedOp {
     }
 }
 
-/// A circuit compiled for the fused execution layer: an ordered list of
-/// [`FusedOp`]s equivalent (up to floating-point round-off in merged
-/// matrices) to the source gate sequence.
+/// A circuit lowered to kernel operations: an ordered list of [`FusedOp`]s
+/// equivalent (up to floating-point round-off in merged matrices) to the
+/// source gate sequence. [`ExecPlan`](crate::plan::ExecPlan) compiles it
+/// into dispatch records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     num_qubits: usize,
@@ -372,15 +323,6 @@ impl FusedProgram {
         }
     }
 
-    /// Compiles a circuit according to `config.fusion`.
-    pub fn compile(circuit: &QuantumCircuit, config: &ExecConfig) -> Self {
-        if config.fusion {
-            Self::fuse(circuit)
-        } else {
-            Self::lower(circuit)
-        }
-    }
-
     /// Number of qubits of the source circuit.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -394,86 +336,6 @@ impl FusedProgram {
     /// Number of compiled operations (≤ the source gate count).
     pub fn num_ops(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Applies the program in place to a `2^n` amplitude slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is shorter than the program's register (ops may
-    /// run on a larger register, where the extra qubits are spectators).
-    pub fn apply(&self, amplitudes: &mut [Complex], config: &ExecConfig) {
-        assert!(
-            kernel::num_qubits_of(amplitudes) >= self.num_qubits,
-            "a {}-qubit program cannot run on {} amplitudes",
-            self.num_qubits,
-            amplitudes.len()
-        );
-        let threads = config.effective_threads(amplitudes.len());
-        for op in &self.ops {
-            apply_op_with_threads(amplitudes, op, threads);
-        }
-    }
-}
-
-/// Applies one kernel op in place, using the configured execution layer
-/// (threaded for large slices, optimized sequential loops otherwise).
-///
-/// # Panics
-///
-/// Panics if the op references a qubit outside the register.
-pub fn apply_op(amplitudes: &mut [Complex], op: &FusedOp, config: &ExecConfig) {
-    apply_op_with_threads(amplitudes, op, config.effective_threads(amplitudes.len()));
-}
-
-fn apply_op_with_threads(amplitudes: &mut [Complex], op: &FusedOp, threads: usize) {
-    let num_qubits = kernel::num_qubits_of(amplitudes);
-    let in_range = |qubit: usize| {
-        assert!(
-            qubit < num_qubits,
-            "qubit {qubit} out of range for a {num_qubits}-qubit register"
-        );
-    };
-    match op {
-        FusedOp::Dense { qubit, matrix } => {
-            in_range(*qubit);
-            if threads > 1 {
-                dense_parallel(amplitudes, *qubit, matrix, threads);
-            } else {
-                dense_sequential(amplitudes, *qubit, matrix);
-            }
-        }
-        FusedOp::Phase { mask, phase } => {
-            // `mask == 0` (a global phase) is already covered by the range
-            // check: the slice length is at least 1.
-            assert!(
-                *mask < amplitudes.len(),
-                "mask {mask:#x} out of range for a {num_qubits}-qubit register"
-            );
-            if threads > 1 {
-                phase_parallel(amplitudes, *mask, *phase, threads);
-            } else {
-                phase_sequential(amplitudes, *mask, *phase);
-            }
-        }
-        // Permutation ops move data instead of computing; they stay
-        // sequential (the half-space swap loop is already memory-bound).
-        FusedOp::Mcx {
-            control_mask,
-            target,
-        } => {
-            in_range(*target);
-            assert!(
-                *control_mask < amplitudes.len(),
-                "controls {control_mask:#x} out of range for a {num_qubits}-qubit register"
-            );
-            kernel::mcx_masked(amplitudes, *control_mask, 1 << target);
-        }
-        FusedOp::Swap { a, b } => {
-            in_range(*a);
-            in_range(*b);
-            kernel::swap_masked(amplitudes, 1 << a, 1 << b);
-        }
     }
 }
 
@@ -586,132 +448,12 @@ fn matmul(left: &[[Complex; 2]; 2], right: &[[Complex; 2]; 2]) -> [[Complex; 2];
     out
 }
 
-/// Applies a 2×2 matrix to paired low/high amplitude slices of equal length.
-fn dense_on_pairs(low: &mut [Complex], high: &mut [Complex], matrix: &[[Complex; 2]; 2]) {
-    for (l, h) in low.iter_mut().zip(high.iter_mut()) {
-        let a = *l;
-        let b = *h;
-        *l = matrix[0][0] * a + matrix[0][1] * b;
-        *h = matrix[1][0] * a + matrix[1][1] * b;
-    }
-}
-
-fn dense_sequential(amplitudes: &mut [Complex], qubit: usize, matrix: &[[Complex; 2]; 2]) {
-    let bit = 1usize << qubit;
-    for block in amplitudes.chunks_mut(bit << 1) {
-        let (low, high) = block.split_at_mut(bit);
-        dense_on_pairs(low, high, matrix);
-    }
-}
-
-/// Dense single-qubit apply over scoped threads. The amplitude slice is cut
-/// into cache-sized sub-chunks of paired low/high halves — disjoint `&mut`
-/// slices, so the distribution over threads needs no synchronization.
-fn dense_parallel(
-    amplitudes: &mut [Complex],
-    qubit: usize,
-    matrix: &[[Complex; 2]; 2],
-    threads: usize,
-) {
-    let bit = 1usize << qubit;
-    let pairs = amplitudes.len() / 2;
-    // Aim for a few work items per thread so ragged tails even out, but never
-    // split below one pair or above a half-block.
-    let sub = (pairs / (threads * 4)).clamp(1, bit);
-    let mut buckets: Vec<Vec<(&mut [Complex], &mut [Complex])>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    let mut next = 0usize;
-    for block in amplitudes.chunks_mut(bit << 1) {
-        let (low, high) = block.split_at_mut(bit);
-        for item in low.chunks_mut(sub).zip(high.chunks_mut(sub)) {
-            buckets[next].push(item);
-            next = (next + 1) % threads;
-        }
-    }
-    let matrix = *matrix;
-    thread::scope(|scope| {
-        for bucket in buckets {
-            scope.spawn(move || {
-                for (low, high) in bucket {
-                    dense_on_pairs(low, high, &matrix);
-                }
-            });
-        }
-    });
-}
-
-fn phase_sequential(amplitudes: &mut [Complex], mask: usize, phase: Complex) {
-    if mask == 0 {
-        // A global phase (e.g. an MCZ over zero qubits).
-        for amplitude in amplitudes.iter_mut() {
-            *amplitude = phase * *amplitude;
-        }
-        return;
-    }
-    // Enumerate only the masked subspace: 2^{n-k} indices instead of a full
-    // scan with a per-index test.
-    let positions = kernel::mask_bit_values(mask);
-    let count = amplitudes.len() >> positions.len();
-    for compact in 0..count {
-        let mut index = compact;
-        for &bit in &positions {
-            index = kernel::insert_bit(index, bit, true);
-        }
-        amplitudes[index] = phase * amplitudes[index];
-    }
-}
-
-/// Phase multiply over scoped threads. Chunks are aligned to a multiple of
-/// twice the mask's highest bit, so every chunk contains whole periods of
-/// the mask pattern and each thread enumerates only its own share of the
-/// masked subspace (never a full scan), exactly like [`phase_sequential`].
-fn phase_parallel(amplitudes: &mut [Complex], mask: usize, phase: Complex, threads: usize) {
-    if mask == 0 {
-        // Global phase: plain even split.
-        let chunk = amplitudes.len().div_ceil(threads);
-        thread::scope(|scope| {
-            for piece in amplitudes.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for amplitude in piece.iter_mut() {
-                        *amplitude = phase * *amplitude;
-                    }
-                });
-            }
-        });
-        return;
-    }
-    let positions = kernel::mask_bit_values(mask);
-    let alignment = positions.last().copied().unwrap_or(1) << 1;
-    let blocks = amplitudes.len() / alignment;
-    if blocks < 2 {
-        // The mask involves the top qubit: too coarse to split.
-        phase_sequential(amplitudes, mask, phase);
-        return;
-    }
-    // Hand each thread a run of whole alignment blocks; inside a chunk the
-    // offset is a multiple of every mask bit, so local enumeration works.
-    let chunk = blocks.div_ceil(threads) * alignment;
-    thread::scope(|scope| {
-        for piece in amplitudes.chunks_mut(chunk) {
-            let positions = &positions;
-            scope.spawn(move || {
-                let count = piece.len() >> positions.len();
-                for compact in 0..count {
-                    let mut index = compact;
-                    for &bit in positions {
-                        index = kernel::insert_bit(index, bit, true);
-                    }
-                    piece[index] = phase * piece[index];
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::apply_gate;
+    use crate::kernel::{self, apply_gate};
+    use crate::plan::{ExecPlan, SoaStatevector};
+    use crate::statevector::Statevector;
 
     fn uniform_state(num_qubits: usize) -> Vec<Complex> {
         let mut amplitudes = vec![Complex::ZERO; 1 << num_qubits];
@@ -748,10 +490,8 @@ mod tests {
         let mut expected = vec![Complex::ZERO; 1 << circuit.num_qubits()];
         expected[0] = Complex::ONE;
         kernel::apply_circuit(&mut expected, circuit);
-        let mut fused = vec![Complex::ZERO; 1 << circuit.num_qubits()];
-        fused[0] = Complex::ONE;
-        FusedProgram::compile(circuit, config).apply(&mut fused, config);
-        for (index, (a, b)) in fused.iter().zip(&expected).enumerate() {
+        let fused = Statevector::run(circuit, config).unwrap();
+        for (index, (a, b)) in fused.amplitudes().iter().zip(&expected).enumerate() {
             assert!(
                 a.approx_eq(*b, 1e-12),
                 "amplitude {index}: fused {a:?} vs kernel {b:?}"
@@ -829,11 +569,27 @@ mod tests {
 
     #[test]
     fn threaded_execution_matches_the_kernel() {
-        // Force threading even for the tiny test register.
-        let config = ExecConfig::auto()
-            .with_threads(3)
-            .with_parallel_threshold(2);
+        // One-amplitude-pair cache blocks give the 4-qubit register eight
+        // blocks, enough to start the worker pool.
+        let config = ExecConfig::auto().with_threads(3).with_block_bits(1);
         assert_matches_kernel(&sample_circuit(), &config);
+    }
+
+    /// Applies a single op to a 5-qubit uniform state through a one-record
+    /// plan on 2-amplitude blocks (sixteen of them, so `threads > 1` runs
+    /// on the worker pool).
+    fn apply_single_op(op: &FusedOp, threads: usize) -> Vec<Complex> {
+        let program = FusedProgram {
+            num_qubits: 5,
+            ops: vec![op.clone()],
+        };
+        let config = ExecConfig::baseline()
+            .with_block_bits(1)
+            .with_threads(threads);
+        let plan = ExecPlan::from_program(&program, &config);
+        let mut state = SoaStatevector::from_amplitudes(&uniform_state(5), plan.block_bits());
+        plan.apply_soa(&mut state, &config);
+        state.to_amplitudes()
     }
 
     #[test]
@@ -856,10 +612,8 @@ mod tests {
                 phase: Complex::from_angle(0.4),
             },
         ] {
-            let mut sequential = uniform_state(5);
-            let mut threaded = sequential.clone();
-            apply_op_with_threads(&mut sequential, &op, 1);
-            apply_op_with_threads(&mut threaded, &op, 4);
+            let sequential = apply_single_op(&op, 1);
+            let threaded = apply_single_op(&op, 4);
             for (a, b) in threaded.iter().zip(&sequential) {
                 assert!(a.approx_eq(*b, 1e-12), "{op:?}: {a:?} vs {b:?}");
             }
@@ -868,16 +622,12 @@ mod tests {
 
     #[test]
     fn global_phase_op_touches_every_amplitude() {
-        let mut amplitudes = uniform_state(2);
-        apply_op(
-            &mut amplitudes,
-            &FusedOp::Phase {
-                mask: 0,
-                phase: Complex::real(-1.0),
-            },
-            &ExecConfig::sequential(),
-        );
-        for amplitude in &amplitudes {
+        let mut state = SoaStatevector::from_amplitudes(&uniform_state(2), 1);
+        state.apply_fused_op(&FusedOp::Phase {
+            mask: 0,
+            phase: Complex::real(-1.0),
+        });
+        for amplitude in state.to_amplitudes() {
             assert!(amplitude.re < 0.0);
         }
     }
@@ -885,39 +635,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_op_panics() {
-        let mut amplitudes = uniform_state(2);
-        apply_op(
-            &mut amplitudes,
-            &FusedOp::Dense {
-                qubit: 5,
-                matrix: QuantumGate::H(5).single_qubit_matrix().unwrap(),
-            },
-            &ExecConfig::sequential(),
-        );
+        let mut state = SoaStatevector::from_amplitudes(&uniform_state(2), 1);
+        state.apply_fused_op(&FusedOp::Dense {
+            qubit: 5,
+            matrix: QuantumGate::H(5).single_qubit_matrix().unwrap(),
+        });
     }
 
     #[test]
     fn config_constructors() {
         assert!(ExecConfig::default().fusion);
-        assert!(ExecConfig::default().plan);
         assert_eq!(ExecConfig::sequential().threads, 1);
+        assert!(ExecConfig::sequential().fusion);
         assert!(!ExecConfig::baseline().fusion);
-        assert!(!ExecConfig::baseline().plan);
+        assert_eq!(ExecConfig::baseline().threads, 1);
         let custom = ExecConfig::auto()
             .with_threads(2)
             .with_fusion(false)
-            .with_parallel_threshold(64)
-            .with_plan(false)
-            .with_block_bits(8)
-            .with_pair_fusion(false);
-        assert_eq!(custom.threads, 2);
-        assert!(!custom.fusion);
-        assert_eq!(custom.parallel_threshold, 64);
-        assert!(!custom.plan);
-        assert_eq!(custom.block_bits, 8);
-        assert!(!custom.pair_fusion);
-        // Tiny registers never spawn threads under the auto threshold.
-        assert_eq!(ExecConfig::auto().with_threads(8).effective_threads(16), 1);
+            .with_shot_shard_size(64)
+            .with_block_bits(8);
+        assert_eq!(
+            custom,
+            ExecConfig {
+                threads: 2,
+                fusion: false,
+                shot_shard_size: 64,
+                block_bits: 8,
+            }
+        );
     }
 
     #[test]
@@ -925,14 +670,10 @@ mod tests {
     fn out_of_range_phase_mask_panics() {
         // The mask names a qubit outside the 2-qubit register; the guard
         // must reject it rather than silently touching nothing.
-        let mut amplitudes = uniform_state(2);
-        apply_op(
-            &mut amplitudes,
-            &FusedOp::Phase {
-                mask: 0b100,
-                phase: Complex::I,
-            },
-            &ExecConfig::sequential(),
-        );
+        let mut state = SoaStatevector::from_amplitudes(&uniform_state(2), 1);
+        state.apply_fused_op(&FusedOp::Phase {
+            mask: 0b100,
+            phase: Complex::I,
+        });
     }
 }

@@ -1,18 +1,11 @@
 //! The single statevector gate-application kernel.
 //!
-//! Every execution path of the workspace — [`Statevector`] evolution, the
-//! Monte-Carlo [`NoisySimulator`] and the sampling [`Backend`] impls — funnels
-//! per-gate state updates through [`apply_gate`] in this module. Keeping the
-//! per-gate dispatch in one place means an optimization (or a new gate)
-//! lands in the ideal simulator, the noise model and every backend at once.
-//!
-//! This gate-at-a-time kernel is the reference semantics. The production
-//! dense path lowers whole circuits into an [`ExecPlan`](crate::plan::ExecPlan)
-//! — a flat dispatch-record program over a structure-of-arrays amplitude
-//! layout — and only falls back to this kernel (via the fused program) when
-//! [`ExecConfig::plan`](crate::fusion::ExecConfig::plan) is disabled. The
-//! differential suites in `tests/plan_differential.rs` hold the two paths
-//! bit-identical.
+//! Single-gate state updates ([`Statevector::apply_gate`]) go through
+//! [`apply_gate`] in this module. This gate-at-a-time kernel is the
+//! reference semantics the unit tests check the plan against: whole
+//! circuits execute through an [`ExecPlan`](crate::plan::ExecPlan) — a flat
+//! dispatch-record program over a structure-of-arrays amplitude layout —
+//! whose sweeps use the same per-element arithmetic as the loops here.
 //!
 //! The kernel operates on a raw amplitude slice of length `2^n`, with qubit 0
 //! as the least significant bit of the basis-state index. Three specialized
@@ -25,9 +18,7 @@
 //! * the remaining **dense single-qubit gates** (H, Y, X when convenient)
 //!   apply a full 2×2 unitary to each amplitude pair.
 //!
-//! [`Statevector`]: crate::statevector::Statevector
-//! [`NoisySimulator`]: crate::noise::NoisySimulator
-//! [`Backend`]: crate::backend::Backend
+//! [`Statevector::apply_gate`]: crate::statevector::Statevector::apply_gate
 
 use crate::complex::Complex;
 use crate::gate::QuantumGate;

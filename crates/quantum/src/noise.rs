@@ -17,9 +17,8 @@
 //! hidden shift benchmark in the same success-probability regime as the
 //! paper's histogram.
 
-use crate::fusion::{self, ExecConfig, FusedOp, FusedProgram};
+use crate::fusion::{ExecConfig, FusedOp};
 use crate::plan::{ExecPlan, SoaStatevector};
-use crate::statevector::Statevector;
 use crate::{QuantumCircuit, QuantumError, QuantumGate, MAX_SIMULATOR_QUBITS};
 use rand::Rng;
 
@@ -99,20 +98,23 @@ impl Default for NoiseModel {
 /// statevector simulator with randomly inserted Pauli errors, then samples a
 /// measurement and applies readout errors.
 ///
-/// Gate application goes through the configured execution layer: the circuit
-/// is lowered once per [`NoisySimulator::run`] into kernel ops (one per gate,
-/// since the stochastic noise channel between gates forbids cross-gate
-/// fusion) and every shot replays the lowered program. With `config.plan`
-/// set (the default) the lowering is additionally compiled once into an
-/// [`ExecPlan`] whose records are replayed shot after shot on a reused SoA
-/// state — the plan, its matrix pool and the amplitude buffers are built a
-/// single time for the whole run. The RNG stream and the produced histograms
-/// are bit-identical between the plan and legacy paths.
+/// The circuit is compiled once per [`NoisySimulator::run`] into an unfused
+/// [`ExecPlan`] — one dispatch record per gate, since the stochastic noise
+/// channel between gates forbids cross-gate fusion — and every shot replays
+/// the records on one reused SoA state, drawing the noise channels between
+/// them. The plan, its matrix pool and the amplitude buffers are built a
+/// single time for the whole run, and the histograms do not depend on the
+/// configured block size.
 #[derive(Debug, Clone)]
 pub struct NoisySimulator {
     model: NoiseModel,
     config: ExecConfig,
 }
+
+/// A circuit compiled for per-shot replay: the unfused plan, and per gate
+/// (= per record) its qubits and whether it is a single-qubit gate, for the
+/// depolarizing channel that follows it.
+type Replay = (ExecPlan, Vec<(Vec<usize>, bool)>);
 
 impl NoisySimulator {
     /// Creates a simulator with the given noise model and the default
@@ -150,91 +152,18 @@ impl NoisySimulator {
         shots: usize,
         rng: &mut R,
     ) -> Result<Vec<usize>, QuantumError> {
+        let (plan, gates) = self.compile(circuit)?;
         let num_qubits = circuit.num_qubits();
         let mut histogram = vec![0usize; 1 << num_qubits];
-        // Lower once, replay per shot.
-        let lowered = Self::lower(circuit);
-        if self.config.plan {
-            if num_qubits > MAX_SIMULATOR_QUBITS {
-                return Err(QuantumError::TooManyQubits {
-                    requested: num_qubits,
-                    maximum: MAX_SIMULATOR_QUBITS,
-                });
-            }
-            // Plan once for the whole run: records stay 1:1 with the gates
-            // (pair fusion off) so noise channels interleave between them,
-            // and the SoA state is reset in place between shots.
-            let plan = ExecPlan::from_program(
-                &FusedProgram::lower(circuit),
-                &self.config.with_pair_fusion(false),
-            );
-            debug_assert_eq!(plan.num_records(), lowered.len());
-            let mut state = SoaStatevector::zero_state(num_qubits, plan.block_bits());
-            for _ in 0..shots {
-                let outcome = self.run_plan_shot(&plan, &lowered, &mut state, num_qubits, rng);
-                histogram[outcome] += 1;
-            }
-        } else {
-            for _ in 0..shots {
-                let outcome = self.run_lowered_shot(&lowered, num_qubits, rng)?;
-                histogram[outcome] += 1;
-            }
+        let mut state = SoaStatevector::zero_state(num_qubits, plan.block_bits());
+        for _ in 0..shots {
+            histogram[self.run_plan_shot(&plan, &gates, &mut state, rng)] += 1;
         }
         Ok(histogram)
     }
 
-    /// Lowers a circuit to kernel ops; each entry keeps the source gate's
-    /// qubits and arity class for the trailing depolarizing channel.
-    fn lower(circuit: &QuantumCircuit) -> Vec<(FusedOp, Vec<usize>, bool)> {
-        circuit
-            .iter()
-            .map(|gate| (FusedOp::from_gate(gate), gate.qubits(), gate.arity() == 1))
-            .collect()
-    }
-
-    /// Runs one shot of a pre-lowered program on the legacy interleaved
-    /// amplitude layout.
-    fn run_lowered_shot<R: Rng + ?Sized>(
-        &self,
-        lowered: &[(FusedOp, Vec<usize>, bool)],
-        num_qubits: usize,
-        rng: &mut R,
-    ) -> Result<usize, QuantumError> {
-        let mut state = Statevector::new(num_qubits)?;
-        for (op, qubits, is_single_qubit) in lowered {
-            fusion::apply_op(state.amplitudes_mut(), op, &self.config);
-            self.apply_depolarizing(&mut state, qubits, *is_single_qubit, rng);
-        }
-        Ok(self.measure_with_readout(&state, num_qubits, rng))
-    }
-
-    /// Runs one shot by replaying a pre-compiled plan record by record on a
-    /// reused SoA state, drawing the exact RNG sequence of the legacy path.
-    fn run_plan_shot<R: Rng + ?Sized>(
-        &self,
-        plan: &ExecPlan,
-        lowered: &[(FusedOp, Vec<usize>, bool)],
-        state: &mut SoaStatevector,
-        num_qubits: usize,
-        rng: &mut R,
-    ) -> usize {
-        state.reset();
-        for (index, (_, qubits, is_single_qubit)) in lowered.iter().enumerate() {
-            plan.apply_record(state, index);
-            self.apply_depolarizing_soa(state, qubits, *is_single_qubit, rng);
-        }
-        let mut outcome = state.sample_linear(rng);
-        if self.model.readout_error > 0.0 {
-            for qubit in 0..num_qubits {
-                if rng.gen::<f64>() < self.model.readout_error {
-                    outcome ^= 1usize << qubit;
-                }
-            }
-        }
-        outcome
-    }
-
-    /// Runs one noisy shot and returns the measured basis state.
+    /// Runs one noisy shot and returns the measured basis state. Draws the
+    /// same RNG stream as one shot of [`NoisySimulator::run`].
     ///
     /// # Errors
     ///
@@ -245,41 +174,59 @@ impl NoisySimulator {
         circuit: &QuantumCircuit,
         rng: &mut R,
     ) -> Result<usize, QuantumError> {
-        self.run_lowered_shot(&Self::lower(circuit), circuit.num_qubits(), rng)
+        let (plan, gates) = self.compile(circuit)?;
+        let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+        Ok(self.run_plan_shot(&plan, &gates, &mut state, rng))
     }
 
-    fn apply_depolarizing<R: Rng + ?Sized>(
-        &self,
-        state: &mut Statevector,
-        qubits: &[usize],
-        is_single_qubit: bool,
-        rng: &mut R,
-    ) {
-        let probability = if is_single_qubit {
-            self.model.single_qubit_depolarizing
-        } else {
-            self.model.two_qubit_depolarizing
-        };
-        if probability == 0.0 {
-            return;
+    /// Compiles a circuit for per-shot replay (see [`Replay`]).
+    fn compile(&self, circuit: &QuantumCircuit) -> Result<Replay, QuantumError> {
+        if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
+            return Err(QuantumError::TooManyQubits {
+                requested: circuit.num_qubits(),
+                maximum: MAX_SIMULATOR_QUBITS,
+            });
         }
-        for &qubit in qubits {
-            if rng.gen::<f64>() < probability {
-                // Depolarizing channel: apply X, Y or Z with equal probability.
-                match rng.gen_range(0..3) {
-                    0 => state.apply_gate(&QuantumGate::X(qubit)),
-                    1 => state.apply_gate(&QuantumGate::Y(qubit)),
-                    _ => state.apply_gate(&QuantumGate::Z(qubit)),
+        let plan = ExecPlan::compile(circuit, &self.config.with_fusion(false));
+        let gates: Vec<(Vec<usize>, bool)> = circuit
+            .iter()
+            .map(|gate| (gate.qubits(), gate.arity() == 1))
+            .collect();
+        debug_assert_eq!(plan.num_records(), gates.len());
+        Ok((plan, gates))
+    }
+
+    /// Runs one shot by replaying a compiled plan record by record on a
+    /// reused SoA state, with a depolarizing channel after every record.
+    fn run_plan_shot<R: Rng + ?Sized>(
+        &self,
+        plan: &ExecPlan,
+        gates: &[(Vec<usize>, bool)],
+        state: &mut SoaStatevector,
+        rng: &mut R,
+    ) -> usize {
+        state.reset();
+        for (index, (qubits, is_single_qubit)) in gates.iter().enumerate() {
+            plan.apply_record(state, index);
+            self.apply_depolarizing(state, qubits, *is_single_qubit, rng);
+        }
+        let mut outcome = state.sample_linear(rng);
+        // Readout errors: flip each measured bit independently.
+        if self.model.readout_error > 0.0 {
+            for qubit in 0..state.num_qubits() {
+                if rng.gen::<f64>() < self.model.readout_error {
+                    outcome ^= 1usize << qubit;
                 }
             }
         }
+        outcome
     }
 
-    /// The SoA twin of [`NoisySimulator::apply_depolarizing`]: identical RNG
-    /// draws, with the Pauli insertions routed through the same dense/phase
-    /// classification as the kernel (X and Y dense, Z a phase) so the
-    /// amplitude evolution matches the legacy path bit for bit.
-    fn apply_depolarizing_soa<R: Rng + ?Sized>(
+    /// Applies the depolarizing channel after one gate: each of its qubits
+    /// independently suffers an X, Y or Z error with the model's
+    /// probability. The Paulis go through the same dense/phase
+    /// classification as the plan records (X and Y dense, Z a phase).
+    fn apply_depolarizing<R: Rng + ?Sized>(
         &self,
         state: &mut SoaStatevector,
         qubits: &[usize],
@@ -305,24 +252,6 @@ impl NoisySimulator {
                 state.apply_fused_op(&FusedOp::from_gate(&pauli));
             }
         }
-    }
-
-    fn measure_with_readout<R: Rng + ?Sized>(
-        &self,
-        state: &Statevector,
-        num_qubits: usize,
-        rng: &mut R,
-    ) -> usize {
-        let mut outcome = state.sample(rng);
-        // Readout errors: flip each measured bit independently.
-        if self.model.readout_error > 0.0 {
-            for qubit in 0..num_qubits {
-                if rng.gen::<f64>() < self.model.readout_error {
-                    outcome ^= 1usize << qubit;
-                }
-            }
-        }
-        outcome
     }
 }
 
@@ -455,6 +384,20 @@ mod tests {
         let histogram = simulator.run(&circuit, 2000, &mut rng).unwrap();
         let ones = histogram[1] as f64 / 2000.0;
         assert!((ones - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    fn single_shot_matches_a_one_shot_run() {
+        let simulator = NoisySimulator::new(NoiseModel::ibm_qx_2017());
+        for seed in 0..32 {
+            let outcome = simulator
+                .run_single_shot(&ghz(3), &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            let histogram = simulator
+                .run(&ghz(3), 1, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(histogram[outcome], 1, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The execution-plan kernel: a GPU-shaped dispatch-record program over a
 //! struct-of-arrays amplitude state.
 //!
-//! This module is the production dense execution layer (enabled by
-//! [`ExecConfig::plan`], the default). Where the legacy
-//! [`FusedProgram::apply`] path walks `Vec<Complex>` one op at a time —
-//! spawning a fresh `thread::scope` per op — the plan interpreter lowers a
+//! This module is the one dense execution layer of the workspace: every
+//! ideal, noisy and batch simulation runs through it. It lowers a
 //! [`FusedProgram`] into an [`ExecPlan`]:
 //!
 //! * a **flat array of uniform [`DispatchRecord`]s** (op kind, bit-mask
@@ -17,31 +15,32 @@
 //!   autovectorizes;
 //! * **4×4 batching**: adjacent dense single-qubit records on two distinct
 //!   qubits merge into one two-qubit [`OpKind::Dense2`] record at lowering
-//!   time (controlled by [`ExecConfig::pair_fusion`]), halving the number of
-//!   passes over the amplitude arrays for dense layers;
+//!   time (under [`ExecConfig::fusion`]), halving the number of passes over
+//!   the amplitude arrays for dense layers;
 //! * **cache blocking**: the state is tiled into cache-block-sized
 //!   [`SoaStatevector::block_bits`] chunks, and maximal *runs* of block-local
 //!   records (dense ops on low qubits, every diagonal phase, MCX with a low
 //!   target) are applied per block while the block is hot in cache — one
 //!   memory sweep per run instead of one per op;
-//! * a **persistent worker pool**: `ExecPlan::apply` spawns one
-//!   `thread::scope` for the whole program. Workers receive owned amplitude
-//!   blocks over a channel, apply whole runs (or cross-block pair/quad
-//!   records — including the Mcx/Swap permutation sweeps, which the legacy
-//!   path hard-codes sequentially) and send the blocks back; no per-op
-//!   spawning, and no `unsafe`.
+//! * a **worker pool per application**: on states of at least
+//!   eight blocks, [`ExecPlan::apply_soa`] opens one `thread::scope` for the
+//!   whole program. For every segment the calling thread moves the owned
+//!   blocks into balanced tasks, sends them to the workers over a channel
+//!   and collects them back from a second channel; workers apply whole runs
+//!   or cross-block pair/quad records (including the Mcx/Swap permutation
+//!   sweeps). No per-op spawning, and no `unsafe`.
 //!
-//! Correctness is established differentially (`tests/plan_differential.rs`):
-//! amplitudes match the [`DenseReference`](crate::reference::DenseReference)
-//! oracle and the legacy fused path at 1e-10 on random circuits over every
-//! gate kind, and with `pair_fusion` disabled the interpreter reproduces the
-//! legacy path *bit for bit* at every thread count (the per-element
-//! arithmetic is association-identical and independent of the block and
+//! Correctness is established differentially (`tests/differential.rs`,
+//! `tests/plan_differential.rs`): fused and unfused plans match the
+//! [`DenseReference`](crate::reference::DenseReference) oracle at 1e-10 on
+//! random circuits over every gate kind, and with fusion off the
+//! interpreter's amplitudes are bit-identical at every block size and
+//! thread count (the per-element arithmetic does not depend on the block and
 //! thread partition).
 
 use crate::circuit::QuantumCircuit;
 use crate::complex::Complex;
-use crate::fusion::{ExecConfig, FusedOp, FusedProgram};
+use crate::fusion::{ExecConfig, FusedOp, FusedProgram, MAX_THREADS};
 use crate::kernel;
 use qdaflow_telemetry as telemetry;
 use std::ops::Range;
@@ -58,6 +57,12 @@ use std::time::Instant;
 /// and degrades past `2^17`; `13` sits at the low end of the plateau so
 /// smaller hosts keep the same behaviour.
 pub const DEFAULT_BLOCK_BITS: usize = 13;
+
+/// Fewest cache blocks on which [`ExecPlan::apply_soa`] starts its worker
+/// pool: 2^16 amplitudes at [`DEFAULT_BLOCK_BITS`]. Smaller states finish a
+/// sweep faster than the pool's threads start; tests force the pool on
+/// tiny registers with a small [`ExecConfig::block_bits`].
+const POOL_MIN_BLOCKS: usize = 8;
 
 /// Sweep statistics of the plan interpreter, registered once in the
 /// process-wide [`telemetry::global_metrics`] registry.
@@ -317,14 +322,30 @@ impl SoaStatevector {
         (self.blocks.len() - 1) * block_len + block_len - 1
     }
 
-    /// Applies one kernel op in place, sequentially, with arithmetic
-    /// identical to the legacy [`fusion::apply_op`](crate::fusion::apply_op)
-    /// path (used by the noisy simulator's stochastic Pauli insertions).
+    /// Applies one kernel op in place, sequentially, with the arithmetic of
+    /// the equivalent plan record (used by the noisy simulator's stochastic
+    /// Pauli insertions).
     ///
     /// # Panics
     ///
     /// Panics if the op references a qubit outside the register.
     pub fn apply_fused_op(&mut self, op: &FusedOp) {
+        // The register width the op needs: one past its highest qubit.
+        let width = |mask: usize| (usize::BITS - mask.leading_zeros()) as usize;
+        let needed = match op {
+            FusedOp::Dense { qubit, .. } => qubit + 1,
+            FusedOp::Phase { mask, .. } => width(*mask),
+            FusedOp::Mcx {
+                control_mask,
+                target,
+            } => width(*control_mask).max(target + 1),
+            FusedOp::Swap { a, b } => a.max(b) + 1,
+        };
+        assert!(
+            needed <= self.num_qubits,
+            "{op:?} out of range for a {}-qubit register",
+            self.num_qubits
+        );
         let record = lower_single(op);
         let pool = single_op_pool(op);
         apply_global_sequential(&record, &pool, self);
@@ -554,13 +575,12 @@ fn is_local(op: &Lowered, block_len: usize) -> bool {
 /// Circuits interleave low- and high-qubit gates freely, which chops the
 /// scheduler's cache-block runs into fragments — every fragment then costs
 /// a full memory sweep and the register is re-streamed from DRAM once per
-/// op, exactly like the legacy path. Clustering restores long local runs
-/// (one sweep applies the whole run per block) and packs the global ops
-/// side by side where the 4×4 batcher can merge high-qubit pairs into
-/// single cross-block passes. Reordering commuting ops is exact in exact
-/// arithmetic but changes floating-point rounding, so it runs only under
-/// [`ExecConfig::pair_fusion`] — the knob that already licenses
-/// non-bit-identical (but tolerance-exact) optimization.
+/// op. Clustering restores long local runs (one sweep applies the whole run
+/// per block) and packs the global ops side by side where the 4×4 batcher
+/// can merge high-qubit pairs into single cross-block passes. Reordering
+/// commuting ops is exact in exact arithmetic but changes floating-point
+/// rounding, so it runs only under [`ExecConfig::fusion`] — the knob that
+/// already licenses non-bit-identical (but tolerance-exact) optimization.
 fn cluster_by_locality(ops: Vec<Lowered>, block_bits: usize) -> Vec<Lowered> {
     let block_len = 1usize << block_bits;
     let mut clusters: Vec<Cluster> = Vec::new();
@@ -644,16 +664,22 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compiles a circuit end to end: gate fusion per `config.fusion`, then
-    /// lowering (with 4×4 batching per `config.pair_fusion`) and segment
-    /// scheduling for the configured cache-block size.
+    /// Compiles a circuit end to end: with `config.fusion` the gate-fusion
+    /// pass, commuting-op clustering and 4×4 batching run, without it every
+    /// gate becomes one record; then segment scheduling for the configured
+    /// cache-block size.
     pub fn compile(circuit: &QuantumCircuit, config: &ExecConfig) -> Self {
-        Self::from_program(&FusedProgram::compile(circuit, config), config)
+        let program = if config.fusion {
+            FusedProgram::fuse(circuit)
+        } else {
+            FusedProgram::lower(circuit)
+        };
+        Self::from_program(&program, config)
     }
 
     /// Lowers an already fused program into a plan.
     ///
-    /// With `config.pair_fusion` disabled the records correspond 1:1 to the
+    /// With `config.fusion` disabled the records correspond 1:1 to the
     /// program's ops (degenerate MCX records whose control set contains the
     /// target are kept as explicit no-ops), which the noisy simulator relies
     /// on to interleave stochastic noise between gates.
@@ -685,7 +711,7 @@ impl ExecPlan {
             };
             lowered.push(next);
         }
-        if config.pair_fusion {
+        if config.fusion {
             lowered = cluster_by_locality(lowered, block_bits);
             // Merge only where a 4×4 saves a full memory sweep: same-qubit
             // 2×2 products are always profitable, and two *global* ops fold
@@ -754,14 +780,13 @@ impl ExecPlan {
     }
 
     /// Applies the plan in place to a `2^n` interleaved amplitude slice: the
-    /// slice is transposed into blocked SoA layout, interpreted (with the
-    /// worker pool when the register clears
-    /// [`ExecConfig::parallel_threshold`]), and transposed back.
+    /// slice is transposed into blocked SoA layout, interpreted by
+    /// [`ExecPlan::apply_soa`], and transposed back.
     ///
     /// # Panics
     ///
     /// Panics if the slice is shorter than the plan's register (extra qubits
-    /// are spectators, as in the legacy path).
+    /// are spectators).
     pub fn apply(&self, amplitudes: &mut [Complex], config: &ExecConfig) {
         assert!(
             kernel::num_qubits_of(amplitudes) >= self.num_qubits,
@@ -774,7 +799,9 @@ impl ExecPlan {
         state.write_to(amplitudes);
     }
 
-    /// Applies the plan in place to a blocked SoA state.
+    /// Applies the plan in place to a blocked SoA state, on the worker pool
+    /// (`config.threads` workers) when the state has at least eight cache
+    /// blocks and sequentially otherwise.
     ///
     /// # Panics
     ///
@@ -792,7 +819,11 @@ impl ExecPlan {
             self.block_bits.min(state.num_qubits),
             "state block size does not match the plan schedule"
         );
-        let threads = config.effective_threads(1usize << state.num_qubits);
+        let threads = if state.blocks.len() >= POOL_MIN_BLOCKS {
+            config.threads.clamp(1, MAX_THREADS)
+        } else {
+            1
+        };
         let started = Instant::now();
         let _span = telemetry::span!(
             "kernel",
@@ -801,7 +832,7 @@ impl ExecPlan {
             self.records.len(),
             self.segments.len()
         );
-        if threads > 1 && state.blocks.len() > 1 {
+        if threads > 1 {
             self.apply_pooled(state, threads);
         } else {
             for segment in &self.segments {
@@ -868,10 +899,11 @@ impl ExecPlan {
         apply_global_sequential(&self.records[index], &self.pool, state);
     }
 
-    /// The persistent-pool interpreter: one `thread::scope` for the entire
-    /// program. Workers pull owned blocks from a shared channel, apply a
-    /// whole segment's worth of work and return them; the main thread only
-    /// routes blocks and performs the free block-permutation fast paths.
+    /// The pooled interpreter: one `thread::scope` for the entire program.
+    /// Workers pull tasks of owned blocks from a shared channel, apply a
+    /// whole segment's worth of work and send them back; the calling thread
+    /// only routes blocks and performs the free block-permutation fast
+    /// paths.
     fn apply_pooled(&self, state: &mut SoaStatevector, threads: usize) {
         let block_bits = state.block_bits;
         // Workers run on their own threads: capture the apply span here and
@@ -1482,8 +1514,8 @@ fn matrix4(pool: &[f64], slot: u32) -> &[f64; 32] {
 
 /// The vectorizable core of every dense 2×2 application: paired low/high
 /// component rows of equal length. The multiply-add association matches the
-/// legacy `matrix[0][0] * a + matrix[0][1] * b` complex arithmetic exactly,
-/// so the SoA path is bit-identical to the legacy path per element.
+/// `matrix[0][0] * a + matrix[0][1] * b` complex arithmetic of the scalar
+/// [`kernel`] exactly, so both produce the same bits per element.
 fn dense1_rows(
     low_re: &mut [f64],
     low_im: &mut [f64],
@@ -1683,8 +1715,8 @@ fn phase_all(re: &mut [f64], im: &mut [f64], phase_re: f64, phase_im: f64) {
 /// `2·bit` chunk, so the innermost sweeps are contiguous [`phase_all`] runs
 /// of the mask's lowest bit value — strided streaming instead of per-index
 /// bit insertion. Each matching amplitude is multiplied exactly once with
-/// the same arithmetic as before, so results are bit-identical to the
-/// legacy enumeration order.
+/// the same arithmetic, so results do not depend on the enumeration
+/// order.
 fn phase_masked(re: &mut [f64], im: &mut [f64], mask: usize, phase_re: f64, phase_im: f64) {
     if mask == 0 {
         phase_all(re, im, phase_re, phase_im);
@@ -1719,7 +1751,7 @@ fn phase_masked(re: &mut [f64], im: &mut [f64], mask: usize, phase_re: f64, phas
 }
 
 /// In-block MCX: swaps across the target bit where the (block-local)
-/// controls are satisfied (mirrors the legacy `mcx_masked`).
+/// controls are satisfied (mirrors [`kernel::mcx_masked`]).
 fn mcx_block(re: &mut [f64], im: &mut [f64], control_mask: usize, target_bit: usize) {
     let fixed = control_mask | target_bit;
     let free_bits = re.len().trailing_zeros() as usize - fixed.count_ones() as usize;
@@ -1734,7 +1766,7 @@ fn mcx_block(re: &mut [f64], im: &mut [f64], control_mask: usize, target_bit: us
     }
 }
 
-/// In-block SWAP of two low qubits (mirrors the legacy `swap_masked`).
+/// In-block SWAP of two low qubits (mirrors [`kernel::swap_masked`]).
 fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
     if bit_a == bit_b {
         return;
@@ -1779,8 +1811,7 @@ mod tests {
                 QuantumGate::Swap { a: 3, b: 1 },
             ],
         );
-        let config = ExecConfig::baseline().with_pair_fusion(false);
-        let plan = ExecPlan::from_program(&FusedProgram::lower(&circuit), &config);
+        let plan = ExecPlan::from_program(&FusedProgram::lower(&circuit), &ExecConfig::baseline());
         let records = plan.records();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].kind, OpKind::Dense1);
@@ -1797,7 +1828,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_fusion_batches_adjacent_dense_ops() {
+    fn fusion_batches_adjacent_dense_ops() {
         // A layer of H on 4 qubits with 4-amplitude blocks: qubits 0 and 1
         // are block-local (they already share one sweep per run, so they
         // stay as 2×2 records), while the global H's on qubits 2 and 3
@@ -1823,14 +1854,18 @@ mod tests {
                 (OpKind::Dense2, 4, 8),
             ]
         );
-        // Same-qubit denses always merge: X·H collapses to one 2×2 record.
+        // Same-qubit denses always merge, even in an unfused program: X·H
+        // collapses to one 2×2 record.
         let mut same = QuantumCircuit::new(2);
         push_all(&mut same, [QuantumGate::H(0), QuantumGate::X(0)]);
-        let merged = ExecPlan::compile(&same, &ExecConfig::sequential().with_fusion(false));
+        let merged = ExecPlan::from_program(&FusedProgram::lower(&same), &ExecConfig::sequential());
         assert_eq!(merged.num_records(), 1);
-        // Without pair fusion the layer stays one record per gate.
-        let unbatched =
-            ExecPlan::compile(&circuit, &ExecConfig::sequential().with_pair_fusion(false));
+        // Without fusion every gate stays one record.
+        assert_eq!(
+            ExecPlan::compile(&same, &ExecConfig::baseline()).num_records(),
+            2
+        );
+        let unbatched = ExecPlan::compile(&circuit, &ExecConfig::baseline());
         assert_eq!(unbatched.num_records(), 4);
     }
 
@@ -1904,7 +1939,8 @@ mod tests {
             ],
         );
         let sequential_config = ExecConfig::sequential().with_block_bits(2);
-        let pooled_config = sequential_config.with_threads(4).with_parallel_threshold(2);
+        // 5 qubits on 4-amplitude blocks: eight blocks, enough for the pool.
+        let pooled_config = sequential_config.with_threads(4);
         let plan = ExecPlan::compile(&circuit, &sequential_config);
         let mut sequential = SoaStatevector::zero_state(5, plan.block_bits());
         plan.apply_soa(&mut sequential, &sequential_config);

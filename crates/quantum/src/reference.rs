@@ -4,11 +4,12 @@
 //! application: for each basis state it accumulates the gate's column action
 //! into a freshly allocated output vector, with **no** diagonal fast path,
 //! no in-place pair tricks, no fusion and no threading. Its implementation
-//! shares nothing with the optimized [`kernel`](crate::kernel)/
-//! [`fusion`](crate::fusion) execution layer, which is exactly what makes it
-//! a useful differential-testing oracle: the property suites in
-//! `tests/differential.rs` compare the fused, parallel simulator against it
-//! amplitude-for-amplitude on random circuits.
+//! shares nothing with the [`kernel`](crate::kernel) or the
+//! [`ExecPlan`](crate::plan::ExecPlan) interpreter, which is exactly what
+//! makes it a useful differential-testing oracle — the only independent one
+//! of the dense path: the property suites in `tests/differential.rs` and
+//! `tests/plan_differential.rs` compare fused, unfused and pooled plans
+//! against it amplitude-for-amplitude on random circuits.
 //!
 //! The same pattern — an optimized production simulator paired with a
 //! trivially-auditable reference implementation — is used by the large

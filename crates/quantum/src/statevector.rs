@@ -2,11 +2,12 @@
 //!
 //! The statevector simulator is the "local simulator" backend of the paper's
 //! ProjectQ flow and the reference against which the noisy backend and the
-//! compiled circuits are validated. It stores all `2^n` complex amplitudes
-//! and applies gates in place.
+//! compiled circuits are validated. It stores all `2^n` complex amplitudes.
+//! Whole circuits execute through the [`ExecPlan`] interpreter; single
+//! gates go through the scalar [`kernel`].
 
 use crate::complex::Complex;
-use crate::fusion::{ExecConfig, FusedProgram};
+use crate::fusion::ExecConfig;
 use crate::kernel;
 use crate::plan::{ExecPlan, SoaStatevector};
 use crate::sampling::CumulativeDistribution;
@@ -62,7 +63,7 @@ impl Statevector {
     }
 
     /// Runs a full circuit on the all-zeros state and returns the resulting
-    /// state, executing through the default fused execution layer.
+    /// state, executing through the default execution configuration.
     ///
     /// # Errors
     ///
@@ -72,36 +73,27 @@ impl Statevector {
     }
 
     /// Runs a full circuit on the all-zeros state with an explicit execution
-    /// configuration: the circuit is compiled to a
-    /// [`FusedProgram`] and applied with the
-    /// configured fusion/threading settings.
+    /// configuration: the circuit is compiled to an [`ExecPlan`] and applied
+    /// to a blocked SoA zero state, which is converted to the interleaved
+    /// layout once at the end.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::TooManyQubits`] for oversized circuits.
     pub fn run(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
-        if config.plan {
-            // Plan fast path: start from a blocked SoA zero state and
-            // convert to the interleaved layout once at the end, instead of
-            // allocating an interleaved zero register only to split it into
-            // SoA and merge it back (two extra full-register passes).
-            if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
-                return Err(QuantumError::TooManyQubits {
-                    requested: circuit.num_qubits(),
-                    maximum: MAX_SIMULATOR_QUBITS,
-                });
-            }
-            let plan = ExecPlan::compile(circuit, config);
-            let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
-            plan.apply_soa(&mut state, config);
-            return Ok(Self {
-                num_qubits: circuit.num_qubits(),
-                amplitudes: state.to_amplitudes(),
+        if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
+            return Err(QuantumError::TooManyQubits {
+                requested: circuit.num_qubits(),
+                maximum: MAX_SIMULATOR_QUBITS,
             });
         }
-        let mut state = Self::new(circuit.num_qubits())?;
-        state.apply_circuit_with(circuit, config);
-        Ok(state)
+        let plan = ExecPlan::compile(circuit, config);
+        let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+        plan.apply_soa(&mut state, config);
+        Ok(Self {
+            num_qubits: circuit.num_qubits(),
+            amplitudes: state.to_amplitudes(),
+        })
     }
 
     /// Number of qubits.
@@ -124,8 +116,8 @@ impl Statevector {
     }
 
     /// Mutable access to the raw amplitudes, for callers that drive the
-    /// kernel or the fused execution layer directly (e.g. the noisy
-    /// simulator's per-shot loop). Callers must preserve normalization.
+    /// kernel or an [`ExecPlan`] directly (e.g. the mapping verifier's
+    /// per-basis-state replay). Callers must preserve normalization.
     pub fn amplitudes_mut(&mut self) -> &mut [Complex] {
         &mut self.amplitudes
     }
@@ -186,8 +178,8 @@ impl Statevector {
         kernel::apply_gate(&mut self.amplitudes, gate);
     }
 
-    /// Applies every gate of a circuit in order through the default fused
-    /// execution layer.
+    /// Applies every gate of a circuit in order through the default
+    /// execution configuration.
     ///
     /// # Panics
     ///
@@ -197,9 +189,7 @@ impl Statevector {
     }
 
     /// Applies every gate of a circuit with an explicit execution
-    /// configuration: through the [`ExecPlan`] SoA interpreter when
-    /// `config.plan` is set (the default), or the legacy interleaved
-    /// [`FusedProgram`] path otherwise.
+    /// configuration, through the [`ExecPlan`] SoA interpreter.
     ///
     /// # Panics
     ///
@@ -211,11 +201,7 @@ impl Statevector {
             circuit.num_qubits(),
             self.num_qubits
         );
-        if config.plan {
-            ExecPlan::compile(circuit, config).apply(&mut self.amplitudes, config);
-        } else {
-            FusedProgram::compile(circuit, config).apply(&mut self.amplitudes, config);
-        }
+        ExecPlan::compile(circuit, config).apply(&mut self.amplitudes, config);
     }
 
     /// The precomputed cumulative measurement distribution of this state,

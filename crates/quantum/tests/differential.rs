@@ -1,16 +1,18 @@
-//! Differential property tests: the legacy fused, multi-threaded execution
-//! layer against the naive [`DenseReference`] oracle.
+//! Differential property tests: each execution configuration a caller can
+//! pick — fused, unfused, multi-threaded — against the naive
+//! [`DenseReference`] oracle.
 //!
 //! Random 2–8 qubit Clifford+T circuits (with Toffoli, MCX, MCZ, SWAP and
-//! π/4-step rotations mixed in) are executed on both simulators and compared
-//! amplitude-for-amplitude. The two implementations share no code — the
-//! production path goes through `FusedProgram` and the chunked kernel loops,
-//! the reference through out-of-place column accumulation — so agreement on
-//! every random circuit is strong evidence that neither is wrong.
+//! π/4-step rotations mixed in) are executed through [`Statevector::run`]
+//! and through the oracle and compared amplitude-for-amplitude. The two
+//! implementations share no code — `Statevector::run` goes through
+//! `FusedProgram` and the `ExecPlan` block sweeps, the reference through
+//! out-of-place column accumulation — so agreement on every random circuit
+//! is strong evidence that neither is wrong.
 //!
-//! Every config here pins `.with_plan(false)`: these suites keep the legacy
-//! interleaved path covered now that the `ExecPlan` SoA interpreter is the
-//! default (`tests/plan_differential.rs` owns the plan-path suites).
+//! `tests/plan_differential.rs` holds the interpreter's own suites: wider
+//! registers, tiny cache blocks, and bit-identity across block sizes,
+//! thread counts and the noisy replay.
 
 use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
@@ -127,27 +129,26 @@ proptest! {
     #[test]
     fn fused_kernel_matches_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        assert_matches_reference(&circuit, &ExecConfig::sequential().with_plan(false));
+        assert_matches_reference(&circuit, &ExecConfig::sequential());
     }
 
-    /// Suite 2: the chunked multi-threaded path (threading forced on even
-    /// for tiny registers) is amplitude-exact against the oracle.
+    /// Suite 2: the multi-threaded path is amplitude-exact against the
+    /// oracle. Two-amplitude cache blocks put every register of four or
+    /// more qubits on the worker pool (it starts at eight blocks).
     #[test]
     fn parallel_kernel_matches_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let config = ExecConfig::sequential()
-            .with_plan(false)
             .with_threads(4)
-            .with_parallel_threshold(2);
+            .with_block_bits(1);
         assert_matches_reference(&circuit, &config);
     }
 
-    /// Suite 3: the unfused lowering (one kernel op per gate) agrees with
+    /// Suite 3: the unfused lowering (one plan record per gate) agrees with
     /// the oracle too, isolating fusion-pass bugs from kernel bugs.
     #[test]
     fn lowered_kernel_matches_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        // `baseline()` already selects the legacy path.
         assert_matches_reference(&circuit, &ExecConfig::baseline());
     }
 
@@ -157,9 +158,8 @@ proptest! {
     fn fused_execution_preserves_norm(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let config = ExecConfig::default()
-            .with_plan(false)
             .with_threads(4)
-            .with_parallel_threshold(2);
+            .with_block_bits(1);
         let state = Statevector::run(&circuit, &config).expect("small register");
         prop_assert!((state.norm() - 1.0).abs() < TOLERANCE);
         let reference = DenseReference::from_circuit(&circuit).expect("small register");

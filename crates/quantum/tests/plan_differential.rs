@@ -1,22 +1,23 @@
-//! Differential property tests for the `ExecPlan` SoA interpreter.
+//! Differential property tests for the `ExecPlan` SoA interpreter, the
+//! workspace's one dense execution path.
 //!
 //! Random 2–10 qubit circuits over every gate kind of the IR are executed
-//! through the plan interpreter and compared against two independent
-//! implementations:
+//! through the plan interpreter and checked:
 //!
-//! * the naive [`DenseReference`] oracle, amplitude-for-amplitude at 1e-10
-//!   (suites 1–2, including forced multi-block + worker-pool configs that
-//!   exercise the cross-block pair/quad dispatch paths on tiny registers);
-//! * the legacy interleaved fused path, **bit for bit** with 4×4 batching
-//!   disabled (suite 3) — the SoA sweeps use the same multiply-add
-//!   association as the legacy complex arithmetic, so the two paths must
-//!   agree exactly, not just approximately;
-//! * itself across thread counts (suite 4): amplitudes and sampled
-//!   histograms are bit-identical at 1, 2, 4 and 8 threads, and the
-//!   histograms match the legacy path's — the reproducibility contract the
-//!   batch subsystem relies on;
-//! * the noisy simulator's plan replay against its legacy replay (suite 5):
-//!   identical RNG streams, bit-identical histograms.
+//! * against the naive [`DenseReference`] oracle, amplitude-for-amplitude at
+//!   1e-10, in the production configuration (suite 1) and with tiny cache
+//!   blocks on the worker pool, which exercises the cross-block pair/quad
+//!   dispatch paths on small registers (suite 2);
+//! * against itself, **bit for bit**, with fusion off: the amplitudes are
+//!   identical at every cache-block size (suite 3) and at 1, 2, 4 and 8
+//!   threads, and so are the sampled histograms (suite 4) — the
+//!   reproducibility contract the batch subsystem and the sparse and
+//!   stabilizer histogram-identity suites rely on;
+//! * the noisy simulator's plan replay: identical RNG streams and
+//!   bit-identical histograms at every cache-block size (suite 5).
+//!
+//! `tests/differential.rs` checks the fused, unfused and multi-threaded
+//! configurations against the oracle on 2–8 qubits, with the norm.
 
 use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
@@ -128,84 +129,81 @@ fn assert_matches_reference(circuit: &QuantumCircuit, config: &ExecConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Suite 1: the plan interpreter in its production configuration (4×4
-    /// batching on, auto block size — one block for these registers) is
-    /// amplitude-exact against the dense reference oracle.
+    /// Suite 1: the plan interpreter in its production configuration
+    /// (fusion, clustering and 4×4 batching on, auto block size — one block
+    /// for these registers) is amplitude-exact against the dense reference
+    /// oracle.
     #[test]
     fn plan_kernel_matches_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         assert_matches_reference(&circuit, &ExecConfig::sequential());
     }
 
-    /// Suite 2: tiny cache blocks (4 amplitudes) force the cross-block
-    /// pair/quad/permute dispatch for most gates, and the forced worker pool
-    /// routes the blocks over channels — amplitude-exact against the oracle.
+    /// Suite 2: tiny cache blocks (2 and 4 amplitudes) force the
+    /// cross-block pair/quad/permute dispatch for most gates, and four
+    /// threads route the blocks over the worker pool's channels whenever
+    /// the state has at least eight blocks — amplitude-exact against the
+    /// oracle.
     #[test]
     fn blocked_pooled_plan_matches_dense_reference(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        let config = ExecConfig::sequential()
-            .with_block_bits(2)
-            .with_threads(4)
-            .with_parallel_threshold(2);
-        assert_matches_reference(&circuit, &config);
+        for block_bits in [1usize, 2] {
+            let config = ExecConfig::sequential()
+                .with_block_bits(block_bits)
+                .with_threads(4);
+            assert_matches_reference(&circuit, &config);
+        }
     }
 
-    /// Suite 3: with 4×4 batching disabled the plan path and the legacy
-    /// interleaved path perform element-for-element identical arithmetic —
-    /// the amplitudes must agree bit for bit, across block sizes.
+    /// Suite 3: with fusion off the plan performs the same per-element
+    /// arithmetic whatever the block partition — the amplitudes at 2-, 4-
+    /// and 8-amplitude blocks agree bit for bit with the single-block run.
     #[test]
-    fn plan_is_bit_identical_to_legacy_path(seed in any::<u64>()) {
+    fn unfused_plan_is_block_size_invariant(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        let legacy = Statevector::run(
-            &circuit,
-            &ExecConfig::sequential().with_plan(false),
-        ).expect("small register");
-        for block_bits in [0usize, 2, 3] {
-            let plan = Statevector::run(
+        let single_block = Statevector::run(&circuit, &ExecConfig::baseline())
+            .expect("small register");
+        for block_bits in [1usize, 2, 3] {
+            let blocked = Statevector::run(
                 &circuit,
-                &ExecConfig::sequential()
-                    .with_pair_fusion(false)
-                    .with_block_bits(block_bits),
+                &ExecConfig::baseline().with_block_bits(block_bits),
             ).expect("small register");
             prop_assert_eq!(
-                plan.amplitudes(),
-                legacy.amplitudes(),
-                "block_bits {} diverges from the legacy path", block_bits
+                blocked.amplitudes(),
+                single_block.amplitudes(),
+                "block_bits {} diverges from the single-block run", block_bits
             );
         }
     }
 
-    /// Suite 4: thread-count invariance. The plan path produces bit-identical
-    /// amplitudes at 1, 2, 4 and 8 threads, and the sampled histograms match
-    /// the legacy path's exactly for the same seed.
+    /// Suite 4: thread-count invariance. With fusion off the plan produces
+    /// bit-identical amplitudes at 2, 4 and 8 threads as on one thread (on
+    /// the worker pool whenever the state has at least eight blocks), and
+    /// the sampled histograms match exactly for the same seed.
     #[test]
     fn plan_histograms_are_bit_identical_across_threads(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        let legacy = Statevector::run(
-            &circuit,
-            &ExecConfig::sequential().with_plan(false),
-        ).expect("small register");
-        let mut legacy_rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-        let expected = legacy.sample_counts(&mut legacy_rng, 512);
-        for threads in [1usize, 2, 4, 8] {
-            let config = ExecConfig::sequential()
-                .with_pair_fusion(false)
-                .with_block_bits(3)
-                .with_threads(threads)
-                .with_parallel_threshold(2);
-            let plan = Statevector::run(&circuit, &config).expect("small register");
-            prop_assert_eq!(
-                plan.amplitudes(),
-                legacy.amplitudes(),
-                "{} threads diverge from the legacy amplitudes", threads
-            );
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-            let histogram = plan.sample_counts(&mut rng, 512);
-            prop_assert_eq!(
-                &histogram,
-                &expected,
-                "{} threads produce a different histogram", threads
-            );
+        for block_bits in [1usize, 3] {
+            let config = ExecConfig::baseline().with_block_bits(block_bits);
+            let sequential = Statevector::run(&circuit, &config).expect("small register");
+            let mut sequential_rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
+            let expected = sequential.sample_counts(&mut sequential_rng, 512);
+            for threads in [2usize, 4, 8] {
+                let threaded = Statevector::run(&circuit, &config.with_threads(threads))
+                    .expect("small register");
+                prop_assert_eq!(
+                    threaded.amplitudes(),
+                    sequential.amplitudes(),
+                    "{} threads (block_bits {}) diverge from one thread", threads, block_bits
+                );
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
+                let histogram = threaded.sample_counts(&mut rng, 512);
+                prop_assert_eq!(
+                    &histogram,
+                    &expected,
+                    "{} threads produce a different histogram", threads
+                );
+            }
         }
     }
 }
@@ -215,28 +213,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Suite 5: the noisy simulator's plan replay draws the identical RNG
-    /// stream as its legacy replay — histograms are bit-identical.
+    /// stream at every cache-block size — histograms are bit-identical to
+    /// the single-block replay's.
     #[test]
-    fn noisy_plan_replay_matches_legacy_replay(seed in any::<u64>()) {
+    fn noisy_replay_is_block_size_invariant(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let model = NoiseModel::ibm_qx_2017();
-        let legacy_sim = NoisySimulator::with_config(
-            model,
-            ExecConfig::sequential().with_plan(false),
-        );
-        let mut legacy_rng = StdRng::seed_from_u64(seed);
-        let legacy = legacy_sim.run(&circuit, 64, &mut legacy_rng).expect("small register");
-        for block_bits in [0usize, 2] {
-            let plan_sim = NoisySimulator::with_config(
+        let single_block = NoisySimulator::with_config(model, ExecConfig::sequential())
+            .run(&circuit, 64, &mut StdRng::seed_from_u64(seed))
+            .expect("small register");
+        for block_bits in [1usize, 2, 3] {
+            let blocked = NoisySimulator::with_config(
                 model,
                 ExecConfig::sequential().with_block_bits(block_bits),
-            );
-            let mut plan_rng = StdRng::seed_from_u64(seed);
-            let plan = plan_sim.run(&circuit, 64, &mut plan_rng).expect("small register");
+            )
+            .run(&circuit, 64, &mut StdRng::seed_from_u64(seed))
+            .expect("small register");
             prop_assert_eq!(
-                &plan,
-                &legacy,
-                "noisy plan replay (block_bits {}) diverges", block_bits
+                &blocked,
+                &single_block,
+                "noisy replay (block_bits {}) diverges", block_bits
             );
         }
     }

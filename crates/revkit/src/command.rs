@@ -14,7 +14,7 @@
 //! | `tpar`    | T-count optimization of the quantum circuit                    |
 //! | `ps`      | print statistics (`-c` selects the circuit stores)            |
 //! | `simulate`| check the quantum circuit against the reversible circuit       |
-//! | `exec`    | configure the execution layer (threads, fusion, plan kernel)   |
+//! | `exec`    | configure the execution layer (threads, fusion, block size)    |
 //! | `qasm`    | print the quantum circuit as OpenQASM, or `qasm load <file>`   |
 //! | `draw`    | print an ASCII rendering of the quantum circuit                |
 //! | `flow`    | run a whole pass pipeline (`flow "revgen --hwb 4; tbs; …"`)    |
@@ -1044,50 +1044,51 @@ impl Command for Exec {
     }
 
     fn description(&self) -> &'static str {
-        "configure circuit execution (--threads N | --fusion on|off | --threshold N | --plan on|off | --block-bits N | --pair-fusion on|off); no arguments prints the current settings"
+        "configure circuit execution (--threads N | --fusion on|off | --block-bits N); no arguments prints the current settings"
     }
 
     fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError> {
+        let invalid = |message: String| RevkitError::InvalidArguments {
+            command: self.name(),
+            message,
+        };
         let mut config = store.exec_config();
-        if let Some(threads) = find_flag_value(args, "--threads") {
-            let threads = parse_usize(self.name(), threads)?;
-            if threads == 0 {
-                return Err(RevkitError::InvalidArguments {
-                    command: self.name(),
-                    message: "--threads must be at least 1".to_owned(),
-                });
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let value = rest
+                .next()
+                .ok_or_else(|| invalid(format!("{flag} expects a value")))?;
+            match flag.as_str() {
+                "--threads" => {
+                    let threads = parse_usize(self.name(), value)?;
+                    if threads == 0 {
+                        return Err(invalid("--threads must be at least 1".to_owned()));
+                    }
+                    config = config.with_threads(threads);
+                }
+                "--fusion" => {
+                    config = config.with_fusion(parse_on_off(self.name(), "--fusion", value)?);
+                }
+                "--block-bits" => {
+                    config = config.with_block_bits(parse_usize(self.name(), value)?);
+                }
+                other => {
+                    return Err(invalid(format!(
+                    "unknown flag '{other}'; valid flags are --threads, --fusion and --block-bits"
+                )))
+                }
             }
-            config = config.with_threads(threads);
-        }
-        if let Some(fusion) = find_flag_value(args, "--fusion") {
-            config = config.with_fusion(parse_on_off(self.name(), "--fusion", fusion)?);
-        }
-        if let Some(threshold) = find_flag_value(args, "--threshold") {
-            config = config.with_parallel_threshold(parse_usize(self.name(), threshold)?);
-        }
-        if let Some(plan) = find_flag_value(args, "--plan") {
-            config = config.with_plan(parse_on_off(self.name(), "--plan", plan)?);
-        }
-        if let Some(block_bits) = find_flag_value(args, "--block-bits") {
-            config = config.with_block_bits(parse_usize(self.name(), block_bits)?);
-        }
-        if let Some(pair_fusion) = find_flag_value(args, "--pair-fusion") {
-            config =
-                config.with_pair_fusion(parse_on_off(self.name(), "--pair-fusion", pair_fusion)?);
         }
         store.set_exec_config(config);
         store.log(format!(
-            "[exec] threads={} fusion={} parallel-threshold={} plan={} block-bits={} pair-fusion={}",
+            "[exec] threads={} fusion={} block-bits={}",
             config.threads,
             if config.fusion { "on" } else { "off" },
-            config.parallel_threshold,
-            if config.plan { "on" } else { "off" },
             if config.block_bits == 0 {
                 "auto".to_owned()
             } else {
                 config.block_bits.to_string()
-            },
-            if config.pair_fusion { "on" } else { "off" }
+            }
         ));
         Ok(())
     }

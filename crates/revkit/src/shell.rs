@@ -138,39 +138,53 @@ mod tests {
         let mut shell = Shell::new();
         let output = shell
             .run_script(
-                "exec --threads 2 --fusion off --threshold 4096\n\
+                "exec --threads 2 --fusion off\n\
                  revgen --hwb 3; tbs; rptm; simulate",
             )
             .unwrap();
-        assert!(output.iter().any(|l| l.contains(
-            "[exec] threads=2 fusion=off parallel-threshold=4096 \
-             plan=on block-bits=auto pair-fusion=on"
-        )));
+        assert!(output
+            .iter()
+            .any(|l| l.contains("[exec] threads=2 fusion=off block-bits=auto")));
         assert!(output
             .iter()
             .any(|l| l.contains("[simulate]") && l.contains("matches")));
         let config = shell.store().exec_config();
         assert_eq!(config.threads, 2);
         assert!(!config.fusion);
-        // The plan knobs reconfigure the interpreter path.
-        let output = shell
-            .run_script("exec --plan off --block-bits 8 --pair-fusion off")
-            .unwrap();
-        assert!(output
-            .iter()
-            .any(|l| l.contains("plan=off block-bits=8 pair-fusion=off")));
-        let config = shell.store().exec_config();
-        assert!(!config.plan);
-        assert_eq!(config.block_bits, 8);
-        assert!(!config.pair_fusion);
+        // The block size reconfigures the plan interpreter.
+        let output = shell.run_script("exec --block-bits 8").unwrap();
+        assert!(output.iter().any(|l| l.contains("block-bits=8")));
+        assert_eq!(shell.store().exec_config().block_bits, 8);
         // Invalid arguments are rejected.
         assert!(shell.run_command("exec --threads 0").is_err());
         assert!(shell.run_command("exec --fusion maybe").is_err());
-        assert!(shell.run_command("exec --plan maybe").is_err());
-        assert!(shell.run_command("exec --pair-fusion maybe").is_err());
+        assert!(shell.run_command("exec --threads").is_err());
         // Without arguments the command just reports the current settings.
         let report = shell.run_script("exec").unwrap();
         assert!(report.iter().any(|l| l.contains("threads=2")));
+    }
+
+    #[test]
+    fn exec_rejects_unknown_flags() {
+        // A misspelt or removed flag must fail, not be skipped while
+        // `[exec]` prints the unchanged settings.
+        let mut shell = Shell::new();
+        let before = shell.store().exec_config();
+        for script in ["exec --thread 4", "exec --plan off"] {
+            match shell.run_command(script) {
+                Err(RevkitError::InvalidArguments { command, message }) => {
+                    assert_eq!(command, "exec");
+                    assert!(
+                        message.contains("--threads")
+                            && message.contains("--fusion")
+                            && message.contains("--block-bits"),
+                        "{message}"
+                    );
+                }
+                other => panic!("{script}: expected invalid arguments, got {other:?}"),
+            }
+        }
+        assert_eq!(shell.store().exec_config(), before);
     }
 
     #[test]

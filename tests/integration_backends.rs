@@ -71,9 +71,8 @@ fn exec_config_variants_agree_on_the_benchmark() {
     let configs = [
         ExecConfig::baseline(),
         ExecConfig::sequential(),
-        ExecConfig::default()
-            .with_threads(4)
-            .with_parallel_threshold(2),
+        // Two-amplitude cache blocks put the register on the worker pool.
+        ExecConfig::default().with_threads(4).with_block_bits(1),
     ];
     let mut histograms = Vec::new();
     for config in configs {
