@@ -94,7 +94,7 @@ fn bench_beyond_dense_ceiling(c: &mut Criterion) {
                 denied,
                 Err(QuantumError::TooManyQubits { requested: 28, .. })
             ));
-            let backend_denied = StatevectorBackend::seeded(7).statevector(&circuit);
+            let backend_denied = StatevectorBackend::seeded(7).prepare(&circuit);
             assert!(matches!(
                 backend_denied,
                 Err(QuantumError::TooManyQubits { .. })
@@ -131,20 +131,20 @@ fn bench_shared_domain(c: &mut Criterion) {
 
     group.bench_function("dense_oracle/20q", |b| {
         let backend = StatevectorBackend::seeded(7);
-        b.iter(|| backend.statevector(&circuit).unwrap())
+        b.iter(|| backend.prepare(&circuit).unwrap())
     });
 
     group.bench_function("sparse_oracle/20q", |b| {
         let backend = SparseBackend::seeded(7);
         b.iter(|| {
-            let state = backend.statevector(&circuit).unwrap();
+            let state = backend.prepare(&circuit).unwrap();
             assert_eq!(state.num_nonzero(), 1 << SUPERPOSED);
             state
         })
     });
 
-    let sparse_state = SparseBackend::seeded(7).statevector(&circuit).unwrap();
-    let dense_state = StatevectorBackend::seeded(7).statevector(&circuit).unwrap();
+    let sparse_state = SparseBackend::seeded(7).prepare(&circuit).unwrap();
+    let dense_state = StatevectorBackend::seeded(7).prepare(&circuit).unwrap();
     let config = ExecConfig::auto();
     group.bench_function("dense_sampling/20q_100000_shots", |b| {
         b.iter(|| dense_state.sample_counts_sharded(7, 100_000, &config))

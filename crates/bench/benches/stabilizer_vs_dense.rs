@@ -110,20 +110,19 @@ fn bench_shared_domain(c: &mut Criterion) {
 
     group.bench_function("dense_hidden_shift/20q", |b| {
         let backend = StatevectorBackend::seeded(7);
-        b.iter(|| backend.statevector(&circuit).unwrap())
+        b.iter(|| backend.prepare(&circuit).unwrap())
     });
 
     group.bench_function("stabilizer_hidden_shift/20q", |b| {
-        let backend = StabilizerBackend::seeded(7);
         b.iter(|| {
-            let tableau = backend.tableau(&circuit).unwrap();
+            let tableau = StabilizerTableau::from_circuit(&circuit).unwrap();
             assert_eq!(tableau.num_qubits(), SHARED_QUBITS);
             tableau
         })
     });
 
-    let dense_state = StatevectorBackend::seeded(7).statevector(&circuit).unwrap();
-    let sampler = StabilizerBackend::seeded(7).sampler(&circuit).unwrap();
+    let dense_state = StatevectorBackend::seeded(7).prepare(&circuit).unwrap();
+    let sampler = StabilizerBackend::seeded(7).prepare(&circuit).unwrap();
     let config = ExecConfig::auto();
     group.bench_function("dense_sampling/20q_100000_shots", |b| {
         b.iter(|| dense_state.sample_counts_sharded(7, 100_000, &config))

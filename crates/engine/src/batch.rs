@@ -13,12 +13,12 @@
 //!    [`resolve_backend`]; the program is then aliased into the resolved
 //!    backend's slot, so cache entries name a concrete backend, never
 //!    `auto`;
-//! 2. the program is **simulated** on its backend: a dense statevector, a
-//!    sparse statevector, or a stabilizer support sampler;
+//! 2. the program is **simulated** on its backend through
+//!    [`BackendChoice::prepare`], the one place a choice becomes a
+//!    simulated state: a dense statevector, a sparse statevector, or a
+//!    stabilizer support sampler, each a [`PreparedState`];
 //! 3. the job samples its shots with the **shot-sharded** sampler
-//!    ([`Statevector::sample_counts_sharded`] /
-//!    [`SparseStatevector::sample_counts_sharded`] /
-//!    [`StabilizerSampler::sample_counts_sharded`]) under its own seed.
+//!    ([`PreparedState::sample_sharded`]) under its own seed.
 //!
 //! The [`JobService`](crate::JobService) workers call `run_job` directly,
 //! and [`BatchEngine::run_batch`] and [`BatchEngine::try_run_batch`] are
@@ -26,20 +26,19 @@
 //! reproducible: a job's histogram depends only on `(spec, backend, shots,
 //! seed, shot_shard_size)` — never on the thread count, the batch
 //! composition, or the cache state. Auto resolution is reproducible too: it
-//! is a pure function of the compiled circuit.
+//! is a pure function of the compiled circuit, and `run_job` counts each
+//! job's dispatch (`qdaflow_dispatch_total`, plus the `auto -> <backend>`
+//! trace event for `Auto` jobs) exactly once.
 
-use crate::cache::{CompiledProgram, OracleCache, OracleSpec};
+use crate::cache::{OracleCache, OracleSpec};
 use crate::engine::{note_dispatch, resolve_backend, BackendChoice};
 use crate::EngineError;
 use qdaflow_pipeline::spec::{CanonicalHasher, SpecKey};
-use qdaflow_quantum::backend::ExecutionResult;
+use qdaflow_quantum::backend::{ExecutionResult, PreparedState};
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{GateCensus, QuantumCircuit, QuantumError, Statevector};
-use qdaflow_sparse::SparseStatevector;
-use qdaflow_stabilizer::{StabilizerSampler, StabilizerTableau};
+use qdaflow_quantum::{GateCensus, QuantumCircuit};
 use qdaflow_telemetry as telemetry;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// Renders a caught panic payload into the text carried by
 /// [`EngineError::JobPanicked`].
@@ -148,82 +147,35 @@ fn backend_key(base: SpecKey, backend: BackendChoice) -> SpecKey {
     hasher.finish()
 }
 
-/// The simulated output state of one job's program, on whichever engine
-/// the job selected.
-#[derive(Debug)]
-enum SimulatedState {
-    Dense(Statevector),
-    Sparse(SparseStatevector),
-    /// The stabilizer path stores the enumerated support sampler rather
-    /// than a tableau, so support-extraction errors surface at simulate
-    /// time and sampling stays infallible like the other backends.
-    Stabilizer(StabilizerSampler),
-}
-
-impl SimulatedState {
-    /// Simulates a compiled circuit on a concrete backend.
-    fn simulate(
-        circuit: &QuantumCircuit,
-        backend: BackendChoice,
-        config: &ExecConfig,
-    ) -> Result<Self, EngineError> {
-        Ok(match backend {
-            BackendChoice::Dense => Self::Dense(Statevector::run(circuit, config)?),
-            BackendChoice::Sparse => Self::Sparse(SparseStatevector::from_circuit(circuit)?),
-            BackendChoice::Stabilizer => {
-                let tableau =
-                    StabilizerTableau::from_circuit(circuit).map_err(QuantumError::from)?;
-                Self::Stabilizer(tableau.sampler().map_err(QuantumError::from)?)
-            }
-            // `run_job` resolves Auto before simulating; if that invariant
-            // ever breaks it is a typed error, not a process abort.
-            BackendChoice::Auto => return Err(EngineError::AutoUnresolved),
-        })
-    }
-
-    /// Samples a job's shots with the shot-sharded sampler and builds its
-    /// [`ExecutionResult`]; all engines use the same `(seed, shard)` RNG
-    /// scheme, so equal-seed jobs agree across backends.
-    fn sample_job(
-        &self,
-        program: &CompiledProgram,
-        shots: usize,
-        seed: u64,
-        config: &ExecConfig,
-    ) -> ExecutionResult {
-        let shards = shots.div_ceil(config.shot_shard_size.max(1)) as u64;
-        let registry = telemetry::global_metrics();
-        registry
-            .counter(
-                "qdaflow_sampling_shards_total",
-                "Shot-sharded sampling shards executed.",
-                &[],
-            )
-            .add(shards);
-        registry
-            .counter(
-                "qdaflow_sampling_shots_total",
-                "Shots drawn by the shot-sharded sampler.",
-                &[],
-            )
-            .add(shots as u64);
-        let _span = telemetry::span!("sampling", "sample {shots} shots ({shards} shards)");
-        match self {
-            Self::Dense(state) => {
-                let histogram = state.sample_counts_sharded(seed, shots, config);
-                ExecutionResult::from_histogram(program.circuit(), shots, &histogram)
-            }
-            Self::Sparse(state) => {
-                let counts =
-                    qdaflow_sparse::widen_counts(state.sample_counts_sharded(seed, shots, config));
-                ExecutionResult::from_counts(program.circuit(), shots, counts)
-            }
-            Self::Stabilizer(sampler) => {
-                let counts = sampler.sample_counts_sharded(seed, shots, config);
-                ExecutionResult::from_counts(program.circuit(), shots, counts)
-            }
-        }
-    }
+/// Samples a job's shots from its prepared state with the shot-sharded
+/// sampler and builds its [`ExecutionResult`]. Every engine uses the same
+/// `(seed, shard)` RNG scheme, so equal-seed jobs agree across backends.
+fn sample_job(
+    state: &dyn PreparedState,
+    circuit: &QuantumCircuit,
+    shots: usize,
+    seed: u64,
+    config: &ExecConfig,
+) -> ExecutionResult {
+    let shards = shots.div_ceil(config.shot_shard_size.max(1)) as u64;
+    let registry = telemetry::global_metrics();
+    registry
+        .counter(
+            "qdaflow_sampling_shards_total",
+            "Shot-sharded sampling shards executed.",
+            &[],
+        )
+        .add(shards);
+    registry
+        .counter(
+            "qdaflow_sampling_shots_total",
+            "Shots drawn by the shot-sharded sampler.",
+            &[],
+        )
+        .add(shots as u64);
+    let _span = telemetry::span!("sampling", "sample {shots} shots ({shards} shards)");
+    let counts = state.sample_sharded(seed, shots, config);
+    ExecutionResult::from_counts(circuit, shots, counts)
 }
 
 /// The batch execution engine: an [`OracleCache`] plus an execution
@@ -308,12 +260,13 @@ impl BatchEngine {
             .collect()
     }
 
-    /// Resolves every job's backend to a concrete choice: jobs already on a
-    /// concrete backend pass through unchanged, [`BackendChoice::Auto`] jobs
-    /// take the resolution step of [`BatchEngine::run_job`] (compile through
-    /// the cache under the raw spec key, census, [`resolve_backend`]). The
-    /// returned vector is in job order and never contains `Auto` — the shell
-    /// logs it per job.
+    /// Resolves every job's backend to a concrete choice without running
+    /// anything: jobs already on a concrete backend pass through unchanged,
+    /// [`BackendChoice::Auto`] jobs are compiled through the cache under
+    /// the raw spec key (a counted lookup, like any other) and routed by
+    /// [`resolve_backend`] — the resolution [`BatchEngine::run_job`] makes.
+    /// The returned vector is in job order and never contains `Auto`. No
+    /// dispatch is recorded: only running a job does that.
     ///
     /// # Errors
     ///
@@ -321,30 +274,23 @@ impl BatchEngine {
     pub fn resolve_backends(&self, jobs: &[BatchJob]) -> Result<Vec<BackendChoice>, EngineError> {
         jobs.iter()
             .map(|job| match job.backend {
-                BackendChoice::Auto => Ok(self.resolve_auto(&job.spec)?.1),
+                BackendChoice::Auto => {
+                    let program = self.cache.get_or_compile(&job.spec)?;
+                    Ok(resolve_backend(&GateCensus::of(program.circuit())))
+                }
                 concrete => Ok(concrete),
             })
             .collect()
-    }
-
-    /// Compiles (or looks up) a spec under its raw cache key and routes the
-    /// program by its gate census.
-    fn resolve_auto(
-        &self,
-        spec: &OracleSpec,
-    ) -> Result<(Arc<CompiledProgram>, BackendChoice), EngineError> {
-        let program = self.cache.get_or_compile(spec)?;
-        let backend = resolve_backend(&GateCensus::of(program.circuit()));
-        Ok((program, backend))
     }
 
     /// Executes one job — the executor behind [`BatchEngine::run_batch`],
     /// [`BatchEngine::try_run_batch`] and the
     /// [`JobService`](crate::JobService) workers: one cache lookup (for
     /// `Auto`: under the raw spec key, then census, resolution and an alias
-    /// into the resolved backend's slot), simulation on the backend, and
-    /// shot-sharded sampling under the job's seed. Panics anywhere inside
-    /// become [`EngineError::JobPanicked`].
+    /// into the resolved backend's slot), one recorded dispatch,
+    /// simulation through [`BackendChoice::prepare`], and shot-sharded
+    /// sampling under the job's seed. Panics anywhere inside become
+    /// [`EngineError::JobPanicked`].
     ///
     /// # Errors
     ///
@@ -363,7 +309,10 @@ impl BatchEngine {
                 telemetry::span!("batch", "run_job: {} shots on {}", job.shots, job.backend);
             let (program, backend) = match job.backend {
                 BackendChoice::Auto => {
-                    let (program, backend) = self.resolve_auto(&job.spec)?;
+                    let program = self.cache.get_or_compile(&job.spec)?;
+                    let census = GateCensus::of(program.circuit());
+                    let backend = resolve_backend(&census);
+                    note_dispatch(backend, Some(&census));
                     // Aliasing is bookkeeping, not a lookup: it leaves the
                     // hit/miss counters alone.
                     self.cache
@@ -371,18 +320,19 @@ impl BatchEngine {
                     (program, backend)
                 }
                 explicit => {
-                    note_dispatch(explicit);
+                    note_dispatch(explicit, None);
                     let program = self
                         .cache
                         .get_or_compile_keyed(job.cache_key(), &job.spec)?;
                     (program, explicit)
                 }
             };
+            let circuit = program.circuit();
             let state = {
                 let _span = telemetry::span!("dispatch", "simulate on {backend}");
-                SimulatedState::simulate(program.circuit(), backend, config)?
+                backend.prepare(circuit, config)?
             };
-            Ok(state.sample_job(&program, job.shots, job.seed, config))
+            Ok(sample_job(&*state, circuit, job.shots, job.seed, config))
         })
     }
 }
@@ -648,6 +598,68 @@ mod tests {
         // reuses those programs through tagged-slot aliases instead of
         // compiling again.
         assert_eq!(engine.cache().stats().misses, 3);
+    }
+
+    #[test]
+    fn backend_choice_prepare_routes_auto_through_the_census() {
+        use qdaflow_quantum::{QuantumError, QuantumGate};
+        // The acceptance triple of the test above: `Auto.prepare` samples
+        // exactly what the resolved choice's `prepare` samples.
+        let specs = [
+            (
+                OracleSpec::qasm(
+                    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\nh q[1];\nh q[2];\nt q[0];\n",
+                ),
+                BackendChoice::Dense,
+            ),
+            (
+                OracleSpec::permutation(
+                    Permutation::new(vec![0, 2, 3, 5, 7, 1, 4, 6]).unwrap(),
+                    SynthesisChoice::default(),
+                ),
+                BackendChoice::Sparse,
+            ),
+            (
+                OracleSpec::qasm(
+                    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncz q[1],q[2];\n",
+                ),
+                BackendChoice::Stabilizer,
+            ),
+        ];
+        let cache = OracleCache::new();
+        let config = ExecConfig::sequential().with_shot_shard_size(64);
+        for (spec, backend) in specs {
+            let program = cache.get_or_compile(&spec).unwrap();
+            let circuit = program.circuit();
+            assert_eq!(resolve_backend(&GateCensus::of(circuit)), backend);
+            let auto = BackendChoice::Auto.prepare(circuit, &config).unwrap();
+            let resolved = backend.prepare(circuit, &config).unwrap();
+            assert_eq!(
+                auto.sample_sharded(9, 500, &config),
+                resolved.sample_sharded(9, 500, &config),
+                "{backend}"
+            );
+        }
+        // Only the stabilizer can prepare a 100-qubit circuit, so `Auto`
+        // really takes the census route rather than a fixed engine.
+        let wide = cache
+            .get_or_compile(&OracleSpec::qasm(clifford_hidden_shift_qasm(100, 0b101)))
+            .unwrap();
+        let state = BackendChoice::Auto
+            .prepare(wide.circuit(), &config)
+            .unwrap();
+        assert_eq!(
+            state.sample_sharded(1, 16, &config),
+            std::collections::BTreeMap::from([(0b101, 16)])
+        );
+        // Concrete choices keep their engine's limits as typed errors.
+        let mut t_circuit = QuantumCircuit::new(2);
+        t_circuit.push(QuantumGate::H(0)).unwrap();
+        t_circuit.push(QuantumGate::T(1)).unwrap();
+        assert!(matches!(
+            BackendChoice::Stabilizer.prepare(&t_circuit, &config),
+            Err(QuantumError::UnsupportedGate { gate: "t", .. })
+        ));
     }
 
     #[test]

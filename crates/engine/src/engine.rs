@@ -5,13 +5,16 @@ use crate::oracle::{compile_permutation_oracle, compile_phase_oracle, SynthesisC
 use crate::EngineError;
 use qdaflow_boolfn::{Expr, Permutation, TruthTable};
 use qdaflow_quantum::backend::{
-    Backend, ExecutionResult, NoisyHardwareBackend, ResourceCounterBackend, StatevectorBackend,
+    Backend, ExecutionResult, NoisyHardwareBackend, PreparedState, ResourceCounterBackend,
+    StatevectorBackend,
 };
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::noise::NoiseModel;
-use qdaflow_quantum::{GateCensus, QuantumCircuit, QuantumGate, MAX_SIMULATOR_QUBITS};
-use qdaflow_sparse::SparseBackend;
-use qdaflow_stabilizer::{StabilizerBackend, MAX_STABILIZER_QUBITS};
+use qdaflow_quantum::{
+    GateCensus, QuantumCircuit, QuantumError, QuantumGate, Statevector, MAX_SIMULATOR_QUBITS,
+};
+use qdaflow_sparse::{SparseBackend, SparseStatevector};
+use qdaflow_stabilizer::{StabilizerBackend, StabilizerSampler, MAX_STABILIZER_QUBITS};
 use std::fmt;
 
 /// Which exact-simulation engine executes circuits: the dense statevector
@@ -19,14 +22,20 @@ use std::fmt;
 /// the nonzero amplitudes only), the stabilizer tableau (Pauli generators,
 /// Clifford circuits only), or automatic per-circuit dispatch between them.
 ///
-/// The choice threads through the whole stack: [`MainEngine`] construction
-/// ([`MainEngine::with_simulator_choice`]), per-job batch execution
-/// ([`BatchJob::with_backend`](crate::BatchJob::with_backend), where the
-/// *resolved* choice is keyed into the oracle-cache digest), and the shell's
-/// `backend` command. Dense is the default and the right choice for states
-/// with dense support (e.g. Hadamard layers over the full register); sparse
-/// lifts the qubit ceiling for the paper's permutation-dominated oracle
-/// workloads; stabilizer lifts it much further for pure-Clifford circuits;
+/// Each concrete choice names one [`PreparedState`] engine
+/// ([`Statevector`], [`SparseStatevector`], [`StabilizerSampler`]), and
+/// [`BackendChoice::prepare`] is the one place that turns a choice into a
+/// simulated state. The choice threads through the whole stack:
+/// [`MainEngine`] construction ([`MainEngine::with_simulator_choice`], which
+/// runs the same engines as [`ExactBackend`](qdaflow_quantum::ExactBackend)s),
+/// per-job batch execution
+/// ([`BatchJob::with_backend`](crate::BatchJob::with_backend): every job is
+/// prepared through [`BackendChoice::prepare`], and the *resolved* choice is
+/// keyed into the oracle-cache digest), and the shell's `backend` command.
+/// Dense is the default and the right choice for states with dense support
+/// (e.g. Hadamard layers over the full register); sparse lifts the qubit
+/// ceiling for the paper's permutation-dominated oracle workloads;
+/// stabilizer lifts it much further for pure-Clifford circuits;
 /// [`BackendChoice::Auto`] censuses each circuit ([`GateCensus`]) and routes
 /// it through [`resolve_backend`] so none of this needs picking by hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -43,8 +52,9 @@ pub enum BackendChoice {
     Stabilizer,
     /// Automatic per-circuit dispatch: each compiled circuit is censused
     /// and routed to the cheapest backend that can run it (the heuristics
-    /// of [`resolve_backend`]). Never reaches an executor itself — it
-    /// always resolves to one of the concrete choices first.
+    /// of [`resolve_backend`]). Nothing simulates on `Auto` itself: it
+    /// always resolves to one of the concrete choices first. There is no
+    /// fallback: a job routed to a backend that then rejects it fails.
     Auto,
 }
 
@@ -95,6 +105,34 @@ impl BackendChoice {
             concrete => concrete,
         }
     }
+
+    /// Simulates `circuit` on this choice's engine and returns the prepared
+    /// state, ready for [`PreparedState::sample_sharded`]. This is the one
+    /// place that maps a choice to a simulated state;
+    /// [`BatchEngine::run_job`](crate::BatchEngine::run_job) calls it for
+    /// every job. [`BackendChoice::Auto`] takes the census route: the
+    /// circuit is censused and prepared on the [`resolve_backend`] choice.
+    ///
+    /// # Errors
+    ///
+    /// The engine's simulation errors: [`QuantumError::TooManyQubits`]
+    /// beyond its ceiling (on the stabilizer also beyond its sampling rank)
+    /// and [`QuantumError::UnsupportedGate`] for non-Clifford gates on the
+    /// stabilizer.
+    pub fn prepare(
+        self,
+        circuit: &QuantumCircuit,
+        config: &ExecConfig,
+    ) -> Result<Box<dyn PreparedState>, QuantumError> {
+        Ok(match self {
+            Self::Dense => Box::new(Statevector::simulate(circuit, config)?),
+            Self::Sparse => Box::new(SparseStatevector::simulate(circuit, config)?),
+            Self::Stabilizer => Box::new(StabilizerSampler::simulate(circuit, config)?),
+            Self::Auto => {
+                return resolve_backend(&GateCensus::of(circuit)).prepare(circuit, config)
+            }
+        })
+    }
 }
 
 /// Routes a censused circuit to the cheapest backend that can run it —
@@ -119,19 +157,39 @@ impl BackendChoice {
 /// (hidden-shift circuits do exactly this), so it would misroute the
 /// paper's core workloads. The fractions below are structural, not
 /// simulated, so resolution costs one linear sweep per circuit.
+///
+/// The function is pure: it records nothing. The executors that act on
+/// its answer — [`BatchEngine::run_job`](crate::BatchEngine::run_job) and
+/// [`MainEngine::flush`] — count the dispatch in `qdaflow_dispatch_total`.
 pub fn resolve_backend(census: &GateCensus) -> BackendChoice {
-    let choice = if census.is_all_clifford() && census.num_qubits <= MAX_STABILIZER_QUBITS {
+    if census.is_all_clifford() && census.num_qubits <= MAX_STABILIZER_QUBITS {
         BackendChoice::Stabilizer
     } else if census.num_qubits <= MAX_SIMULATOR_QUBITS && census.hadamard_fraction() >= 0.25 {
         BackendChoice::Dense
     } else {
         BackendChoice::Sparse
-    };
-    note_dispatch(choice);
-    if qdaflow_telemetry::enabled() {
+    }
+}
+
+/// Records one dispatch decision of an executor: counts `backend` in the
+/// global `qdaflow_dispatch_total{backend=...}` family and, when the
+/// decision was an automatic resolution (`census` is the census that made
+/// it), emits the `auto -> <backend>` trace event.
+/// [`BatchEngine::run_job`](crate::BatchEngine::run_job) calls it once per
+/// job and [`MainEngine::flush`] once per automatic resolution, so the
+/// family reflects what actually ran.
+pub(crate) fn note_dispatch(backend: BackendChoice, census: Option<&GateCensus>) {
+    qdaflow_telemetry::global_metrics()
+        .counter(
+            "qdaflow_dispatch_total",
+            "Backend dispatch decisions, labelled by the chosen backend.",
+            &[("backend", backend.as_str())],
+        )
+        .inc();
+    if let Some(census) = census.filter(|_| qdaflow_telemetry::enabled()) {
         qdaflow_telemetry::event(
             "dispatch",
-            format!("auto -> {choice}"),
+            format!("auto -> {backend}"),
             vec![
                 ("qubits", census.num_qubits.to_string()),
                 ("clifford", census.clifford.to_string()),
@@ -139,21 +197,18 @@ pub fn resolve_backend(census: &GateCensus) -> BackendChoice {
             ],
         );
     }
-    choice
 }
 
-/// Counts a dispatcher decision in the global
-/// `qdaflow_dispatch_total{backend=...}` family. Called for automatic
-/// resolutions (inside [`resolve_backend`]) and by the batch engine for
-/// explicitly requested backends, so the family reflects what actually ran.
-pub(crate) fn note_dispatch(choice: BackendChoice) {
-    qdaflow_telemetry::global_metrics()
-        .counter(
-            "qdaflow_dispatch_total",
-            "Backend dispatch decisions, labelled by the chosen backend.",
-            &[("backend", choice.as_str())],
-        )
-        .inc();
+/// The exact backend of `choice` with the default seed and configuration —
+/// the one place [`MainEngine`] maps a choice to a backend.
+/// [`BackendChoice::Auto`] starts on the dense simulator until the first
+/// [`MainEngine::flush`] resolves it.
+fn exact_backend(choice: BackendChoice) -> Box<dyn Backend> {
+    match choice {
+        BackendChoice::Dense | BackendChoice::Auto => Box::new(StatevectorBackend::default()),
+        BackendChoice::Sparse => Box::new(SparseBackend::default()),
+        BackendChoice::Stabilizer => Box::new(StabilizerBackend::default()),
+    }
 }
 
 impl fmt::Display for BackendChoice {
@@ -218,7 +273,7 @@ impl MainEngine {
     /// default [`ExecConfig`]; [`MainEngine::with_simulator_config`] picks
     /// the thread count, fusion and cache-block size.
     pub fn with_simulator() -> Self {
-        Self::new(Box::new(StatevectorBackend::default()))
+        Self::with_simulator_choice(BackendChoice::Dense)
     }
 
     /// Creates an engine targeting the sparse statevector simulator —
@@ -226,7 +281,7 @@ impl MainEngine {
     /// shared domain, with cost scaling in the state's support size instead
     /// of `2^n` (see [`qdaflow_sparse`]).
     pub fn with_sparse_simulator() -> Self {
-        Self::new(Box::new(SparseBackend::default()))
+        Self::with_simulator_choice(BackendChoice::Sparse)
     }
 
     /// Creates an engine targeting the stabilizer tableau simulator —
@@ -234,28 +289,27 @@ impl MainEngine {
     /// (see [`qdaflow_stabilizer`]). Non-Clifford gates surface as a typed
     /// [`EngineError::Quantum`] on [`MainEngine::flush`].
     pub fn with_stabilizer_simulator() -> Self {
-        Self::new(Box::new(StabilizerBackend::default()))
+        Self::with_simulator_choice(BackendChoice::Stabilizer)
     }
 
     /// Creates an engine targeting the exact simulator selected by
-    /// `choice`. [`BackendChoice::Auto`] starts on the dense simulator and
-    /// re-censuses the recorded circuit on every [`MainEngine::flush`],
+    /// `choice`: the [`ExactBackend`](qdaflow_quantum::ExactBackend) over
+    /// that choice's [`PreparedState`] engine, with the default seed and
+    /// configuration. [`BackendChoice::Auto`] starts on the dense simulator
+    /// and re-censuses the recorded circuit on every [`MainEngine::flush`],
     /// swapping the backend whenever [`resolve_backend`] changes its
-    /// recommendation (see [`MainEngine::resolved_backend`]).
+    /// recommendation (see [`MainEngine::resolved_backend`]); each flush
+    /// counts its resolution in `qdaflow_dispatch_total`. There is no
+    /// fallback: a flush the resolved backend rejects returns its error.
     pub fn with_simulator_choice(choice: BackendChoice) -> Self {
-        match choice {
-            BackendChoice::Dense => Self::with_simulator(),
-            BackendChoice::Sparse => Self::with_sparse_simulator(),
-            BackendChoice::Stabilizer => Self::with_stabilizer_simulator(),
-            BackendChoice::Auto => {
-                let mut engine = Self::with_simulator();
-                engine.auto = Some(AutoDispatch {
-                    resolved: None,
-                    config: ExecConfig::default(),
-                });
-                engine
-            }
+        let mut engine = Self::new(exact_backend(choice));
+        if choice == BackendChoice::Auto {
+            engine.auto = Some(AutoDispatch {
+                resolved: None,
+                config: ExecConfig::default(),
+            });
         }
+        engine
     }
 
     /// Creates an engine targeting the statevector simulator with an
@@ -285,36 +339,21 @@ impl MainEngine {
         self.auto.and_then(|auto| auto.resolved)
     }
 
-    /// Re-censuses the recorded circuit and swaps the backend if the
-    /// [`resolve_backend`] recommendation changed. No-op outside `Auto`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::AutoUnresolved`] if resolution ever yields
-    /// `Auto` — a routing invariant violation surfaced as a typed error
-    /// instead of the `unreachable!` process abort it used to be.
-    fn dispatch_auto(&mut self, circuit: &QuantumCircuit) -> Result<(), EngineError> {
-        let Some(auto) = self.auto else {
-            return Ok(());
+    /// Re-censuses the recorded circuit, records the resolution, and swaps
+    /// the backend if the [`resolve_backend`] recommendation changed. No-op
+    /// outside `Auto`.
+    fn dispatch_auto(&mut self, circuit: &QuantumCircuit) {
+        let Some(auto) = &mut self.auto else {
+            return;
         };
-        let resolved = resolve_backend(&GateCensus::of(circuit));
-        if auto.resolved == Some(resolved) {
-            return Ok(());
+        let census = GateCensus::of(circuit);
+        let resolved = resolve_backend(&census);
+        note_dispatch(resolved, Some(&census));
+        if auto.resolved != Some(resolved) {
+            self.backend = exact_backend(resolved);
+            self.backend.set_exec_config(auto.config);
+            auto.resolved = Some(resolved);
         }
-        let mut backend: Box<dyn Backend> = match resolved {
-            BackendChoice::Dense => Box::new(StatevectorBackend::default()),
-            BackendChoice::Sparse => Box::new(SparseBackend::default()),
-            BackendChoice::Stabilizer => Box::new(StabilizerBackend::default()),
-            // resolve_backend only returns concrete choices.
-            BackendChoice::Auto => return Err(EngineError::AutoUnresolved),
-        };
-        backend.set_exec_config(auto.config);
-        self.backend = backend;
-        self.auto = Some(AutoDispatch {
-            resolved: Some(resolved),
-            config: auto.config,
-        });
-        Ok(())
     }
 
     /// Creates an engine targeting the noisy hardware model (the stand-in for
@@ -644,7 +683,7 @@ impl MainEngine {
     /// Propagates backend execution errors.
     pub fn flush(&mut self, shots: usize) -> Result<ExecutionResult, EngineError> {
         let circuit = self.circuit();
-        self.dispatch_auto(&circuit)?;
+        self.dispatch_auto(&circuit);
         Ok(self.backend.run(&circuit, shots)?)
     }
 

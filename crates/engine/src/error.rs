@@ -68,10 +68,6 @@ pub enum EngineError {
         /// submissions).
         index: usize,
     },
-    /// Automatic backend resolution yielded
-    /// [`BackendChoice::Auto`](crate::BackendChoice) — a routing invariant
-    /// violation that previously crashed the process via `unreachable!`.
-    AutoUnresolved,
     /// A queued job was cancelled via
     /// [`JobService::cancel`](crate::JobService::cancel) before it ran (or
     /// between retry attempts).
@@ -111,9 +107,6 @@ impl fmt::Display for EngineError {
             Self::JobPanicked { message } => write!(f, "job panicked: {message}"),
             Self::ZeroShots { index } => {
                 write!(f, "job {index} requests zero measurement shots")
-            }
-            Self::AutoUnresolved => {
-                write!(f, "automatic backend resolution produced 'auto'")
             }
             Self::JobCancelled => write!(f, "job was cancelled before it ran"),
             Self::Io { context, message } => write!(f, "i/o error: {context}: {message}"),

@@ -3,11 +3,19 @@
 //! The ProjectQ flow of the paper can target "various types of backends, be
 //! it software (simulator, emulator, resource counter, etc.) or hardware".
 //! This module defines the [`Backend`] trait used by the engine crate and the
-//! three software backends of this reproduction: the exact
-//! [`StatevectorBackend`], the [`NoisyHardwareBackend`] standing in for the
-//! IBM Quantum Experience chip, and the [`ResourceCounterBackend`].
+//! software backends of this reproduction:
 //!
-//! Dense state evolution inside these backends compiles circuits into the
+//! * [`ExactBackend`], the one exact simulator: generic over a
+//!   [`PreparedState`] engine, it simulates a circuit into that engine's
+//!   exact output state and samples it. The dense [`StatevectorBackend`]
+//!   is its alias over [`Statevector`]; the sparse and stabilizer crates
+//!   add `SparseBackend` and `StabilizerBackend` the same way, so adding an
+//!   exact engine means implementing [`PreparedState`] once;
+//! * the [`NoisyHardwareBackend`], standing in for the IBM Quantum
+//!   Experience chip;
+//! * the [`ResourceCounterBackend`], which never simulates.
+//!
+//! Dense state evolution compiles circuits into the
 //! [`ExecPlan`](crate::plan::ExecPlan) kernel (structure-of-arrays
 //! amplitudes, cache-blocked sweeps, a worker pool for large states),
 //! governed by the [`ExecConfig`] the backend is built with: thread count,
@@ -21,6 +29,7 @@ use crate::{QuantumCircuit, QuantumError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 /// The result of executing a circuit on a backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,22 +46,19 @@ pub struct ExecutionResult {
 
 impl ExecutionResult {
     /// Builds the uniform result of a sampling backend from a dense
-    /// histogram of measured basis states.
+    /// histogram of measured basis states (index = outcome).
     ///
-    /// Every backend that takes shots ([`StatevectorBackend`],
-    /// [`NoisyHardwareBackend`]) produces its result through this one
-    /// constructor, so the shape of [`ExecutionResult`] stays identical
-    /// across execution paths.
+    /// Backends that fill a dense histogram produce their result here: the
+    /// [`NoisyHardwareBackend`]'s Monte-Carlo replay and the
+    /// [`DenseReferenceBackend`](crate::reference::DenseReferenceBackend)
+    /// test oracle. [`ExactBackend`] and batch jobs go through
+    /// [`ExecutionResult::from_counts`]. Both drop zero counts, so the
+    /// shape of [`ExecutionResult`] is the same on every path.
     pub fn from_histogram(circuit: &QuantumCircuit, shots: usize, histogram: &[usize]) -> Self {
         Self {
             num_qubits: circuit.num_qubits(),
             shots,
-            counts: histogram
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(outcome, &count)| (outcome, count))
-                .collect(),
+            counts: nonzero_counts(histogram),
             resources: ResourceCounts::of(circuit),
         }
     }
@@ -60,20 +66,23 @@ impl ExecutionResult {
     /// Builds the result of a sampling backend from a *sparse* histogram of
     /// measured basis states (outcome → count).
     ///
-    /// Backends whose state representation never materializes all `2^n`
-    /// outcomes (the sparse statevector simulator) cannot afford the dense
-    /// histogram slice of [`ExecutionResult::from_histogram`]; this
-    /// constructor accepts the counts map directly while producing the exact
-    /// same result shape (zero counts are dropped either way).
+    /// Every [`ExactBackend`] and every batch job produces its result here:
+    /// [`PreparedState`] samplers return counts maps, because the sparse
+    /// and stabilizer engines never materialize all `2^n` outcomes. Zero
+    /// counts are dropped, exactly as in
+    /// [`ExecutionResult::from_histogram`].
     pub fn from_counts(
         circuit: &QuantumCircuit,
         shots: usize,
-        counts: BTreeMap<usize, usize>,
+        mut counts: BTreeMap<usize, usize>,
     ) -> Self {
+        // In place: the exact samplers' maps are already zero-free, so this
+        // walks the tree without rebuilding it.
+        counts.retain(|_, count| *count > 0);
         Self {
             num_qubits: circuit.num_qubits(),
             shots,
-            counts: counts.into_iter().filter(|&(_, count)| count > 0).collect(),
+            counts,
             resources: ResourceCounts::of(circuit),
         }
     }
@@ -102,6 +111,16 @@ impl ExecutionResult {
     }
 }
 
+/// The nonzero entries of a dense histogram as an outcome → count map.
+fn nonzero_counts(histogram: &[usize]) -> BTreeMap<usize, usize> {
+    histogram
+        .iter()
+        .enumerate()
+        .filter(|(_, &count)| count > 0)
+        .map(|(outcome, &count)| (outcome, count))
+        .collect()
+}
+
 /// A target that can execute quantum circuits, mirroring the backend concept
 /// of ProjectQ and the machine concept of Q#.
 pub trait Backend {
@@ -127,15 +146,100 @@ pub trait Backend {
     fn set_exec_config(&mut self, _config: ExecConfig) {}
 }
 
-/// Exact statevector simulation backend: the measurement statistics are
-/// sampled from the exact output distribution.
-#[derive(Debug, Clone)]
-pub struct StatevectorBackend {
-    rng: StdRng,
-    config: ExecConfig,
+/// The exact output state of a circuit on one simulation engine, ready to
+/// be sampled — what an [`ExactBackend`] prepares before it draws shots.
+///
+/// Implemented by the dense [`Statevector`] here, by `SparseStatevector` in
+/// `qdaflow_sparse` and by `StabilizerSampler` in `qdaflow_stabilizer`.
+/// Every implementation samples through a
+/// [`CumulativeDistribution`](crate::sampling::CumulativeDistribution) over
+/// its outcomes in ascending basis order, so equal seeds give equal
+/// histograms across engines on their shared domain. The two associated
+/// functions are `where Self: Sized`, which keeps the trait object-safe:
+/// callers that pick the engine at run time (the engine crate's
+/// `BackendChoice::prepare`) hold a `Box<dyn PreparedState>`.
+pub trait PreparedState {
+    /// The name of the backend that simulates through this state (what
+    /// [`Backend::name`] reports for `ExactBackend<Self>`).
+    fn backend_name() -> &'static str
+    where
+        Self: Sized;
+
+    /// Simulates `circuit` from `|0…0⟩` under `config`. Engines whose
+    /// evolution is sequential ignore the configuration here; it still
+    /// governs their sampling.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the engine cannot represent: [`QuantumError::TooManyQubits`]
+    /// beyond its ceiling, [`QuantumError::UnsupportedGate`] for gates
+    /// outside its gate set.
+    fn simulate(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError>
+    where
+        Self: Sized;
+
+    /// Samples `shots` measurements sequentially from `rng` — one `f64`
+    /// draw per shot — into a histogram of observed basis states (zero
+    /// counts omitted).
+    fn sample_with(&self, rng: &mut StdRng, shots: usize) -> BTreeMap<usize, usize>;
+
+    /// Shot-sharded sampling under an explicit `seed`, independent of any
+    /// backend RNG stream: the histogram depends only on `(state, seed,
+    /// shots, config.shot_shard_size)`, never on `config.threads` (see
+    /// [`crate::sampling`]). This is the path batch jobs take.
+    fn sample_sharded(
+        &self,
+        seed: u64,
+        shots: usize,
+        config: &ExecConfig,
+    ) -> BTreeMap<usize, usize>;
 }
 
-impl StatevectorBackend {
+impl PreparedState for Statevector {
+    fn backend_name() -> &'static str {
+        "statevector-simulator"
+    }
+
+    fn simulate(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
+        Self::run(circuit, config)
+    }
+
+    fn sample_with(&self, rng: &mut StdRng, shots: usize) -> BTreeMap<usize, usize> {
+        nonzero_counts(&self.sample_counts(rng, shots))
+    }
+
+    fn sample_sharded(
+        &self,
+        seed: u64,
+        shots: usize,
+        config: &ExecConfig,
+    ) -> BTreeMap<usize, usize> {
+        nonzero_counts(&self.sample_counts_sharded(seed, shots, config))
+    }
+}
+
+/// Exact simulation backend over one [`PreparedState`] engine: every
+/// [`Backend::run`] simulates the circuit with `S::simulate` and samples
+/// the exact output distribution with the backend's own seeded RNG.
+///
+/// The three exact engines are aliases of this one type —
+/// [`StatevectorBackend`] here, `SparseBackend` in `qdaflow_sparse` and
+/// `StabilizerBackend` in `qdaflow_stabilizer` — so they share seeding
+/// ([`ExactBackend::seeded`], default seed `0xC0FFEE`), RNG consumption
+/// (one draw per shot) and configuration handling.
+#[derive(Debug, Clone)]
+pub struct ExactBackend<S> {
+    rng: StdRng,
+    config: ExecConfig,
+    engine: PhantomData<fn() -> S>,
+}
+
+/// Exact dense statevector backend: all `2^n` amplitudes, simulated through
+/// the [`ExecPlan`](crate::plan::ExecPlan) interpreter under the backend's
+/// [`ExecConfig`].
+pub type StatevectorBackend = ExactBackend<Statevector>;
+
+impl<S: PreparedState> ExactBackend<S> {
     /// Creates a backend with a fixed random seed (sampling is the only
     /// source of randomness) and the default execution configuration.
     pub fn seeded(seed: u64) -> Self {
@@ -147,6 +251,7 @@ impl StatevectorBackend {
         Self {
             rng: StdRng::seed_from_u64(seed),
             config,
+            engine: PhantomData,
         }
     }
 
@@ -155,47 +260,27 @@ impl StatevectorBackend {
         self.config
     }
 
-    /// Runs the circuit and returns the exact final state instead of sampled
-    /// counts.
+    /// Simulates `circuit` under the backend's configuration and returns
+    /// the prepared state instead of sampled counts — the exact state for
+    /// inspection, or the input of [`PreparedState::sample_sharded`].
     ///
     /// # Errors
     ///
-    /// Returns [`QuantumError::TooManyQubits`] for oversized circuits.
-    pub fn statevector(&self, circuit: &QuantumCircuit) -> Result<Statevector, QuantumError> {
-        Statevector::run(circuit, &self.config)
-    }
-
-    /// Runs the circuit and samples `shots` measurements with the
-    /// shot-sharded parallel sampler under an explicit `seed`, independent of
-    /// the backend's own RNG stream. The histogram is reproducible at any
-    /// thread count — it depends only on `(circuit, shots, seed,
-    /// shot_shard_size)`; see [`crate::sampling`]. This is the execution path
-    /// the batch engine uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::TooManyQubits`] for oversized circuits.
-    pub fn run_sharded(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<ExecutionResult, QuantumError> {
-        let state = Statevector::run(circuit, &self.config)?;
-        let histogram = state.sample_counts_sharded(seed, shots, &self.config);
-        Ok(ExecutionResult::from_histogram(circuit, shots, &histogram))
+    /// Everything `S::simulate` returns.
+    pub fn prepare(&self, circuit: &QuantumCircuit) -> Result<S, QuantumError> {
+        S::simulate(circuit, &self.config)
     }
 }
 
-impl Default for StatevectorBackend {
+impl<S: PreparedState> Default for ExactBackend<S> {
     fn default() -> Self {
         Self::seeded(0xC0FFEE)
     }
 }
 
-impl Backend for StatevectorBackend {
+impl<S: PreparedState> Backend for ExactBackend<S> {
     fn name(&self) -> &str {
-        "statevector-simulator"
+        S::backend_name()
     }
 
     fn run(
@@ -203,9 +288,8 @@ impl Backend for StatevectorBackend {
         circuit: &QuantumCircuit,
         shots: usize,
     ) -> Result<ExecutionResult, QuantumError> {
-        let state = Statevector::run(circuit, &self.config)?;
-        let histogram = state.sample_counts(&mut self.rng, shots);
-        Ok(ExecutionResult::from_histogram(circuit, shots, &histogram))
+        let counts = self.prepare(circuit)?.sample_with(&mut self.rng, shots);
+        Ok(ExecutionResult::from_counts(circuit, shots, counts))
     }
 
     fn set_exec_config(&mut self, config: ExecConfig) {
@@ -348,17 +432,19 @@ mod tests {
     #[test]
     fn sharded_run_is_thread_count_invariant_and_seed_keyed() {
         let circuit = bell();
-        let sequential = StatevectorBackend::with_config(0, ExecConfig::sequential())
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
-        let threaded = StatevectorBackend::with_config(0, ExecConfig::sequential().with_threads(8))
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
+        let sharded = |backend: StatevectorBackend| {
+            let state = backend.prepare(&circuit).unwrap();
+            let counts = state.sample_sharded(77, 4096, &backend.exec_config());
+            ExecutionResult::from_counts(&circuit, 4096, counts)
+        };
+        let sequential = sharded(StatevectorBackend::with_config(0, ExecConfig::sequential()));
+        let threaded = sharded(StatevectorBackend::with_config(
+            0,
+            ExecConfig::sequential().with_threads(8),
+        ));
         assert_eq!(sequential, threaded);
         // The seed, not the backend's internal RNG, keys the histogram.
-        let reseeded = StatevectorBackend::with_config(1, ExecConfig::sequential())
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
+        let reseeded = sharded(StatevectorBackend::with_config(1, ExecConfig::sequential()));
         assert_eq!(sequential, reseeded);
         assert_eq!(sequential.shots, 4096);
         assert!(sequential.probability_of(0b01) < 1e-12);
@@ -381,7 +467,7 @@ mod tests {
     #[test]
     fn statevector_accessor_returns_exact_state() {
         let backend = StatevectorBackend::default();
-        let state = backend.statevector(&bell()).unwrap();
+        let state = backend.prepare(&bell()).unwrap();
         assert!((state.probability_of(0b11) - 0.5).abs() < 1e-12);
     }
 }

@@ -45,7 +45,7 @@ pub mod resource;
 pub mod sampling;
 pub mod statevector;
 
-pub use backend::{Backend, ExecutionResult};
+pub use backend::{Backend, ExactBackend, ExecutionResult, PreparedState};
 pub use census::GateCensus;
 pub use circuit::QuantumCircuit;
 pub use complex::Complex;

@@ -23,12 +23,14 @@
 //! | `trace`   | control the telemetry recorder (`trace on|off|dump <file>|stats`) |
 
 use crate::{RevkitError, Store};
-use qdaflow_engine::{BackendChoice, BatchJob, JobStatus, OracleSpec, SynthesisChoice};
+use qdaflow_engine::{
+    resolve_backend, BackendChoice, BatchJob, JobStatus, OracleSpec, SynthesisChoice,
+};
 use qdaflow_mapping::{map, optimize, verify};
 use qdaflow_pipeline::script::tokenize;
 use qdaflow_pipeline::{passes, FlowError, Ir, Pass, Pipeline, Stage};
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{drawer, qasm, resource::ResourceCounts};
+use qdaflow_quantum::{drawer, qasm, resource::ResourceCounts, GateCensus};
 use qdaflow_reversible::{optimize as revopt, synthesis, synthesis::EsopSynthesisOptions};
 use qdaflow_telemetry as telemetry;
 
@@ -833,23 +835,29 @@ impl Command for Batch {
             .collect::<Result<_, RevkitError>>()?;
         let service = store.job_service()?;
         let before = service.engine().cache().stats();
-        // Under `backend auto`, resolve per-job backends up front so the log
-        // names the concrete engine each job ran on (the service performs
-        // the same resolution — it is a pure function of the compiled
-        // circuit, and the compilation is shared through the cache).
-        let resolved: Option<Vec<BackendChoice>> = if store.backend_choice() == BackendChoice::Auto
-        {
-            Some(service.engine().resolve_backends(&jobs)?)
-        } else {
-            None
-        };
         let ids = service.submit_batch(&jobs)?;
+        let statuses: Vec<Option<JobStatus>> = ids.iter().map(|id| service.wait(*id)).collect();
+        // Once the batch is done, name the engine each `backend auto` job
+        // ran on: the census route of its program in the cache, under the
+        // raw spec key `run_job` compiled it to. A job without a cached
+        // program (dead before compiling, or replayed from the journal)
+        // stays unnamed.
+        let cache = service.engine().cache();
+        let resolved: Vec<Option<BackendChoice>> = jobs
+            .iter()
+            .map(|job| match job.backend {
+                BackendChoice::Auto => cache
+                    .peek(job.spec.cache_key())
+                    .map(|program| resolve_backend(&GateCensus::of(program.circuit()))),
+                _ => None,
+            })
+            .collect();
         let mut dead = 0usize;
-        for (index, (id, text)) in ids.iter().zip(&specs).enumerate() {
-            let backend = resolved
-                .as_ref()
-                .map_or(String::new(), |r| format!(", auto -> {}", r[index]));
-            match service.wait(*id) {
+        for (index, ((status, text), backend)) in
+            statuses.into_iter().zip(&specs).zip(&resolved).enumerate()
+        {
+            let backend = backend.map_or(String::new(), |b| format!(", auto -> {b}"));
+            match status {
                 Some(JobStatus::Done(result)) => {
                     let outcome = result
                         .most_likely()
@@ -875,17 +883,17 @@ impl Command for Batch {
                 }
             }
         }
-        let after = service.engine().cache().stats();
+        let after = cache.stats();
         let compiled = after.misses - before.misses;
         let hits = after.hits - before.hits;
-        // Distinct work items are counted by resolved cache key — the
-        // hit/miss deltas also include the automatic-resolution lookups, so
-        // they cannot stand in for the distinct count under `backend auto`.
+        // Distinct work items are counted by cache key, resolved where the
+        // job's backend is known: jobs over one spec that resolve alike
+        // share a key.
         let distinct = jobs
             .iter()
-            .enumerate()
-            .map(|(index, job)| match &resolved {
-                Some(backends) => job.clone().with_backend(backends[index]).cache_key(),
+            .zip(&resolved)
+            .map(|(job, backend)| match backend {
+                Some(backend) => job.clone().with_backend(*backend).cache_key(),
                 None => job.cache_key(),
             })
             .collect::<std::collections::HashSet<_>>()
@@ -1343,10 +1351,38 @@ mod tests {
         assert!(log.contains("job 0: hwb 3"), "{log}");
         assert!(log.contains("auto -> sparse"), "{log}");
         assert!(log.contains("auto -> stabilizer"), "{log}");
-        // The distinct count follows the resolved cache keys, not the
-        // hit/miss deltas inflated by the resolution lookups.
+        // The distinct count follows the resolved cache keys, and each job
+        // is resolved once: two fresh specs are two compiles, no hits.
         assert!(log.contains("2 jobs (2 distinct)"), "{log}");
+        assert!(log.contains("2 compiled, 0 cache hits"), "{log}");
         assert!(log.contains("on the auto backend"), "{log}");
+    }
+
+    #[test]
+    fn batch_dead_letters_a_failing_spec_and_runs_its_sibling() {
+        let path =
+            std::env::temp_dir().join(format!("qdaflow-bad-spec-{}.qasm", std::process::id()));
+        std::fs::write(&path, "OPENQASM 2.0;\nqreg q[2];\nfrobnicate q[0];\n").unwrap();
+        let bad = format!("qasm:{}", path.display());
+        for backend in ["dense", "auto"] {
+            let mut store = Store::new();
+            run(&BackendCmd, &[backend], &mut store).unwrap();
+            run(
+                &Batch,
+                &["--shots", "64", "--spec", &bad, "--spec", "hwb 3"],
+                &mut store,
+            )
+            .unwrap();
+            let log = store.log_lines().join("\n");
+            assert!(
+                log.contains("job 0: qasm:") && log.contains("dead-lettered after 1 attempt(s)"),
+                "{backend}: {log}"
+            );
+            assert!(log.contains("job 1: hwb 3 -> 3 qubits"), "{backend}: {log}");
+            assert!(log.contains("1 dead-lettered"), "{backend}: {log}");
+            assert_eq!(log.contains("auto -> sparse"), backend == "auto", "{log}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     const GOLDEN_QASM: &str = concat!(

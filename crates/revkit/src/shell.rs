@@ -282,21 +282,26 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("qdaflow-shell-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let journal = dir.join("batch.journal");
-        let line = format!(
-            "batch --resume {} --shots 64 --spec \"hwb 3\" --spec \"perm 1 0 3 2\"",
-            journal.display()
-        );
-        let first = Shell::new().run_script(&line).unwrap();
-        assert!(first.iter().any(|l| l.contains("2 compiled")));
-        // A brand-new shell — a restarted process — replays both jobs from
-        // the journal without compiling or simulating anything.
-        let mut shell = Shell::new();
-        let output = shell.run_script(&format!("{line}\nbatch --stats")).unwrap();
-        assert!(output
-            .iter()
-            .any(|l| l.contains("2 jobs (2 distinct), 0 compiled, 0 cache hits")));
-        assert!(output.iter().any(|l| l == "qdaflow_jobs_resumed_total 2"));
+        for backend in ["dense", "auto"] {
+            let journal = dir.join(format!("{backend}.journal"));
+            let line = format!(
+                "backend {backend}\nbatch --resume {} --shots 64 --spec \"hwb 3\" --spec \"perm 1 0 3 2\"",
+                journal.display()
+            );
+            let first = Shell::new().run_script(&line).unwrap();
+            assert!(first.iter().any(|l| l.contains("2 compiled")), "{backend}");
+            // A brand-new shell — a restarted process — replays both jobs
+            // from the journal without compiling or simulating anything.
+            let mut shell = Shell::new();
+            let output = shell.run_script(&format!("{line}\nbatch --stats")).unwrap();
+            assert!(
+                output
+                    .iter()
+                    .any(|l| l.contains("2 jobs (2 distinct), 0 compiled, 0 cache hits")),
+                "{backend}: {output:?}"
+            );
+            assert!(output.iter().any(|l| l == "qdaflow_jobs_resumed_total 2"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

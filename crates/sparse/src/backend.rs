@@ -1,127 +1,57 @@
-//! The sparse simulator as an execution [`Backend`].
+//! The sparse simulator as an exact execution backend.
 
 use crate::SparseStatevector;
-use qdaflow_quantum::backend::{Backend, ExecutionResult};
+use qdaflow_quantum::backend::{ExactBackend, PreparedState};
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::{QuantumCircuit, QuantumError};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Sparse statevector simulation backend: exact measurement statistics
 /// sampled from the nonzero entries of a [`SparseStatevector`].
 ///
-/// The backend mirrors the dense
-/// [`StatevectorBackend`](qdaflow_quantum::backend::StatevectorBackend) —
-/// same seeding scheme, same one-draw-per-shot RNG consumption, same
-/// shot-sharded batch path — so it can be swapped into any flow (engine,
-/// batch subsystem, shell) without changing sampled histograms on the shared
-/// domain. Its qubit ceiling is [`MAX_SPARSE_QUBITS`](crate::MAX_SPARSE_QUBITS)
-/// instead of the dense
+/// An alias of the one exact backend, [`ExactBackend`], so seeding, RNG
+/// consumption and the shot-sharded batch path are those of the dense
+/// [`StatevectorBackend`](qdaflow_quantum::backend::StatevectorBackend), and
+/// equal seeds give equal histograms on the shared domain. Its qubit ceiling
+/// is [`MAX_SPARSE_QUBITS`](crate::MAX_SPARSE_QUBITS) instead of the dense
 /// [`MAX_SIMULATOR_QUBITS`](qdaflow_quantum::MAX_SIMULATOR_QUBITS), but cost
 /// scales with the state's support size, so circuits that spread mass over
 /// the full basis (e.g. `H` on every qubit of a large register) should stay
-/// on the dense engine.
-#[derive(Debug, Clone)]
-pub struct SparseBackend {
-    rng: StdRng,
-    config: ExecConfig,
-}
+/// on the dense engine. Sparse evolution itself is sequential and unfused
+/// (it walks the support, not the index space); the execution configuration
+/// governs the sampling layer (`threads`, `shot_shard_size`).
+pub type SparseBackend = ExactBackend<SparseStatevector>;
 
-impl SparseBackend {
-    /// Creates a backend with a fixed random seed (sampling is the only
-    /// source of randomness) and the default execution configuration.
-    pub fn seeded(seed: u64) -> Self {
-        Self::with_config(seed, ExecConfig::default())
-    }
-
-    /// Creates a backend with an explicit execution configuration. Sparse
-    /// evolution itself is sequential and unfused (it walks the support, not
-    /// the index space); the configuration governs the sampling layer
-    /// (`threads`, `shot_shard_size`).
-    pub fn with_config(seed: u64, config: ExecConfig) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            config,
-        }
-    }
-
-    /// The execution configuration in use.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.config
-    }
-
-    /// Runs the circuit and returns the exact final sparse state instead of
-    /// sampled counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::TooManyQubits`] for circuits beyond
-    /// [`MAX_SPARSE_QUBITS`](crate::MAX_SPARSE_QUBITS).
-    pub fn statevector(&self, circuit: &QuantumCircuit) -> Result<SparseStatevector, QuantumError> {
-        SparseStatevector::from_circuit(circuit)
-    }
-
-    /// Runs the circuit and samples `shots` measurements with the
-    /// shot-sharded parallel sampler under an explicit `seed`, independent
-    /// of the backend's own RNG stream — the execution path the batch engine
-    /// uses. Reproducible at any thread count, exactly like
-    /// [`StatevectorBackend::run_sharded`](qdaflow_quantum::backend::StatevectorBackend::run_sharded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::TooManyQubits`] for oversized circuits.
-    pub fn run_sharded(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<ExecutionResult, QuantumError> {
-        let state = SparseStatevector::from_circuit(circuit)?;
-        let counts = state.sample_counts_sharded(seed, shots, &self.config);
-        Ok(ExecutionResult::from_counts(
-            circuit,
-            shots,
-            widen_counts(counts),
-        ))
-    }
-}
-
-impl Default for SparseBackend {
-    fn default() -> Self {
-        Self::seeded(0xC0FFEE)
-    }
-}
-
-impl Backend for SparseBackend {
-    fn name(&self) -> &str {
+impl PreparedState for SparseStatevector {
+    fn backend_name() -> &'static str {
         "sparse-statevector-simulator"
     }
 
-    fn run(
-        &mut self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-    ) -> Result<ExecutionResult, QuantumError> {
-        let state = SparseStatevector::from_circuit(circuit)?;
-        let counts = state.sample_counts(&mut self.rng, shots);
-        Ok(ExecutionResult::from_counts(
-            circuit,
-            shots,
-            widen_counts(counts),
-        ))
+    /// Simulates through [`SparseStatevector::from_circuit`]; `config` only
+    /// matters to sampling.
+    fn simulate(circuit: &QuantumCircuit, _config: &ExecConfig) -> Result<Self, QuantumError> {
+        Self::from_circuit(circuit)
     }
 
-    fn set_exec_config(&mut self, config: ExecConfig) {
-        self.config = config;
+    fn sample_with(&self, rng: &mut StdRng, shots: usize) -> BTreeMap<usize, usize> {
+        widen_counts(self.sample_counts(rng, shots))
+    }
+
+    fn sample_sharded(
+        &self,
+        seed: u64,
+        shots: usize,
+        config: &ExecConfig,
+    ) -> BTreeMap<usize, usize> {
+        widen_counts(self.sample_counts_sharded(seed, shots, config))
     }
 }
 
 /// Converts sparse `u64` basis keys into the `usize` outcomes of
-/// [`ExecutionResult`] (lossless: [`MAX_SPARSE_QUBITS`](crate::MAX_SPARSE_QUBITS)
-/// keeps every key well inside `usize` range on 64-bit hosts). Shared by
-/// every layer that adapts sparse histograms to `ExecutionResult` (this
-/// backend and the engine crate's batch subsystem).
+/// [`ExecutionResult`](qdaflow_quantum::ExecutionResult) (lossless: [`MAX_SPARSE_QUBITS`](crate::MAX_SPARSE_QUBITS)
+/// keeps every key well inside `usize` range on 64-bit hosts). The sparse
+/// [`PreparedState`] samplers return their counts through it.
 pub fn widen_counts(counts: BTreeMap<u64, usize>) -> BTreeMap<usize, usize> {
     counts
         .into_iter()
@@ -132,7 +62,7 @@ pub fn widen_counts(counts: BTreeMap<u64, usize>) -> BTreeMap<usize, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdaflow_quantum::backend::StatevectorBackend;
+    use qdaflow_quantum::backend::{Backend, ExecutionResult, StatevectorBackend};
     use qdaflow_quantum::QuantumGate;
 
     fn bell() -> QuantumCircuit {
@@ -145,6 +75,17 @@ mod tests {
             })
             .unwrap();
         circuit
+    }
+
+    /// The seed-keyed batch path: `prepare`, then 4096 shots of
+    /// `sample_sharded` under seed 77 and the backend's configuration.
+    fn sharded<S: PreparedState>(
+        backend: ExactBackend<S>,
+        circuit: &QuantumCircuit,
+    ) -> ExecutionResult {
+        let state = backend.prepare(circuit).unwrap();
+        let counts = state.sample_sharded(77, 4096, &backend.exec_config());
+        ExecutionResult::from_counts(circuit, 4096, counts)
     }
 
     #[test]
@@ -162,16 +103,13 @@ mod tests {
     fn sharded_run_is_thread_count_invariant_and_matches_dense() {
         let circuit = bell();
         let config = ExecConfig::sequential().with_shot_shard_size(256);
-        let sparse = SparseBackend::with_config(0, config)
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
-        let threaded = SparseBackend::with_config(1, config.with_threads(8))
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
+        let sparse = sharded(SparseBackend::with_config(0, config), &circuit);
+        let threaded = sharded(
+            SparseBackend::with_config(1, config.with_threads(8)),
+            &circuit,
+        );
         assert_eq!(sparse, threaded);
-        let dense = StatevectorBackend::with_config(0, config)
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
+        let dense = sharded(StatevectorBackend::with_config(0, config), &circuit);
         assert_eq!(sparse.counts, dense.counts);
     }
 

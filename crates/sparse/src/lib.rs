@@ -25,10 +25,13 @@
 //! The cost of a circuit therefore scales with the *support size* of the
 //! state, not with `2^n`: a 28-qubit permutation oracle on a basis state is a
 //! few hundred `u64` key updates, physically impossible for the dense engine
-//! (see the `sparse_vs_dense` bench). [`SparseBackend`] plugs the engine into
-//! the workspace-wide [`Backend`](qdaflow_quantum::Backend) trait, reusing
-//! the shot-sharded [`CumulativeDistribution`](qdaflow_quantum::sampling)
-//! sampler over the nonzero entries only.
+//! (see the `sparse_vs_dense` bench). [`SparseStatevector`] is this crate's
+//! [`PreparedState`](qdaflow_quantum::PreparedState), so the engine plugs
+//! into the workspace-wide [`Backend`](qdaflow_quantum::Backend) trait as
+//! [`SparseBackend`], an alias of the one exact backend
+//! [`ExactBackend`](qdaflow_quantum::ExactBackend), and samples with the
+//! shot-sharded [`CumulativeDistribution`](qdaflow_quantum::sampling) over
+//! the nonzero entries only.
 //!
 //! Correctness is established differentially: `tests/differential.rs`
 //! compares the sparse engine amplitude-for-amplitude (1e-10) and

@@ -1,132 +1,62 @@
-//! The stabilizer tableau as an execution [`Backend`].
+//! The stabilizer tableau as an exact execution backend.
 
 use crate::{StabilizerSampler, StabilizerTableau};
-use qdaflow_quantum::backend::{Backend, ExecutionResult};
+use qdaflow_quantum::backend::{ExactBackend, PreparedState};
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::{QuantumCircuit, QuantumError};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Stabilizer tableau simulation backend: exact measurement statistics for
 /// Clifford circuits sampled from the enumerated affine support of a
 /// [`StabilizerTableau`].
 ///
-/// The backend mirrors the dense
+/// An alias of the one exact backend, [`ExactBackend`], over the
+/// [`StabilizerSampler`], so seeding, RNG consumption and the shot-sharded
+/// batch path are those of the dense
 /// [`StatevectorBackend`](qdaflow_quantum::backend::StatevectorBackend) and
-/// the sparse `SparseBackend` — same seeding scheme, same one-draw-per-shot
-/// RNG consumption, same shot-sharded batch path — so it can be swapped into
-/// any flow (engine, batch subsystem, shell) without changing sampled
-/// histograms on the shared domain. Its qubit ceiling is
+/// the sparse `SparseBackend`, and equal seeds give equal histograms on the
+/// shared domain. Its qubit ceiling is
 /// [`MAX_STABILIZER_QUBITS`](crate::MAX_STABILIZER_QUBITS), but it only
 /// accepts Clifford gates: non-Clifford content surfaces as the typed
 /// [`QuantumError::UnsupportedGate`], and final states with support rank
 /// beyond [`MAX_SAMPLING_RANK`](crate::MAX_SAMPLING_RANK) as
-/// [`QuantumError::TooManyQubits`] — never a panic, so the automatic
-/// dispatcher can fall back cleanly.
-#[derive(Debug, Clone)]
-pub struct StabilizerBackend {
-    rng: StdRng,
-    config: ExecConfig,
-}
+/// [`QuantumError::TooManyQubits`] (whose `maximum` is that rank, not a
+/// register width) — never a panic. Nothing falls back to another engine on
+/// these errors: a job the automatic dispatcher routes here fails with them.
+pub type StabilizerBackend = ExactBackend<StabilizerSampler>;
 
-impl StabilizerBackend {
-    /// Creates a backend with a fixed random seed (sampling is the only
-    /// source of randomness) and the default execution configuration.
-    pub fn seeded(seed: u64) -> Self {
-        Self::with_config(seed, ExecConfig::default())
-    }
-
-    /// Creates a backend with an explicit execution configuration. Tableau
-    /// evolution itself is sequential (word-packed column updates); the
-    /// configuration governs the sampling layer (`threads`,
-    /// `shot_shard_size`).
-    pub fn with_config(seed: u64, config: ExecConfig) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            config,
-        }
-    }
-
-    /// The execution configuration in use.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.config
-    }
-
-    /// Runs the circuit and returns the final tableau instead of sampled
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::UnsupportedGate`] at the first non-Clifford
-    /// gate and [`QuantumError::TooManyQubits`] beyond
-    /// [`MAX_STABILIZER_QUBITS`](crate::MAX_STABILIZER_QUBITS).
-    pub fn tableau(&self, circuit: &QuantumCircuit) -> Result<StabilizerTableau, QuantumError> {
-        Ok(StabilizerTableau::from_circuit(circuit)?)
-    }
-
-    /// Runs the circuit and extracts its support sampler — what the batch
-    /// engine caches per compiled program.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`StabilizerBackend::tableau`] returns, plus
-    /// [`QuantumError::TooManyQubits`] when the final support exceeds the
-    /// sampling caps.
-    pub fn sampler(&self, circuit: &QuantumCircuit) -> Result<StabilizerSampler, QuantumError> {
-        Ok(StabilizerTableau::from_circuit(circuit)?.sampler()?)
-    }
-
-    /// Runs the circuit and samples `shots` measurements with the
-    /// shot-sharded parallel sampler under an explicit `seed`, independent
-    /// of the backend's own RNG stream — the execution path the batch engine
-    /// uses. Reproducible at any thread count, exactly like
-    /// [`StatevectorBackend::run_sharded`](qdaflow_quantum::backend::StatevectorBackend::run_sharded).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StabilizerBackend::sampler`].
-    pub fn run_sharded(
-        &self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-        seed: u64,
-    ) -> Result<ExecutionResult, QuantumError> {
-        let sampler = self.sampler(circuit)?;
-        let counts = sampler.sample_counts_sharded(seed, shots, &self.config);
-        Ok(ExecutionResult::from_counts(circuit, shots, counts))
-    }
-}
-
-impl Default for StabilizerBackend {
-    fn default() -> Self {
-        Self::seeded(0xC0FFEE)
-    }
-}
-
-impl Backend for StabilizerBackend {
-    fn name(&self) -> &str {
+impl PreparedState for StabilizerSampler {
+    fn backend_name() -> &'static str {
         "stabilizer-tableau-simulator"
     }
 
-    fn run(
-        &mut self,
-        circuit: &QuantumCircuit,
-        shots: usize,
-    ) -> Result<ExecutionResult, QuantumError> {
-        let sampler = self.sampler(circuit)?;
-        let counts = sampler.sample_counts(&mut self.rng, shots);
-        Ok(ExecutionResult::from_counts(circuit, shots, counts))
+    /// Evolves a [`StabilizerTableau`] and extracts its support sampler, so
+    /// support-extraction errors surface here and sampling stays
+    /// infallible. Tableau evolution is sequential; `config` only matters
+    /// to sampling.
+    fn simulate(circuit: &QuantumCircuit, _config: &ExecConfig) -> Result<Self, QuantumError> {
+        Ok(StabilizerTableau::from_circuit(circuit)?.sampler()?)
     }
 
-    fn set_exec_config(&mut self, config: ExecConfig) {
-        self.config = config;
+    fn sample_with(&self, rng: &mut StdRng, shots: usize) -> BTreeMap<usize, usize> {
+        self.sample_counts(rng, shots)
+    }
+
+    fn sample_sharded(
+        &self,
+        seed: u64,
+        shots: usize,
+        config: &ExecConfig,
+    ) -> BTreeMap<usize, usize> {
+        self.sample_counts_sharded(seed, shots, config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdaflow_quantum::backend::StatevectorBackend;
+    use qdaflow_quantum::backend::{Backend, ExecutionResult, StatevectorBackend};
     use qdaflow_quantum::QuantumGate;
 
     fn bell() -> QuantumCircuit {
@@ -139,6 +69,17 @@ mod tests {
             })
             .unwrap();
         circuit
+    }
+
+    /// The seed-keyed batch path: `prepare`, then 4096 shots of
+    /// `sample_sharded` under seed 77 and the backend's configuration.
+    fn sharded<S: PreparedState>(
+        backend: ExactBackend<S>,
+        circuit: &QuantumCircuit,
+    ) -> ExecutionResult {
+        let state = backend.prepare(circuit).unwrap();
+        let counts = state.sample_sharded(77, 4096, &backend.exec_config());
+        ExecutionResult::from_counts(circuit, 4096, counts)
     }
 
     #[test]
@@ -156,16 +97,13 @@ mod tests {
     fn sharded_run_is_thread_count_invariant_and_matches_dense() {
         let circuit = bell();
         let config = ExecConfig::sequential().with_shot_shard_size(256);
-        let sequential = StabilizerBackend::with_config(0, config)
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
-        let threaded = StabilizerBackend::with_config(1, config.with_threads(8))
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
+        let sequential = sharded(StabilizerBackend::with_config(0, config), &circuit);
+        let threaded = sharded(
+            StabilizerBackend::with_config(1, config.with_threads(8)),
+            &circuit,
+        );
         assert_eq!(sequential, threaded);
-        let dense = StatevectorBackend::with_config(0, config)
-            .run_sharded(&circuit, 4096, 77)
-            .unwrap();
+        let dense = sharded(StatevectorBackend::with_config(0, config), &circuit);
         assert_eq!(sequential.counts, dense.counts);
     }
 

@@ -22,7 +22,9 @@
 //! are rejected with the typed [`StabilizerError::NonClifford`] — the
 //! automatic dispatcher in `qdaflow_engine` uses the matching
 //! `GateCensus::is_all_clifford` predicate so circuits are only routed here
-//! when every gate is accepted.
+//! when every gate is accepted. Sampling caps ([`MAX_SAMPLING_RANK`]) are
+//! not part of that routing: an all-Clifford circuit whose final support is
+//! too large fails with a typed error instead of moving to another engine.
 //!
 //! Sampling reuses the workspace-wide seeded-RNG discipline: the final
 //! state's support is an affine subspace of basis states (offset plus the
@@ -30,7 +32,11 @@
 //! [`StabilizerTableau::sampler`] and sampled through the shared
 //! [`CumulativeDistribution`](qdaflow_quantum::sampling) — one `f64` draw
 //! per shot sequentially, and the same `(seed, shard)` scheme as the dense
-//! and sparse engines on the shot-sharded batch path.
+//! and sparse engines on the shot-sharded batch path. The
+//! [`StabilizerSampler`] is this crate's
+//! [`PreparedState`](qdaflow_quantum::PreparedState), and
+//! [`StabilizerBackend`] is the workspace's one exact backend,
+//! [`ExactBackend`](qdaflow_quantum::ExactBackend), over it.
 //!
 //! Correctness is established differentially: `tests/differential.rs`
 //! compares sampled histograms shot-for-shot against the dense simulator on
@@ -39,7 +45,7 @@
 //! # Example
 //!
 //! ```
-//! use qdaflow_quantum::backend::Backend;
+//! use qdaflow_quantum::backend::PreparedState;
 //! use qdaflow_quantum::{QuantumCircuit, QuantumGate};
 //! use qdaflow_stabilizer::StabilizerBackend;
 //!
@@ -51,9 +57,11 @@
 //! for target in 1..8 {
 //!     circuit.push(QuantumGate::Cx { control: 0, target })?;
 //! }
-//! let result = StabilizerBackend::default().run_sharded(&circuit, 128, 7)?;
+//! let backend = StabilizerBackend::default();
+//! let sampler = backend.prepare(&circuit)?;
+//! let counts = sampler.sample_sharded(7, 128, &backend.exec_config());
 //! // All shots land on |0…0⟩ or |0…011111111⟩.
-//! assert_eq!(result.counts.keys().sum::<usize>() % 255, 0);
+//! assert_eq!(counts.keys().sum::<usize>() % 255, 0);
 //! # Ok(())
 //! # }
 //! ```

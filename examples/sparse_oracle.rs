@@ -21,7 +21,7 @@ fn main() {
             })
             .unwrap();
     }
-    assert!(StatevectorBackend::seeded(1).statevector(&circuit).is_err());
+    assert!(StatevectorBackend::seeded(1).prepare(&circuit).is_err());
     let mut engine = MainEngine::with_sparse_simulator();
     let qubits = engine.allocate_qureg(30);
     engine.x(qubits[0]).unwrap();

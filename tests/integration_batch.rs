@@ -5,6 +5,7 @@
 
 use qdaflow::pipeline::spec::spec_key;
 use qdaflow::prelude::*;
+use qdaflow::quantum::PreparedState;
 
 fn paper_permutation() -> Permutation {
     Permutation::new(vec![0, 2, 3, 5, 7, 1, 4, 6]).unwrap()
@@ -12,26 +13,50 @@ fn paper_permutation() -> Permutation {
 
 #[test]
 fn batch_results_match_the_single_job_backend_path() {
-    // The sharded sampling path of the batch engine and the explicit
-    // `StatevectorBackend::run_sharded` path must agree job for job: same
-    // compiled oracle, same seed scheme, same histogram.
+    // The sharded sampling path of the batch engine and each backend's own
+    // single-job path (`prepare`, then `sample_sharded`) must agree job for
+    // job: same compiled program, same seed scheme, same histogram — on
+    // every exact backend.
     let spec = OracleSpec::permutation(paper_permutation(), SynthesisChoice::default());
+    let spread = OracleSpec::qasm(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\nh q[1];\nt q[0];\ncx q[0],q[2];\n",
+    );
+    let clifford = OracleSpec::qasm(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\nh q[2];\ncz q[1],q[2];\n",
+    );
     let config = ExecConfig::sequential().with_shot_shard_size(512);
     let engine = BatchEngine::with_config(config);
     let jobs = vec![
         BatchJob::new(spec.clone(), 2048, 5),
         BatchJob::new(spec.clone(), 2048, 6),
+        BatchJob::new(spread, 2048, 7).with_backend(BackendChoice::Sparse),
+        BatchJob::new(clifford, 2048, 8).with_backend(BackendChoice::Stabilizer),
     ];
     let results = engine.run_batch(&jobs).unwrap();
 
-    let program = engine.cache().peek(spec.cache_key()).unwrap();
-    let backend = StatevectorBackend::with_config(0, config);
     for (job, result) in jobs.iter().zip(&results) {
-        let direct = backend
-            .run_sharded(program.circuit(), job.shots, job.seed)
-            .unwrap();
-        assert_eq!(result, &direct, "seed {}", job.seed);
+        let program = engine.cache().peek(job.cache_key()).unwrap();
+        let circuit = program.circuit();
+        let counts = match job.backend {
+            BackendChoice::Dense => StatevectorBackend::with_config(0, config)
+                .prepare(circuit)
+                .unwrap()
+                .sample_sharded(job.seed, job.shots, &config),
+            BackendChoice::Sparse => SparseBackend::with_config(0, config)
+                .prepare(circuit)
+                .unwrap()
+                .sample_sharded(job.seed, job.shots, &config),
+            BackendChoice::Stabilizer => StabilizerBackend::with_config(0, config)
+                .prepare(circuit)
+                .unwrap()
+                .sample_sharded(job.seed, job.shots, &config),
+            BackendChoice::Auto => unreachable!("every job names a concrete backend"),
+        };
+        let direct = ExecutionResult::from_counts(circuit, job.shots, counts);
+        assert_eq!(result, &direct, "{} job, seed {}", job.backend, job.seed);
     }
+    // The extra jobs really sample spread distributions.
+    assert!(results[2].counts.len() > 1 && results[3].counts.len() > 1);
 }
 
 #[test]
