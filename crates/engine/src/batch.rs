@@ -307,23 +307,24 @@ impl BatchEngine {
         catch_job_panic(|| {
             let _span =
                 telemetry::span!("batch", "run_job: {} shots on {}", job.shots, job.backend);
+            let spec_key = job.spec.cache_key();
             let (program, backend) = match job.backend {
                 BackendChoice::Auto => {
-                    let program = self.cache.get_or_compile(&job.spec)?;
+                    let program = self.cache.get_or_compile_keyed(spec_key, &job.spec)?;
                     let census = GateCensus::of(program.circuit());
                     let backend = resolve_backend(&census);
                     note_dispatch(backend, Some(&census));
                     // Aliasing is bookkeeping, not a lookup: it leaves the
                     // hit/miss counters alone.
                     self.cache
-                        .alias_keyed(backend_key(program.key(), backend), &program);
+                        .alias_keyed(backend_key(spec_key, backend), &program);
                     (program, backend)
                 }
                 explicit => {
                     note_dispatch(explicit, None);
                     let program = self
                         .cache
-                        .get_or_compile_keyed(job.cache_key(), &job.spec)?;
+                        .get_or_compile_keyed(backend_key(spec_key, explicit), &job.spec)?;
                     (program, explicit)
                 }
             };
@@ -689,6 +690,20 @@ mod tests {
             let repeat = counts();
             assert_eq!((repeat.0 - fresh.0, repeat.1 - fresh.1), (1, 0));
         }
+    }
+
+    #[test]
+    fn auto_aliases_share_the_compiled_program() {
+        // A sparse-routed Auto job fills two slots, the raw spec key and the
+        // sparse-tagged key, with one program rather than a copy.
+        let job = perm_job(vec![0, 2, 3, 5, 7, 1, 4, 6], 64, 1).with_backend(BackendChoice::Auto);
+        let engine = BatchEngine::new();
+        engine.run_job(&job, &engine.exec_config()).unwrap();
+        let cache = engine.cache();
+        let raw = cache.peek(job.spec.cache_key()).unwrap();
+        let tagged = job.with_backend(BackendChoice::Sparse).cache_key();
+        assert!(std::sync::Arc::ptr_eq(&raw, &cache.peek(tagged).unwrap()));
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

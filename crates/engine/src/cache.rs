@@ -12,9 +12,17 @@
 //! instead of a synthesis run. The cache is `Sync`: concurrent
 //! `get_or_compile` calls for distinct specs compile in parallel outside the
 //! lock, and a race on the same key keeps the first inserted program.
+//!
+//! Each cache counts its own activity, once per event, in its own
+//! [`telemetry::MetricsRegistry`] ([`OracleCache::metrics`]): memory hits,
+//! compilations, and the disk layer's hits, rejected entries, writes and
+//! write errors. [`OracleCache::stats`] reads the same handles, and
+//! [`JobService::metrics_text`](crate::JobService::metrics_text) renders the
+//! registry after the service's own families. Only the compile-time
+//! histogram, `qdaflow_compile_duration_seconds`, is process-wide.
 
 use crate::oracle::{compile_permutation_oracle, compile_phase_oracle, SynthesisChoice};
-use crate::store::disk::{DiskCache, DiskCacheStats};
+use crate::store::disk::DiskCache;
 use crate::EngineError;
 use qdaflow_boolfn::{Permutation, TruthTable};
 use qdaflow_pipeline::spec::{self, CanonicalHasher, SpecKey};
@@ -22,52 +30,9 @@ use qdaflow_quantum::resource::ResourceCounts;
 use qdaflow_quantum::QuantumCircuit;
 use qdaflow_telemetry as telemetry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Handles into the process-wide metrics registry for the cache layers and
-/// the compile-time histogram, registered once on first use.
-struct CacheTelemetry {
-    mem_hits: telemetry::Counter,
-    mem_misses: telemetry::Counter,
-    disk_hits: telemetry::Counter,
-    disk_misses: telemetry::Counter,
-    compile_seconds: telemetry::Histogram,
-}
-
-fn cache_telemetry() -> &'static CacheTelemetry {
-    static HANDLES: std::sync::OnceLock<CacheTelemetry> = std::sync::OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let registry = telemetry::global_metrics();
-        let hits = |layer: &str| {
-            registry.counter(
-                "qdaflow_cache_hits_total",
-                "Oracle-cache lookups answered by a layer.",
-                &[("layer", layer)],
-            )
-        };
-        let misses = |layer: &str| {
-            registry.counter(
-                "qdaflow_cache_misses_total",
-                "Oracle-cache lookups a layer could not answer.",
-                &[("layer", layer)],
-            )
-        };
-        CacheTelemetry {
-            mem_hits: hits("mem"),
-            mem_misses: misses("mem"),
-            disk_hits: hits("disk"),
-            disk_misses: misses("disk"),
-            compile_seconds: registry.histogram(
-                "qdaflow_compile_duration_seconds",
-                "Wall-clock oracle compilation time (cache misses only).",
-                &telemetry::DURATION_BUCKETS,
-                &[],
-            ),
-        }
-    })
-}
 
 /// A cacheable oracle specification: what to compile and through which
 /// passes.
@@ -218,34 +183,25 @@ impl OracleSpec {
 }
 
 /// A compiled, immutable oracle: the circuit plus the metadata the batch
-/// layer reports. Shared via `Arc` between the cache and all jobs using it.
+/// layer reports. Shared via `Arc` between the cache and all jobs using it;
+/// a program the cache holds under two keys is one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
-    key: SpecKey,
     circuit: QuantumCircuit,
     resources: ResourceCounts,
     compile_time: Duration,
 }
 
 impl CompiledProgram {
-    /// Rebuilds a program from its persisted parts (the disk-cache load
-    /// path); resource counts are recomputed — they are cheap and derived.
-    pub(crate) fn from_parts(
-        key: SpecKey,
-        circuit: QuantumCircuit,
-        compile_time: Duration,
-    ) -> Self {
+    /// Builds a program from a compiled (or disk-loaded) circuit and the
+    /// time its cold compilation took; resource counts are recomputed —
+    /// they are cheap and derived.
+    pub(crate) fn from_parts(circuit: QuantumCircuit, compile_time: Duration) -> Self {
         Self {
-            key,
             resources: ResourceCounts::of(&circuit),
             circuit,
             compile_time,
         }
-    }
-
-    /// The cache key the program is stored under.
-    pub fn key(&self) -> SpecKey {
-        self.key
     }
 
     /// The compiled Clifford+T circuit.
@@ -264,7 +220,9 @@ impl CompiledProgram {
     }
 }
 
-/// Hit/miss/occupancy statistics of an [`OracleCache`].
+/// Counters and occupancy of an [`OracleCache`], read from the handles of
+/// its metrics registry ([`OracleCache::metrics`]). Every counter is
+/// monotonic over the cache's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of `get_or_compile` calls answered from the in-memory table.
@@ -274,22 +232,90 @@ pub struct CacheStats {
     /// Number of `get_or_compile` calls answered from the disk layer
     /// (always `0` for a cache without one).
     pub disk_hits: u64,
+    /// Disk entries found but rejected (truncated, corrupt, wrong version or
+    /// key); each such lookup then compiles and counts as a miss.
+    pub disk_corrupt: u64,
+    /// Compilations written to the disk layer.
+    pub disk_writes: u64,
+    /// Compilations the disk layer failed to write (I/O errors; the program
+    /// is still served from memory).
+    pub disk_write_errors: u64,
     /// Number of programs currently cached in memory.
     pub entries: usize,
+}
+
+/// An [`OracleCache`]'s own registry and its handles, one per
+/// `qdaflow_oracle_cache_*` family, in exposition order.
+struct CacheMetrics {
+    registry: telemetry::MetricsRegistry,
+    hits: telemetry::Counter,
+    misses: telemetry::Counter,
+    disk_hits: telemetry::Counter,
+    disk_corrupt: telemetry::Counter,
+    disk_writes: telemetry::Counter,
+    disk_write_errors: telemetry::Counter,
+    entries: telemetry::Gauge,
+}
+
+impl Default for CacheMetrics {
+    fn default() -> Self {
+        let registry = telemetry::MetricsRegistry::new();
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        Self {
+            hits: counter(
+                "qdaflow_oracle_cache_hits_total",
+                "Compilations answered from the in-memory oracle cache.",
+            ),
+            misses: counter(
+                "qdaflow_oracle_cache_misses_total",
+                "Compilations actually performed (in-memory and disk layers both missed).",
+            ),
+            disk_hits: counter(
+                "qdaflow_oracle_cache_disk_hits_total",
+                "Compilations answered from the disk-backed oracle cache.",
+            ),
+            disk_corrupt: counter(
+                "qdaflow_oracle_cache_disk_corrupt_total",
+                "Disk cache entries rejected as truncated or corrupt (degraded to misses).",
+            ),
+            disk_writes: counter(
+                "qdaflow_oracle_cache_disk_writes_total",
+                "Disk cache entries written (atomic temp-file + rename).",
+            ),
+            disk_write_errors: counter(
+                "qdaflow_oracle_cache_disk_write_errors_total",
+                "Disk cache entry writes that failed (best-effort, swallowed).",
+            ),
+            entries: registry.gauge(
+                "qdaflow_oracle_cache_entries",
+                "Programs currently held by the in-memory oracle cache.",
+                &[],
+            ),
+            registry,
+        }
+    }
 }
 
 /// A thread-safe memo table of [`CompiledProgram`]s keyed by [`SpecKey`],
 /// optionally layered over a persistent [`DiskCache`]
 /// ([`OracleCache::with_disk`]): memory miss → disk load → compile, with
 /// every fresh compilation written back to disk so it survives restarts
-/// and is shared across processes.
-#[derive(Debug, Default)]
+/// and is shared across processes. The cache counts the activity of both
+/// layers, each event once, in its own registry ([`OracleCache::metrics`]).
+#[derive(Default)]
 pub struct OracleCache {
     programs: Mutex<HashMap<SpecKey, Arc<CompiledProgram>>>,
     disk: Option<DiskCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    disk_hits: AtomicU64,
+    metrics: CacheMetrics,
+}
+
+impl fmt::Debug for OracleCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OracleCache")
+            .field("disk", &self.disk)
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
 }
 
 impl OracleCache {
@@ -313,11 +339,6 @@ impl OracleCache {
         self.disk.as_ref()
     }
 
-    /// Counters of the disk layer (zeros without one).
-    pub fn disk_stats(&self) -> DiskCacheStats {
-        self.disk.as_ref().map(DiskCache::stats).unwrap_or_default()
-    }
-
     /// Returns the compiled program for `spec`, compiling (and caching) it
     /// on a miss. Compilation happens outside the cache lock, so concurrent
     /// misses on *distinct* specs compile in parallel; concurrent misses on
@@ -332,76 +353,63 @@ impl OracleCache {
     }
 
     /// [`OracleCache::get_or_compile`] for callers that already computed
-    /// `spec.cache_key()` (the batch engine keys every job up front for
-    /// deduplication); `key` must be that spec's key.
+    /// the key to store the program under: `spec.cache_key()`, or the
+    /// backend-tagged key the batch engine derives from it.
     pub(crate) fn get_or_compile_keyed(
         &self,
         key: SpecKey,
         spec: &OracleSpec,
     ) -> Result<Arc<CompiledProgram>, EngineError> {
-        let stats = cache_telemetry();
+        let m = &self.metrics;
         if let Some(program) = self.lock().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            stats.mem_hits.inc();
+            m.hits.inc();
             return Ok(program);
         }
-        stats.mem_misses.inc();
         if let Some(disk) = &self.disk {
-            if let Some((circuit, compile_time)) = disk.load(key) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                stats.disk_hits.inc();
-                telemetry::event("cache", "disk hit", vec![("key", format!("{key:?}"))]);
-                let program = Arc::new(CompiledProgram::from_parts(key, circuit, compile_time));
-                return Ok(self.lock().entry(key).or_insert(program).clone());
+            match disk.load(key) {
+                Ok(Some((circuit, compile_time))) => {
+                    m.disk_hits.inc();
+                    telemetry::event("cache", "disk hit", vec![("key", format!("{key:?}"))]);
+                    let program = CompiledProgram::from_parts(circuit, compile_time);
+                    return Ok(self.insert(key, Arc::new(program)));
+                }
+                Ok(None) => {}
+                Err(_) => m.disk_corrupt.inc(),
             }
-            stats.disk_misses.inc();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        m.misses.inc();
         let start = Instant::now();
         let circuit = {
             let _span = telemetry::span!("cache", "compile {key:?}");
             spec.compile()?
         };
-        let program = Arc::new(CompiledProgram {
-            key,
-            resources: ResourceCounts::of(&circuit),
-            circuit,
-            compile_time: start.elapsed(),
-        });
-        // The compile wall time used to be recorded on the program and then
-        // forgotten; feed it into the unified histogram so `batch --stats`
-        // can report compilation latency.
-        stats.compile_seconds.observe_duration(program.compile_time);
+        let program = Arc::new(CompiledProgram::from_parts(circuit, start.elapsed()));
+        telemetry::global_metrics()
+            .histogram(
+                "qdaflow_compile_duration_seconds",
+                "Wall-clock oracle compilation time (cache misses only).",
+                &telemetry::SHORT_DURATION_BUCKETS,
+                &[],
+            )
+            .observe_duration(program.compile_time);
         if let Some(disk) = &self.disk {
-            disk.store(key, &program.circuit, program.compile_time);
+            match disk.store(key, &program.circuit, program.compile_time) {
+                Ok(()) => m.disk_writes.inc(),
+                Err(_) => m.disk_write_errors.inc(),
+            }
         }
-        Ok(self.lock().entry(key).or_insert(program).clone())
+        Ok(self.insert(key, program))
     }
 
-    /// Re-inserts an already-compiled program under a second cache key,
-    /// returning the entry now stored there (the existing program if the
-    /// slot was already occupied). The batch engine uses this to share one
+    /// Stores an already-compiled program under a second cache key too,
+    /// unless that slot is taken. The batch engine uses this to share one
     /// compilation between the raw spec slot (where automatic-backend
     /// resolution compiles) and the backend-tagged slot (where execution
-    /// looks up) — an alias is bookkeeping, not a compilation, so the
-    /// hit/miss counters are untouched.
-    pub(crate) fn alias_keyed(
-        &self,
-        key: SpecKey,
-        program: &Arc<CompiledProgram>,
-    ) -> Arc<CompiledProgram> {
-        let mut entries = self.lock();
-        if let Some(existing) = entries.get(&key) {
-            return existing.clone();
-        }
-        let aliased = Arc::new(CompiledProgram {
-            key,
-            circuit: program.circuit.clone(),
-            resources: program.resources.clone(),
-            compile_time: program.compile_time,
-        });
-        entries.insert(key, aliased.clone());
-        aliased
+    /// looks up). Both slots hold the same `Arc`, so the program is stored
+    /// once; an alias is bookkeeping, not a lookup, so the hit/miss
+    /// counters are untouched.
+    pub(crate) fn alias_keyed(&self, key: SpecKey, program: &Arc<CompiledProgram>) {
+        self.insert(key, Arc::clone(program));
     }
 
     /// Looks a program up without compiling (does not touch the hit/miss
@@ -410,24 +418,36 @@ impl OracleCache {
         self.lock().get(&key).cloned()
     }
 
-    /// Current hit/miss/occupancy statistics.
+    /// Current counters and occupancy, read from the cache's registry.
     pub fn stats(&self) -> CacheStats {
+        let m = &self.metrics;
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            entries: self.lock().len(),
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            disk_hits: m.disk_hits.get(),
+            disk_corrupt: m.disk_corrupt.get(),
+            disk_writes: m.disk_writes.get(),
+            disk_write_errors: m.disk_write_errors.get(),
+            entries: m.entries.get() as usize,
         }
     }
 
-    /// Evicts every cached in-memory program and resets the counters. Disk
-    /// entries are kept — they belong to every process sharing the
-    /// directory, not to this instance.
-    pub fn clear(&self) {
-        self.lock().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
+    /// The cache's own metrics registry, the only place its activity is
+    /// counted: the `qdaflow_oracle_cache_*` families of memory hits,
+    /// compilations, disk hits, rejected disk entries, disk writes and
+    /// write errors, and the in-memory entry gauge. Each cache has its own,
+    /// so two caches in one process never mix their numbers.
+    pub fn metrics(&self) -> &telemetry::MetricsRegistry {
+        &self.metrics.registry
+    }
+
+    /// Stores `program` under `key` unless the slot is taken, returning the
+    /// program stored there, and keeps the entry gauge in step.
+    fn insert(&self, key: SpecKey, program: Arc<CompiledProgram>) -> Arc<CompiledProgram> {
+        let mut programs = self.lock();
+        let stored = Arc::clone(programs.entry(key).or_insert(program));
+        self.metrics.entries.set(programs.len() as i64);
+        stored
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<SpecKey, Arc<CompiledProgram>>> {
@@ -477,8 +497,6 @@ mod tests {
         cache.get_or_compile(&po).unwrap();
         assert_eq!(cache.stats().entries, 3);
         assert_eq!(cache.stats().misses, 3);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
@@ -487,7 +505,6 @@ mod tests {
         let pi = example_permutation();
         let spec = OracleSpec::permutation(pi.clone(), SynthesisChoice::default());
         let program = cache.get_or_compile(&spec).unwrap();
-        assert_eq!(program.key(), spec.cache_key());
         assert!(program.resources().total_gates > 0);
         for basis in 0..8usize {
             let mut state =
@@ -553,7 +570,7 @@ mod tests {
         let first = OracleCache::with_disk(DiskCache::open(&dir).unwrap());
         let program = first.get_or_compile(&spec).unwrap();
         assert_eq!(first.stats().misses, 1);
-        assert_eq!(first.disk_stats().writes, 1);
+        assert_eq!(first.stats().disk_writes, 1);
         // A brand-new cache over the same directory — a restarted process —
         // loads from disk instead of compiling.
         let second = OracleCache::with_disk(DiskCache::open(&dir).unwrap());
@@ -583,7 +600,7 @@ mod tests {
         reader.get_or_compile(&spec).unwrap();
         let stats = reader.stats();
         assert_eq!((stats.misses, stats.disk_hits), (1, 0));
-        assert_eq!(reader.disk_stats().corrupt, 1);
+        assert_eq!(reader.stats().disk_corrupt, 1);
         // The recompile rewrote a valid entry.
         let healed = OracleCache::with_disk(DiskCache::open(&dir).unwrap());
         healed.get_or_compile(&spec).unwrap();
@@ -604,7 +621,30 @@ mod tests {
         let reader = OracleCache::with_disk(DiskCache::open(&dir).unwrap());
         reader.get_or_compile(&spec).unwrap();
         assert_eq!(reader.stats().misses, 1);
-        assert_eq!(reader.disk_stats().corrupt, 1);
+        assert_eq!(reader.stats().disk_corrupt, 1);
+    }
+
+    #[test]
+    fn failed_disk_writes_are_counted_and_still_serve_the_program() {
+        let dir = scratch_dir("write-error");
+        let spec = OracleSpec::permutation(example_permutation(), SynthesisChoice::default());
+        let cache = OracleCache::with_disk(DiskCache::open(&dir).unwrap());
+        // Without its directory the disk layer cannot create the entry's
+        // temp file, so the write fails after the compile.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let program = cache.get_or_compile(&spec).unwrap();
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.misses, stats.disk_writes, stats.disk_write_errors),
+            (1, 0, 1)
+        );
+        assert!(cache
+            .metrics()
+            .render()
+            .contains("qdaflow_oracle_cache_disk_write_errors_total 1\n"));
+        // The program stayed in memory: the next lookup is a memory hit.
+        assert!(Arc::ptr_eq(&cache.get_or_compile(&spec).unwrap(), &program));
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

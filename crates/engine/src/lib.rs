@@ -50,4 +50,4 @@ pub use engine::{resolve_backend, BackendChoice, ComputeSection, MainEngine, Qub
 pub use error::EngineError;
 pub use oracle::SynthesisChoice;
 pub use service::{JobId, JobService, JobServiceConfig, JobStatus};
-pub use store::{DiskCache, DiskCacheStats, Journal, JournalEntry};
+pub use store::{DiskCache, Journal, JournalEntry};

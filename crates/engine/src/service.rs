@@ -27,8 +27,11 @@
 //!   and an optional [`Journal`] checkpoints each completed job so a killed
 //!   batch resumes from its last completed job: resubmitting a journaled
 //!   job answers instantly from the checkpoint, recompiling nothing.
-//! * **Observability** — [`JobService::metrics_text`] exports counters and
-//!   a job-latency histogram in Prometheus text exposition format.
+//! * **Observability** — [`JobService::metrics_text`] exports the
+//!   service's counters, queue gauges and job-latency histogram, followed
+//!   by the engine cache's own families ([`OracleCache::metrics`]), in
+//!   Prometheus text exposition format. Each cache event is counted once,
+//!   by the cache.
 //!
 //! Duplicate submissions are **single-flighted**: while one worker
 //! compiles a spec, other workers skip past jobs with the same cache key
@@ -198,12 +201,11 @@ struct ServiceState {
 }
 
 /// Per-service metric handles, registered in the service's own
-/// [`telemetry::MetricsRegistry`] (in exposition order). The registry
-/// replaces the former hand-rolled atomics plus by-hand string assembly:
-/// lifecycle counters and the latency histogram (seconds-scale
-/// [`telemetry::DURATION_BUCKETS`]) are updated live, while cache/disk
-/// totals owned by the engine and the point-in-time queue gauges are
-/// mirrored into their handles when [`JobService::metrics_text`] renders.
+/// [`telemetry::MetricsRegistry`] (in exposition order). Lifecycle counters
+/// and the latency histogram (seconds-scale [`telemetry::DURATION_BUCKETS`])
+/// are updated live; the point-in-time queue gauges are set when
+/// [`JobService::metrics_text`] renders. Cache activity is not here: the
+/// engine's [`OracleCache`] counts it in its own registry.
 struct Metrics {
     registry: telemetry::MetricsRegistry,
     submitted: telemetry::Counter,
@@ -214,15 +216,8 @@ struct Metrics {
     dead: telemetry::Counter,
     cancelled: telemetry::Counter,
     journal_errors: telemetry::Counter,
-    cache_hits: telemetry::Counter,
-    cache_misses: telemetry::Counter,
-    cache_disk_hits: telemetry::Counter,
-    cache_disk_corrupt: telemetry::Counter,
-    cache_disk_writes: telemetry::Counter,
-    cache_disk_write_errors: telemetry::Counter,
     queued: telemetry::Gauge,
     running: telemetry::Gauge,
-    cache_entries: telemetry::Gauge,
     duration: telemetry::Histogram,
 }
 
@@ -269,47 +264,12 @@ impl Metrics {
             "Checkpoint records that could not be appended (completion still served from memory).",
             &[],
         );
-        let cache_hits = registry.counter(
-            "qdaflow_oracle_cache_hits_total",
-            "Compilations answered from the in-memory oracle cache.",
-            &[],
-        );
-        let cache_misses = registry.counter(
-            "qdaflow_oracle_cache_misses_total",
-            "Compilations actually performed (in-memory and disk layers both missed).",
-            &[],
-        );
-        let cache_disk_hits = registry.counter(
-            "qdaflow_oracle_cache_disk_hits_total",
-            "Compilations answered from the disk-backed oracle cache.",
-            &[],
-        );
-        let cache_disk_corrupt = registry.counter(
-            "qdaflow_oracle_cache_disk_corrupt_total",
-            "Disk cache entries rejected as truncated or corrupt (degraded to misses).",
-            &[],
-        );
-        let cache_disk_writes = registry.counter(
-            "qdaflow_oracle_cache_disk_writes_total",
-            "Disk cache entries written (atomic temp-file + rename).",
-            &[],
-        );
-        let cache_disk_write_errors = registry.counter(
-            "qdaflow_oracle_cache_disk_write_errors_total",
-            "Disk cache entry writes that failed (best-effort, swallowed).",
-            &[],
-        );
         let queued = registry.gauge(
             "qdaflow_jobs_queued",
             "Jobs currently waiting for a worker (including retry backoffs).",
             &[],
         );
         let running = registry.gauge("qdaflow_jobs_running", "Jobs currently executing.", &[]);
-        let cache_entries = registry.gauge(
-            "qdaflow_oracle_cache_entries",
-            "Programs currently held by the in-memory oracle cache.",
-            &[],
-        );
         let duration = registry.histogram(
             "qdaflow_job_duration_seconds",
             "Wall-clock job execution time (per attempt, successes and failures).",
@@ -326,15 +286,8 @@ impl Metrics {
             dead,
             cancelled,
             journal_errors,
-            cache_hits,
-            cache_misses,
-            cache_disk_hits,
-            cache_disk_corrupt,
-            cache_disk_writes,
-            cache_disk_write_errors,
             queued,
             running,
-            cache_entries,
             duration,
         }
     }
@@ -621,11 +574,11 @@ impl JobService {
 
     /// Counters and the job-latency histogram in Prometheus text
     /// exposition format (`text/plain; version=0.0.4`) — ready to serve
-    /// from a `/metrics` endpoint or scrape off a file.
+    /// from a `/metrics` endpoint or scrape off a file. The service's own
+    /// families come first, followed by the `qdaflow_oracle_cache_*`
+    /// families of the engine's cache ([`OracleCache::metrics`]).
     pub fn metrics_text(&self) -> String {
         let m = &self.inner.metrics;
-        let cache = self.inner.engine.cache().stats();
-        let disk = self.inner.engine.cache().disk_stats();
         let (queued, running) = {
             let state = self.inner.lock();
             let queued = state.queue.len();
@@ -636,18 +589,11 @@ impl JobService {
                 .count();
             (queued, running)
         };
-        // Mirror the engine-owned cache totals and the point-in-time queue
-        // depths into their registry handles, then render the registry.
-        m.cache_hits.store(cache.hits);
-        m.cache_misses.store(cache.misses);
-        m.cache_disk_hits.store(cache.disk_hits);
-        m.cache_disk_corrupt.store(disk.corrupt);
-        m.cache_disk_writes.store(disk.writes);
-        m.cache_disk_write_errors.store(disk.write_errors);
         m.queued.set(queued as i64);
         m.running.set(running as i64);
-        m.cache_entries.set(cache.entries as i64);
-        m.registry.render()
+        let mut text = m.registry.render();
+        self.inner.engine.cache().metrics().render_into(&mut text);
+        text
     }
 }
 
@@ -1071,5 +1017,34 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        // The cache families render the cache's own handles.
+        let value = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
+        };
+        let stats = service.engine().cache().stats();
+        for (name, expected) in [
+            ("qdaflow_oracle_cache_hits_total", stats.hits),
+            ("qdaflow_oracle_cache_misses_total", stats.misses),
+            ("qdaflow_oracle_cache_disk_hits_total", stats.disk_hits),
+            (
+                "qdaflow_oracle_cache_disk_corrupt_total",
+                stats.disk_corrupt,
+            ),
+            ("qdaflow_oracle_cache_disk_writes_total", stats.disk_writes),
+            (
+                "qdaflow_oracle_cache_disk_write_errors_total",
+                stats.disk_write_errors,
+            ),
+            ("qdaflow_oracle_cache_entries", stats.entries as u64),
+        ] {
+            assert_eq!(value(name), expected, "{name}");
+        }
+        // Another service in the same process counts only its own cache.
+        let other = JobService::new(fast_config()).unwrap();
+        assert!(other
+            .metrics_text()
+            .contains("qdaflow_oracle_cache_misses_total 0\n"));
     }
 }

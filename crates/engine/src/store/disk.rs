@@ -8,10 +8,11 @@
 //! the same key both leave one valid file behind (the later rename wins —
 //! both encode the same compilation, so either winner is correct). Reads
 //! are fail-open: a missing, truncated, wrong-version or corrupt entry is a
-//! *miss* (counted, never a panic or an error), and the compiler simply
-//! runs again.
+//! *miss* (never a panic), and the compiler simply runs again. The store
+//! reports what each load and write found; the
+//! [`OracleCache`](crate::OracleCache) layered over it does the counting.
 
-use super::codec;
+use super::codec::{self, DecodeError};
 use crate::EngineError;
 use qdaflow_pipeline::spec::SpecKey;
 use qdaflow_quantum::QuantumCircuit;
@@ -21,39 +22,18 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Counters of a [`DiskCache`] (all monotonic; exported by
-/// [`JobService::metrics_text`](crate::JobService::metrics_text)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DiskCacheStats {
-    /// Entries successfully loaded from disk.
-    pub hits: u64,
-    /// Lookups that found no usable entry (absent file).
-    pub misses: u64,
-    /// Lookups that found a file but rejected it (truncated, corrupt,
-    /// wrong version, wrong key) — these also count as misses upstream.
-    pub corrupt: u64,
-    /// Entries successfully written.
-    pub writes: u64,
-    /// Failed writes (I/O errors; best-effort, the compilation result is
-    /// still served from memory).
-    pub write_errors: u64,
-}
-
 /// A directory of compiled-oracle entries keyed by the canonical 128-bit
 /// [`SpecKey`] digest.
 ///
 /// The cache is plain files — `<dir>/<032x-key>.qdc` — so it needs no
 /// daemon, survives restarts, and is shared by every process pointing at
 /// the same directory. See the module docs for the atomicity and
-/// corruption-tolerance contract.
+/// corruption-tolerance contract. It counts nothing: each call reports its
+/// outcome, and the [`OracleCache`](crate::OracleCache) over it counts
+/// them.
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    writes: AtomicU64,
-    write_errors: AtomicU64,
 }
 
 impl DiskCache {
@@ -68,14 +48,7 @@ impl DiskCache {
             context: format!("create disk cache directory '{}'", dir.display()),
             message: e.to_string(),
         })?;
-        Ok(Self {
-            dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-        })
+        Ok(Self { dir })
     }
 
     /// The cache directory.
@@ -88,39 +61,37 @@ impl DiskCache {
         self.dir.join(format!("{:032x}.qdc", key.0))
     }
 
-    /// Loads the entry for `key`, or `None` on a miss. Corrupt, truncated
-    /// or version-mismatched entries are counted and reported as misses —
-    /// never an error, never a panic.
-    pub fn load(&self, key: SpecKey) -> Option<(QuantumCircuit, Duration)> {
-        let bytes = match fs::read(self.entry_path(key)) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match codec::decode_entry(&bytes, key.0) {
-            Ok(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// Loads the entry for `key`: `Ok(Some(..))` when a valid entry was
+    /// read, `Ok(None)` when there is no readable file, and the decode
+    /// error when a file was found but rejected (truncated, corrupt,
+    /// wrong version or key). Every outcome other than `Ok(Some(..))` is a
+    /// miss to the caller — never a panic.
+    ///
+    /// # Errors
+    ///
+    /// The [`DecodeError`] of a rejected entry.
+    pub fn load(&self, key: SpecKey) -> Result<Option<(QuantumCircuit, Duration)>, DecodeError> {
+        match fs::read(self.entry_path(key)) {
+            Ok(bytes) => codec::decode_entry(&bytes, key.0).map(Some),
+            Err(_) => Ok(None),
         }
     }
 
-    /// Writes an entry atomically (temp file + rename). Best-effort: I/O
-    /// failures bump `write_errors` and are otherwise swallowed — the
-    /// in-memory layer still serves the program.
-    pub fn store(&self, key: SpecKey, circuit: &QuantumCircuit, compile_time: Duration) {
+    /// Writes an entry atomically (temp file + rename). Best-effort for the
+    /// caller: on an I/O error the in-memory layer still serves the
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of creating, writing or renaming the temp file.
+    pub fn store(
+        &self,
+        key: SpecKey,
+        circuit: &QuantumCircuit,
+        compile_time: Duration,
+    ) -> std::io::Result<()> {
         let bytes = codec::encode_entry(key.0, circuit, compile_time);
-        if self.write_atomic(key, &bytes).is_ok() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        self.write_atomic(key, &bytes)
     }
 
     fn write_atomic(&self, key: SpecKey, bytes: &[u8]) -> std::io::Result<()> {
@@ -142,16 +113,5 @@ impl DiskCache {
             let _ = fs::remove_file(&temp);
         }
         renamed
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> DiskCacheStats {
-        DiskCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-        }
     }
 }

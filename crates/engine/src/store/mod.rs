@@ -8,10 +8,12 @@
 //! * [`DiskCache`] — one file per canonical
 //!   [`SpecKey`](qdaflow_pipeline::spec::SpecKey), written atomically
 //!   (temp + rename), versioned, checksummed, and **fail-open**: a corrupt
-//!   or truncated entry is a counted miss, never a panic. Layered under the
+//!   or truncated entry is a miss, never a panic. Layered under the
 //!   in-memory [`OracleCache`](crate::OracleCache) via
 //!   [`OracleCache::with_disk`](crate::OracleCache::with_disk), so a
-//!   restarted process warms itself from disk instead of recompiling.
+//!   restarted process warms itself from disk instead of recompiling. It
+//!   keeps no counters: the cache over it counts disk hits, rejected
+//!   entries, writes and write errors.
 //! * [`Journal`] — an append-only, line-oriented checkpoint log of
 //!   completed jobs (digest + full result). A
 //!   [`JobService`](crate::JobService) opened over an existing journal
@@ -22,5 +24,5 @@ pub mod codec;
 pub mod disk;
 pub mod journal;
 
-pub use disk::{DiskCache, DiskCacheStats};
+pub use disk::DiskCache;
 pub use journal::{Journal, JournalEntry};

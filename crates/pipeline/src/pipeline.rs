@@ -196,14 +196,6 @@ impl Pipeline {
     }
 }
 
-/// Bucket upper bounds (seconds) of `qdaflow_pass_duration_seconds`, from
-/// 1 µs to 1 s. Passes are far shorter than jobs: a `tbs` or `revsimp`
-/// call takes about 7 µs, which the job-scale
-/// [`telemetry::DURATION_BUCKETS`] (first bound 0.5 ms) cannot resolve.
-const PASS_DURATION_BUCKETS: [f64; 13] = [
-    0.000001, 0.000005, 0.00001, 0.00005, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0,
-];
-
 /// Publishes one executed pass into telemetry: a sample in the global
 /// `qdaflow_pass_duration_seconds{pass=...}` histogram (always on) and,
 /// when tracing is enabled, a key/value event mirroring the record.
@@ -213,7 +205,7 @@ fn note_pass(record: &PassRecord) {
         .histogram(
             "qdaflow_pass_duration_seconds",
             "Wall-clock pipeline pass duration, labelled by pass name.",
-            &PASS_DURATION_BUCKETS,
+            &telemetry::SHORT_DURATION_BUCKETS,
             &[("pass", name)],
         )
         .observe_duration(record.duration);
@@ -484,7 +476,12 @@ mod tests {
     #[test]
     fn pass_duration_buckets_resolve_microsecond_passes() {
         let registry = telemetry::MetricsRegistry::new();
-        let histogram = registry.histogram("pass_seconds", "Pass.", &PASS_DURATION_BUCKETS, &[]);
+        let histogram = registry.histogram(
+            "pass_seconds",
+            "Pass.",
+            &telemetry::SHORT_DURATION_BUCKETS,
+            &[],
+        );
         histogram.observe_duration(std::time::Duration::from_micros(7));
         let text = registry.render();
         // A 7 µs pass lands in the (5 µs, 10 µs] bucket, far below 0.5 ms.

@@ -633,9 +633,10 @@ impl Command for Flow {
 /// are recorded as they finish, and resubmitting a recorded job answers
 /// instantly from the checkpoint — a killed batch rerun this way recompiles
 /// and resimulates nothing it already finished. `batch --stats` logs the
-/// service metrics followed by the unified process-wide registry (pass
-/// durations, cache layers, dispatch decisions, kernel sweeps, compile
-/// times), all in Prometheus text exposition format.
+/// service metrics (including the cache's, each family once) followed by
+/// the unified process-wide registry (pass durations, dispatch decisions,
+/// kernel sweeps, compile times), all in Prometheus text exposition
+/// format.
 ///
 /// `batch --trace <file>` records telemetry spans for the duration of the
 /// batch and writes them to `<file>` as Chrome trace-event JSON when the
@@ -979,10 +980,11 @@ impl Command for BackendCmd {
 /// lifecycle); `trace off` stops it. `trace dump <file>` writes everything
 /// recorded so far as a Chrome trace-event JSON array — loadable in
 /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev). `trace stats`
-/// logs the unified process-wide metrics registry in Prometheus text
-/// exposition format (pass durations, cache hits and misses, dispatch
-/// decisions, kernel sweep statistics, compile times). Without an argument
-/// the command reports the recorder status.
+/// logs the unified process-wide metrics registry (pass durations, dispatch
+/// decisions, kernel sweep statistics, compile times) followed by the
+/// shell cache's `qdaflow_oracle_cache_*` families (hits, misses, disk
+/// activity, entries), in Prometheus text exposition format. Without an
+/// argument the command reports the recorder status.
 pub struct Trace;
 
 impl Command for Trace {
@@ -1015,7 +1017,13 @@ impl Command for Trace {
                 store.log("[trace] recording off");
             }
             [arg] if arg == "stats" => {
-                for line in telemetry::global_metrics().render().lines() {
+                let mut text = telemetry::global_metrics().render();
+                store
+                    .batch_engine()
+                    .cache()
+                    .metrics()
+                    .render_into(&mut text);
+                for line in text.lines() {
                     store.log(line);
                 }
             }

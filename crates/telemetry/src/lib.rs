@@ -31,7 +31,10 @@
 pub mod export;
 pub mod metrics;
 
-pub use metrics::{global_metrics, Counter, Gauge, Histogram, MetricsRegistry, DURATION_BUCKETS};
+pub use metrics::{
+    global_metrics, Counter, Gauge, Histogram, MetricsRegistry, DURATION_BUCKETS,
+    SHORT_DURATION_BUCKETS,
+};
 
 use std::cell::Cell;
 use std::collections::VecDeque;

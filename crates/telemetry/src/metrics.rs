@@ -7,8 +7,10 @@
 //! a `OnceLock`) and update it from hot paths freely.
 //!
 //! A process-wide instance is available via [`global_metrics`]; subsystems
-//! that want isolated numbers (such as `JobService`) create their own
-//! [`MetricsRegistry`].
+//! that want isolated numbers create their own [`MetricsRegistry`]: each
+//! `JobService` owns one for its lifecycle counters, and each `OracleCache`
+//! owns one for its cache counters, so every number is counted once, by the
+//! component it describes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -16,9 +18,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Seconds-scale latency bucket upper bounds shared by the workspace's
-/// duration histograms.
+/// job-scale duration histograms.
 pub const DURATION_BUCKETS: [f64; 10] =
     [0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0];
+
+/// Bucket upper bounds (seconds) from 1 µs to 1 s, for steps far shorter
+/// than a job: pipeline passes (a `tbs` or `revsimp` call takes about
+/// 7 µs) and oracle compiles (a few hundred µs), which the first
+/// [`DURATION_BUCKETS`] bound of 0.5 ms cannot resolve.
+pub const SHORT_DURATION_BUCKETS: [f64; 13] = [
+    0.000001, 0.000005, 0.00001, 0.00005, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0,
+];
 
 /// Monotonic counter handle. Cloning shares the underlying value.
 #[derive(Clone, Default)]
@@ -35,13 +45,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the value. Intended for mirroring totals that are already
-    /// tracked elsewhere (e.g. cache-layer atomics) into the registry at
-    /// render time; ordinary call sites should only ever [`Counter::inc`].
-    pub fn store(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
     }
 
     /// Current value.

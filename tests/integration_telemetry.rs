@@ -345,9 +345,30 @@ fn traced_batch_produces_a_linted_chrome_trace_and_unified_stats() {
         "qdaflow_kernel_amps_touched_total",
         "qdaflow_kernel_ns_per_amp",
         "qdaflow_sampling_shards_total",
-        "qdaflow_cache_misses_total",
+        "qdaflow_oracle_cache_misses_total",
     ] {
         assert!(stats.contains(family), "stats dump is missing {family}");
+    }
+    // Cache activity is counted once, by the cache: no second family under
+    // another name, and each cache family declared exactly once.
+    for deleted in ["qdaflow_cache_hits_total", "qdaflow_cache_misses_total"] {
+        assert!(
+            !stats.lines().any(|l| l.contains(deleted)),
+            "stats dump still carries {deleted}"
+        );
+    }
+    for family in [
+        "qdaflow_oracle_cache_hits_total",
+        "qdaflow_oracle_cache_misses_total",
+        "qdaflow_oracle_cache_disk_hits_total",
+        "qdaflow_oracle_cache_disk_corrupt_total",
+        "qdaflow_oracle_cache_disk_writes_total",
+        "qdaflow_oracle_cache_disk_write_errors_total",
+        "qdaflow_oracle_cache_entries",
+    ] {
+        let declared = format!("# TYPE {family} ");
+        let count = stats.lines().filter(|l| l.starts_with(&declared)).count();
+        assert_eq!(count, 1, "{family} declared {count} times");
     }
 
     // The batch itself still reports normally.
@@ -394,6 +415,9 @@ fn trace_command_controls_the_recorder() {
     assert!(output
         .iter()
         .any(|l| l.starts_with("# TYPE qdaflow_pass_duration_seconds")));
+    assert!(output
+        .iter()
+        .any(|l| l == "# TYPE qdaflow_oracle_cache_misses_total counter"));
 
     let trace = std::fs::read_to_string(&path).unwrap();
     lint_chrome_trace(&trace);
