@@ -18,11 +18,17 @@
 //! `po` (direct phase-oracle compilation, the `PhaseOracle` primitive of the
 //! paper's ProjectQ flow) has no shell counterpart in equation (5) but lets
 //! the phase-function flow route through pipelines as well.
+//!
+//! The shell's pass commands (`revgen` through `tpar`) are these passes: each
+//! builds its pass with [`pass_from_tokens`] and runs it as a one-pass
+//! [`Pipeline`](crate::Pipeline) over the shell's store, so a change here
+//! shows up in the shell and in `flow` at once. `po` and `qasmin` still have
+//! no shell command of their own; they run through `flow`.
 
 use crate::ir::{Ir, StageSet};
 use crate::pass::Pass;
 use crate::FlowError;
-use qdaflow_boolfn::{hwb, Expr, Permutation, TruthTable};
+use qdaflow_boolfn::{hwb, Expr, Permutation, TruthTable, MAX_TRUTH_TABLE_VARS};
 use qdaflow_mapping::phase_oracle::{self, PhaseOracleOptions};
 use qdaflow_mapping::{map, optimize};
 use qdaflow_quantum::qasm;
@@ -46,6 +52,22 @@ fn parse_usize(pass: &'static str, text: &str) -> Result<usize, FlowError> {
         pass: pass.to_owned(),
         message: format!("expected a number, found '{text}'"),
     })
+}
+
+/// Parses the value of a size flag (`--hwb N`, `--random N`) and checks it
+/// lies in `min..=MAX_TRUTH_TABLE_VARS`, so an out-of-range size is a typed
+/// error here instead of a panic or an allocation failure when the
+/// specification is generated.
+fn parse_num_vars(flag: &str, text: &str, min: usize) -> Result<usize, FlowError> {
+    let n = parse_usize("revgen", text)?;
+    if (min..=MAX_TRUTH_TABLE_VARS).contains(&n) {
+        Ok(n)
+    } else {
+        Err(FlowError::InvalidPassArguments {
+            pass: "revgen".to_owned(),
+            message: format!("{flag} takes {min} to {MAX_TRUTH_TABLE_VARS} variables, found {n}"),
+        })
+    }
 }
 
 /// How a [`Revgen`] pass obtains its specification.
@@ -135,12 +157,15 @@ impl Revgen {
     /// of `--hwb N`, `--random N [--seed S]`, `--perm "0 2 1 3"`,
     /// `--expr "(a & b) ^ c" [--vars N]`, or no arguments at all for a
     /// passthrough pass. A stray or misspelled flag is an error, not
-    /// silently ignored.
+    /// silently ignored. `--hwb` takes 1 to
+    /// [`MAX_TRUTH_TABLE_VARS`] variables and `--random` 0 to
+    /// [`MAX_TRUTH_TABLE_VARS`].
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::InvalidPassArguments`] for malformed flags and
-    /// propagates specification construction errors.
+    /// out-of-range sizes, and propagates specification construction
+    /// errors.
     pub fn from_args(args: &[String]) -> Result<Self, FlowError> {
         if args.is_empty() {
             return Ok(Self::passthrough());
@@ -187,10 +212,10 @@ impl Revgen {
             return Err(invalid("--vars is only valid with --expr".to_owned()));
         }
         if let Some(n) = value_of("--hwb") {
-            return Ok(Self::hwb(parse_usize("revgen", n)?));
+            return Ok(Self::hwb(parse_num_vars("--hwb", n, 1)?));
         }
         if let Some(n) = value_of("--random") {
-            let n = parse_usize("revgen", n)?;
+            let n = parse_num_vars("--random", n, 0)?;
             let seed = value_of("--seed")
                 .map(|s| parse_usize("revgen", s))
                 .transpose()?
@@ -491,42 +516,52 @@ impl Pass for Ps {
     }
 
     fn summarize(&self, output: &Ir) -> Option<String> {
-        Some(match output {
-            Ir::Permutation(p) => format!(
-                "permutation on {} variables ({} fixed points)",
-                p.num_vars(),
-                p.fixed_points()
-            ),
-            Ir::Function(f) => format!(
-                "boolean function on {} variables ({} ones)",
-                f.num_vars(),
-                f.count_ones()
-            ),
-            Ir::Reversible(c) => format!(
-                "reversible circuit: {} lines, {} gates ({}), quantum cost {}",
-                c.num_lines(),
-                c.num_gates(),
-                c.gate_profile(),
-                c.quantum_cost()
-            ),
-            Ir::Quantum(c) => {
-                let counts = ResourceCounts::of(c);
-                format!(
-                    "quantum circuit: {} qubits, {} gates, depth {}, T-count {}, T-depth {}, CNOTs {}",
-                    counts.num_qubits,
-                    counts.total_gates,
-                    counts.depth,
-                    counts.t_count,
-                    counts.t_depth,
-                    counts.cnot_count
-                )
-            }
-            Ir::QasmSource(source) => format!(
-                "openqasm source: {} bytes, {} lines",
-                source.len(),
-                source.lines().count()
-            ),
-        })
+        Some(statistics(output))
+    }
+}
+
+/// The `ps` statistics of one IR value, e.g. `quantum circuit: 5 qubits,
+/// 183 gates, depth 126, T-count 69, T-depth 46, CNOTs 81`.
+///
+/// This is the one rendering of a stage's statistics: [`Ps::summarize`]
+/// returns it, and the shell logs it after each pass command and on each
+/// line of its `ps` command.
+pub fn statistics(ir: &Ir) -> String {
+    match ir {
+        Ir::Permutation(p) => format!(
+            "permutation on {} variables ({} fixed points)",
+            p.num_vars(),
+            p.fixed_points()
+        ),
+        Ir::Function(f) => format!(
+            "boolean function on {} variables ({} ones)",
+            f.num_vars(),
+            f.count_ones()
+        ),
+        Ir::Reversible(c) => format!(
+            "reversible circuit: {} lines, {} gates ({}), quantum cost {}",
+            c.num_lines(),
+            c.num_gates(),
+            c.gate_profile(),
+            c.quantum_cost()
+        ),
+        Ir::Quantum(c) => {
+            let counts = ResourceCounts::of(c);
+            format!(
+                "quantum circuit: {} qubits, {} gates, depth {}, T-count {}, T-depth {}, CNOTs {}",
+                counts.num_qubits,
+                counts.total_gates,
+                counts.depth,
+                counts.t_count,
+                counts.t_depth,
+                counts.cnot_count
+            )
+        }
+        Ir::QasmSource(source) => format!(
+            "openqasm source: {} bytes, {} lines",
+            source.len(),
+            source.lines().count()
+        ),
     }
 }
 
@@ -696,6 +731,12 @@ mod tests {
             &["--seed", "7"],
             &["--vars", "3"],
             &["--hwb", "4", "--vars", "3"],
+            // Sizes outside what a truth table can hold are typed errors,
+            // not a panic (`--hwb 0`, `--hwb 25`) or an allocation abort
+            // (`--random 40`) when the specification is generated.
+            &["--hwb", "0"],
+            &["--hwb", "25"],
+            &["--random", "40"],
         ] {
             assert!(
                 matches!(
@@ -705,8 +746,11 @@ mod tests {
                 "{tokens:?}"
             );
         }
-        // The documented combinations still parse.
+        // The documented combinations still parse, up to the size bounds.
         Revgen::from_args(&to_args(&["--random", "4", "--seed", "7"])).unwrap();
+        Revgen::from_args(&to_args(&["--random", "0"])).unwrap();
+        Revgen::from_args(&to_args(&["--hwb", "1"])).unwrap();
+        Revgen::from_args(&to_args(&["--hwb", "24"])).unwrap();
         Revgen::from_args(&to_args(&["--expr", "a ^ b", "--vars", "5"])).unwrap();
     }
 

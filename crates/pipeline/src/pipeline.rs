@@ -337,6 +337,25 @@ impl Artifacts {
     }
 }
 
+/// The artifacts as [`Ir`] values, in flow order (the shell writes each one
+/// back into its store).
+impl IntoIterator for Artifacts {
+    type Item = Ir;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<Ir>, 5>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        [
+            self.qasm_source.map(Ir::QasmSource),
+            self.permutation.map(Ir::Permutation),
+            self.function.map(Ir::Function),
+            self.reversible.map(Ir::Reversible),
+            self.quantum.map(Ir::Quantum),
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
+
 /// Metrics recorded for one executed pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassRecord {

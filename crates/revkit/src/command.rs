@@ -1,7 +1,10 @@
 //! The shell commands.
 //!
 //! Each command mirrors one RevKit command used (or implied) by the paper's
-//! pipeline `revgen --hwb 4; tbs; revsimp; rptm; tpar; ps -c`:
+//! pipeline `revgen --hwb 4; tbs; revsimp; rptm; tpar; ps -c`. The first
+//! seven are [`PassCommand`]s: each runs the pipeline pass of its name as a
+//! one-pass [`Pipeline`] over the store and logs `[<name>] ` followed by the
+//! [`passes::statistics`] of the pass output.
 //!
 //! | command   | effect                                                        |
 //! |-----------|---------------------------------------------------------------|
@@ -12,7 +15,7 @@
 //! | `revsimp` | simplify the current reversible circuit                        |
 //! | `rptm`    | map the reversible circuit to Clifford+T                       |
 //! | `tpar`    | T-count optimization of the quantum circuit                    |
-//! | `ps`      | print statistics (`-c` selects the circuit stores)            |
+//! | `ps`      | print statistics of every store entry (`-c` is accepted)      |
 //! | `simulate`| check the quantum circuit against the reversible circuit       |
 //! | `exec`    | configure the execution layer (threads, fusion, block size)    |
 //! | `qasm`    | print the quantum circuit as OpenQASM, or `qasm load <file>`   |
@@ -21,17 +24,18 @@
 //! | `batch`   | run oracle jobs through the fault-tolerant batch job service (`--resume`, `--stats`, `--trace`) |
 //! | `backend` | select the simulation backend for batch jobs (`dense`/`sparse`/`stabilizer`/`auto`) |
 //! | `trace`   | control the telemetry recorder (`trace on|off|dump <file>|stats`) |
+//!
+//! The pipeline passes `po` and `qasmin` have no command of their own; they
+//! run through `flow`.
 
 use crate::{RevkitError, Store};
 use qdaflow_engine::{
     resolve_backend, BackendChoice, BatchJob, JobStatus, OracleSpec, SynthesisChoice,
 };
-use qdaflow_mapping::{map, optimize, verify};
+use qdaflow_mapping::verify;
 use qdaflow_pipeline::script::tokenize;
-use qdaflow_pipeline::{passes, FlowError, Ir, Pass, Pipeline, Stage};
-use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{drawer, qasm, resource::ResourceCounts, GateCensus};
-use qdaflow_reversible::{optimize as revopt, synthesis, synthesis::EsopSynthesisOptions};
+use qdaflow_pipeline::{passes, FlowError, Ir, Pass, Pipeline, PipelineReport, StageSet};
+use qdaflow_quantum::{drawer, qasm, GateCensus};
 use qdaflow_telemetry as telemetry;
 
 /// A shell command.
@@ -51,16 +55,42 @@ pub trait Command {
     fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError>;
 }
 
+/// The built-in pass commands, in `help` order.
+const PASS_COMMANDS: [PassCommand; 7] = [
+    PassCommand {
+        name: "revgen",
+        description: "generate a reversible or Boolean specification (--hwb N | --random N --seed S | --perm \"0 2 1 3\" | --expr \"(a & b) ^ c\")",
+    },
+    PassCommand {
+        name: "tbs",
+        description: "transformation-based reversible synthesis of the current permutation",
+    },
+    PassCommand {
+        name: "dbs",
+        description:
+            "decomposition-based (Young subgroup) reversible synthesis of the current permutation",
+    },
+    PassCommand {
+        name: "esopbs",
+        description: "ESOP-based synthesis (Bennett embedding) of the current Boolean function",
+    },
+    PassCommand {
+        name: "revsimp",
+        description: "simplify the current reversible circuit (cancellation and control merging)",
+    },
+    PassCommand {
+        name: "rptm",
+        description: "map the current reversible circuit to a Clifford+T quantum circuit",
+    },
+    PassCommand {
+        name: "tpar",
+        description: "optimize the T-count of the current quantum circuit by phase folding",
+    },
+];
+
 /// Returns the full set of built-in commands.
 pub fn builtin_commands() -> Vec<Box<dyn Command>> {
-    vec![
-        Box::new(Revgen),
-        Box::new(Tbs),
-        Box::new(Dbs),
-        Box::new(Esopbs),
-        Box::new(Revsimp),
-        Box::new(Rptm),
-        Box::new(Tpar),
+    let others: [Box<dyn Command>; 9] = [
         Box::new(Ps),
         Box::new(Simulate),
         Box::new(Exec),
@@ -70,7 +100,12 @@ pub fn builtin_commands() -> Vec<Box<dyn Command>> {
         Box::new(Batch),
         Box::new(BackendCmd),
         Box::new(Trace),
-    ]
+    ];
+    PASS_COMMANDS
+        .map(|command| Box::new(command) as Box<dyn Command>)
+        .into_iter()
+        .chain(others)
+        .collect()
 }
 
 fn parse_usize(command: &'static str, text: &str) -> Result<usize, RevkitError> {
@@ -87,260 +122,103 @@ fn find_flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// `revgen` — generate a specification.
-pub struct Revgen;
+/// Blames a pass's argument error on the shell command of the same name.
+fn pass_error(command: &'static str, error: FlowError) -> RevkitError {
+    match error {
+        FlowError::InvalidPassArguments { message, .. } => {
+            RevkitError::InvalidArguments { command, message }
+        }
+        other => other.into(),
+    }
+}
 
-impl Command for Revgen {
+/// Runs `pipeline` over the store; `flow` and every [`PassCommand`] run
+/// their passes through it. A generated pipeline runs on its own; any other
+/// runs on a copy of the store entry its first pass accepts. Every artifact
+/// of the run is then moved into the store, so the returned report's
+/// artifacts are empty.
+///
+/// # Errors
+///
+/// Returns [`RevkitError::MissingStoreEntry`], blamed on `command`, when the
+/// store holds nothing the pipeline accepts, and propagates pass failures.
+fn run_on_store(
+    command: &'static str,
+    pipeline: &Pipeline,
+    store: &mut Store,
+) -> Result<PipelineReport, RevkitError> {
+    let mut report = if pipeline.is_generated() {
+        pipeline.run_generated()?
+    } else {
+        let expected = pipeline.input_stages();
+        let input = store
+            .input(expected)
+            .ok_or(RevkitError::MissingStoreEntry { command, expected })?;
+        pipeline.run(input)?
+    };
+    for artifact in std::mem::take(&mut report.artifacts) {
+        store.put(artifact);
+    }
+    Ok(report)
+}
+
+/// A shell command that runs the pipeline pass of the same name: `revgen`,
+/// `tbs`, `dbs`, `esopbs`, `revsimp`, `rptm` and `tpar`.
+///
+/// The pass is built with [`passes::pass_from_tokens`], so the command takes
+/// exactly the arguments `flow` takes for that pass, and runs as a one-pass
+/// [`Pipeline`] through the same store helper as `flow`: a generator runs on
+/// its own, any other pass on the store entry it accepts, and every artifact
+/// is written back. It records the pipeline's `pass` span and
+/// `qdaflow_pass_duration_seconds` sample, and logs one line, `[<name>] `
+/// followed by the [`passes::statistics`] of the pass output, e.g.
+/// `[tpar] quantum circuit: 5 qubits, 183 gates, depth 126, T-count 69,
+/// T-depth 46, CNOTs 81`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassCommand {
+    /// The command name, which is also the name of the pass it runs.
+    name: &'static str,
+    /// One-line description shown by `help`.
+    description: &'static str,
+}
+
+impl Command for PassCommand {
     fn name(&self) -> &'static str {
-        "revgen"
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        "generate a reversible or Boolean specification (--hwb N | --random N --seed S | --perm \"0 2 1 3\" | --expr \"(a & b) ^ c\")"
+        self.description
     }
 
     fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        if args.is_empty() {
+        let pass =
+            passes::pass_from_tokens(self.name, args).map_err(|e| pass_error(self.name, e))?;
+        // Without arguments `revgen` passes a pipeline's input through; the
+        // shell has no input to pass, so it must generate a specification.
+        if self.name == "revgen" && !pass.is_generator() {
             return Err(RevkitError::InvalidArguments {
-                command: self.name(),
+                command: self.name,
                 message: "expected one of --hwb, --random, --perm, --expr".to_owned(),
             });
         }
-        // One argument grammar for both surfaces: the shell command
-        // delegates to the pipeline's revgen pass.
-        let pass = passes::Revgen::from_args(args).map_err(|error| match error {
-            FlowError::InvalidPassArguments { message, .. } => RevkitError::InvalidArguments {
-                command: self.name(),
-                message,
-            },
-            other => other.into(),
-        })?;
-        let generated = pass
-            .generate()
-            .expect("revgen with arguments is a generator")?;
-        match generated {
-            Ir::Permutation(permutation) => {
-                store.log(format!(
-                    "[revgen] permutation on {} variables ({})",
-                    permutation.num_vars(),
-                    pass.describe()
-                ));
-                store.set_permutation(permutation);
-            }
-            Ir::Function(function) => {
-                store.log(format!(
-                    "[revgen] boolean function on {} variables ({})",
-                    function.num_vars(),
-                    pass.describe()
-                ));
-                store.set_function(function);
-            }
-            other => {
-                return Err(RevkitError::InvalidArguments {
-                    command: self.name(),
-                    message: format!(
-                        "revgen generated a {} instead of a specification",
-                        other.stage()
-                    ),
-                })
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `tbs` — transformation-based synthesis.
-pub struct Tbs;
-
-impl Command for Tbs {
-    fn name(&self) -> &'static str {
-        "tbs"
-    }
-
-    fn description(&self) -> &'static str {
-        "transformation-based reversible synthesis of the current permutation"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let permutation = store
-            .permutation()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "permutation",
-            })?
-            .clone();
-        let circuit = synthesis::transformation_based(&permutation)?;
+        let pipeline = Pipeline::builder().then_boxed(pass).build()?;
+        let report = run_on_store(self.name, &pipeline, store)?;
         store.log(format!(
-            "[tbs] synthesized {} gates on {} lines",
-            circuit.num_gates(),
-            circuit.num_lines()
+            "[{}] {}",
+            self.name,
+            passes::statistics(&report.output)
         ));
-        store.set_reversible(circuit);
         Ok(())
     }
 }
 
-/// `dbs` — decomposition-based synthesis.
-pub struct Dbs;
-
-impl Command for Dbs {
-    fn name(&self) -> &'static str {
-        "dbs"
-    }
-
-    fn description(&self) -> &'static str {
-        "decomposition-based (Young subgroup) reversible synthesis of the current permutation"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let permutation = store
-            .permutation()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "permutation",
-            })?
-            .clone();
-        let circuit = synthesis::decomposition_based(&permutation)?;
-        store.log(format!(
-            "[dbs] synthesized {} gates on {} lines",
-            circuit.num_gates(),
-            circuit.num_lines()
-        ));
-        store.set_reversible(circuit);
-        Ok(())
-    }
-}
-
-/// `esopbs` — ESOP-based synthesis of a single-output Boolean function.
-pub struct Esopbs;
-
-impl Command for Esopbs {
-    fn name(&self) -> &'static str {
-        "esopbs"
-    }
-
-    fn description(&self) -> &'static str {
-        "ESOP-based synthesis (Bennett embedding) of the current Boolean function"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let function = store
-            .function()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "boolean function",
-            })?
-            .clone();
-        let circuit = synthesis::esop_based_single(&function, EsopSynthesisOptions::default())?;
-        store.log(format!(
-            "[esopbs] synthesized {} gates on {} lines",
-            circuit.num_gates(),
-            circuit.num_lines()
-        ));
-        store.set_reversible(circuit);
-        Ok(())
-    }
-}
-
-/// `revsimp` — reversible circuit simplification.
-pub struct Revsimp;
-
-impl Command for Revsimp {
-    fn name(&self) -> &'static str {
-        "revsimp"
-    }
-
-    fn description(&self) -> &'static str {
-        "simplify the current reversible circuit (cancellation and control merging)"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let circuit = store
-            .reversible()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "reversible circuit",
-            })?
-            .clone();
-        let before = circuit.num_gates();
-        let (simplified, stats) = revopt::simplify(&circuit);
-        store.log(format!(
-            "[revsimp] {before} -> {} gates ({} cancellations, {} merges)",
-            simplified.num_gates(),
-            stats.cancellations,
-            stats.merges
-        ));
-        store.set_reversible(simplified);
-        Ok(())
-    }
-}
-
-/// `rptm` — reversible-to-quantum mapping.
-pub struct Rptm;
-
-impl Command for Rptm {
-    fn name(&self) -> &'static str {
-        "rptm"
-    }
-
-    fn description(&self) -> &'static str {
-        "map the current reversible circuit to a Clifford+T quantum circuit"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let circuit = store
-            .reversible()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "reversible circuit",
-            })?
-            .clone();
-        let quantum = map::to_clifford_t(&circuit, &map::MappingOptions::default())?;
-        store.log(format!(
-            "[rptm] mapped to {} Clifford+T gates on {} qubits (T-count {})",
-            quantum.num_gates(),
-            quantum.num_qubits(),
-            quantum.t_count()
-        ));
-        store.set_quantum(quantum);
-        Ok(())
-    }
-}
-
-/// `tpar` — T-count optimization.
-pub struct Tpar;
-
-impl Command for Tpar {
-    fn name(&self) -> &'static str {
-        "tpar"
-    }
-
-    fn description(&self) -> &'static str {
-        "optimize the T-count of the current quantum circuit by phase folding"
-    }
-
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let circuit = store
-            .quantum()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "quantum circuit",
-            })?
-            .clone();
-        let before = circuit.t_count();
-        let optimized = optimize::optimize_clifford_t(&circuit);
-        store.log(format!(
-            "[tpar] T-count {before} -> {}, gates {} -> {}",
-            optimized.t_count(),
-            circuit.num_gates(),
-            optimized.num_gates()
-        ));
-        store.set_quantum(optimized);
-        Ok(())
-    }
-}
-
-/// `ps` — print statistics.
+/// `ps` — print the statistics of every store entry.
+///
+/// Each line is `[ps] ` followed by the [`passes::statistics`] of one entry:
+/// the reversible circuit, the quantum circuit, the permutation and the
+/// Boolean function, in that order. The command takes the arguments of the
+/// `ps` pass (none, or `-c` as in the paper's scripts).
 pub struct Ps;
 
 impl Command for Ps {
@@ -352,49 +230,23 @@ impl Command for Ps {
         "print statistics of the current circuits (-c selects circuit stores)"
     }
 
-    fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let mut printed = false;
-        if let Some(reversible) = store.reversible().cloned() {
-            let profile = reversible.gate_profile();
-            store.log(format!(
-                "[ps] reversible circuit: {} lines, {} gates ({profile}), quantum cost {}",
-                reversible.num_lines(),
-                reversible.num_gates(),
-                reversible.quantum_cost()
-            ));
-            printed = true;
+    fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError> {
+        passes::pass_from_tokens(self.name(), args).map_err(|e| pass_error(self.name(), e))?;
+        let lines: Vec<String> = [
+            StageSet::REVERSIBLE,
+            StageSet::QUANTUM,
+            StageSet::PERMUTATION,
+            StageSet::FUNCTION,
+        ]
+        .into_iter()
+        .filter_map(|stage| store.input(stage))
+        .map(|entry| format!("[ps] {}", passes::statistics(&entry)))
+        .collect();
+        if lines.is_empty() {
+            store.log("[ps] store is empty");
         }
-        if let Some(quantum) = store.quantum().cloned() {
-            let counts = ResourceCounts::of(&quantum);
-            store.log(format!(
-                "[ps] quantum circuit: {} qubits, {} gates, depth {}, T-count {}, T-depth {}, CNOTs {}",
-                counts.num_qubits,
-                counts.total_gates,
-                counts.depth,
-                counts.t_count,
-                counts.t_depth,
-                counts.cnot_count
-            ));
-            printed = true;
-        }
-        if let Some(permutation) = store.permutation() {
-            store.log(format!(
-                "[ps] permutation on {} variables ({} fixed points)",
-                permutation.num_vars(),
-                permutation.fixed_points()
-            ));
-            printed = true;
-        }
-        if let Some(function) = store.function() {
-            store.log(format!(
-                "[ps] boolean function on {} variables ({} ones)",
-                function.num_vars(),
-                function.count_ones()
-            ));
-            printed = true;
-        }
-        if !printed {
-            store.log("[ps] store is empty".to_owned());
+        for line in lines {
+            store.log(line);
         }
         Ok(())
     }
@@ -413,21 +265,16 @@ impl Command for Simulate {
     }
 
     fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let reversible = store
-            .reversible()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "reversible circuit",
-            })?
-            .clone();
-        let quantum = store
-            .quantum()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "quantum circuit",
-            })?
-            .clone();
-        let matches = quantum_matches_reversible_with(&quantum, &reversible, &store.exec_config())?;
+        let reversible = store.reversible().ok_or(RevkitError::MissingStoreEntry {
+            command: self.name(),
+            expected: StageSet::REVERSIBLE,
+        })?;
+        let quantum = store.quantum().ok_or(RevkitError::MissingStoreEntry {
+            command: self.name(),
+            expected: StageSet::QUANTUM,
+        })?;
+        let matches =
+            verify::quantum_matches_reversible_with(quantum, reversible, &store.exec_config())?;
         store.log(format!(
             "[simulate] quantum circuit {} the reversible specification",
             if matches { "matches" } else { "DOES NOT match" }
@@ -436,94 +283,17 @@ impl Command for Simulate {
     }
 }
 
-/// Verifies (by exhaustive basis-state simulation) that `quantum` realizes the
-/// same permutation as `reversible` on the original lines, with ancillas
-/// returned to zero. Uses the default execution configuration.
-///
-/// Thin wrapper around [`qdaflow_mapping::verify::quantum_matches_reversible`],
-/// the shared implementation used by the shell, the pipeline layer and the
-/// test-suites.
-///
-/// # Errors
-///
-/// Propagates simulation errors (for example a circuit that is too large).
-pub fn quantum_matches_reversible(
-    quantum: &qdaflow_quantum::QuantumCircuit,
-    reversible: &qdaflow_reversible::ReversibleCircuit,
-) -> Result<bool, RevkitError> {
-    Ok(verify::quantum_matches_reversible(quantum, reversible)?)
-}
-
-/// [`quantum_matches_reversible`] with an explicit execution configuration.
-/// The quantum circuit is compiled once to a fused program and replayed on
-/// every basis state.
-///
-/// # Errors
-///
-/// Propagates simulation errors (for example a circuit that is too large).
-pub fn quantum_matches_reversible_with(
-    quantum: &qdaflow_quantum::QuantumCircuit,
-    reversible: &qdaflow_reversible::ReversibleCircuit,
-    config: &ExecConfig,
-) -> Result<bool, RevkitError> {
-    Ok(verify::quantum_matches_reversible_with(
-        quantum, reversible, config,
-    )?)
-}
-
 /// `flow` — run a whole pass pipeline through the typed pass manager.
 ///
 /// The argument is a pipeline script in the paper's notation, typically
 /// quoted so that the shell does not split it at its semicolons:
 /// `flow "revgen --hwb 4; tbs; revsimp; rptm; tpar; ps"` — equation (5) as
 /// literal user input. The pipeline is validated *before* it runs (an
-/// invalid pass order like `tpar` before `rptm` is rejected up front), is
-/// seeded from the store when it starts with a non-generator pass, and
-/// writes every produced artifact back into the store.
+/// invalid pass order like `tpar` before `rptm` is rejected up front), and
+/// runs over the store like a [`PassCommand`]: a pipeline that does not
+/// start with a generator runs on the store entry its first pass accepts,
+/// and every produced artifact is written back into the store.
 pub struct Flow;
-
-impl Flow {
-    fn seed(
-        &self,
-        pipeline: &Pipeline,
-        store: &Store,
-    ) -> Result<qdaflow_pipeline::Ir, RevkitError> {
-        let accepted = pipeline.input_stages();
-        for stage in accepted.stages() {
-            match stage {
-                Stage::Permutation => {
-                    if let Some(p) = store.permutation() {
-                        return Ok(p.clone().into());
-                    }
-                }
-                Stage::Function => {
-                    if let Some(f) = store.function() {
-                        return Ok(f.clone().into());
-                    }
-                }
-                Stage::Reversible => {
-                    if let Some(c) = store.reversible() {
-                        return Ok(c.clone().into());
-                    }
-                }
-                Stage::Quantum => {
-                    if let Some(c) = store.quantum() {
-                        return Ok(c.clone().into());
-                    }
-                }
-                Stage::QasmSource => {
-                    if let Some(s) = store.qasm_source() {
-                        return Ok(Ir::QasmSource(s.to_owned()));
-                    }
-                }
-            }
-        }
-        Err(RevkitError::MissingStoreEntry {
-            command: "flow",
-            expected: "specification or circuit matching the pipeline input",
-        })
-    }
-}
 
 impl Command for Flow {
     fn name(&self) -> &'static str {
@@ -550,11 +320,7 @@ impl Command for Flow {
         }
         let script = script_args.join(" ");
         let pipeline = Pipeline::parse(&script)?;
-        let report = if pipeline.is_generated() {
-            pipeline.run_generated()?
-        } else {
-            pipeline.run(self.seed(&pipeline, store)?)?
-        };
+        let report = run_on_store(self.name(), &pipeline, store)?;
         for record in &report.passes {
             store.log(format!("[flow] {}", record.summary()));
             if let Some(census) = &record.census {
@@ -592,22 +358,6 @@ impl Command for Flow {
                 report.total_duration().as_micros()
             ));
         }
-        let artifacts = report.artifacts;
-        if let Some(p) = artifacts.permutation {
-            store.set_permutation(p);
-        }
-        if let Some(f) = artifacts.function {
-            store.set_function(f);
-        }
-        if let Some(c) = artifacts.reversible {
-            store.set_reversible(c);
-        }
-        if let Some(c) = artifacts.quantum {
-            store.set_quantum(c);
-        }
-        if let Some(s) = artifacts.qasm_source {
-            store.set_qasm_source(s);
-        }
         Ok(())
     }
 }
@@ -617,7 +367,8 @@ impl Command for Flow {
 ///
 /// Each `--spec "<spec>"` names one job; the spec grammar is
 /// `hwb N` | `random N [SEED]` | `perm 0 2 3 5 7 1 4 6` | `expr (a & b) ^ c`
-/// | `qasm:<file>` (an OpenQASM 2.0 file imported through `qasmin`).
+/// | `qasm:<file>` (an OpenQASM 2.0 file imported through `qasmin`). All but
+/// `qasm:` are built by the `revgen` pass, so they take its size bounds.
 /// All jobs share `--shots` (default 1024), `--synth tbs|dbs` (permutation
 /// synthesis, default tbs) and a base `--seed` (default 1; job `i` samples
 /// under `seed + i`). Jobs with identical specs are single-flighted through
@@ -677,6 +428,11 @@ impl Batch {
     }
 
     /// Parses one `--spec` value into an [`OracleSpec`].
+    ///
+    /// Every kind but `qasm:` is a `revgen` specification, built by the
+    /// `revgen` pass: `hwb N` is `--hwb N`, `random N [S]` is
+    /// `--random N [--seed S]`, and `perm …` and `expr …` pass the rest of
+    /// the value as one `--perm` or `--expr` argument.
     fn parse_spec(text: &str, synthesis: SynthesisChoice) -> Result<OracleSpec, RevkitError> {
         // `qasm:<file>` takes the rest of the value verbatim as a path, so
         // it is peeled off before tokenization.
@@ -695,57 +451,33 @@ impl Batch {
         let Some((kind, rest)) = tokens.split_first() else {
             return Err(Self::invalid("empty --spec value".to_owned()));
         };
-        match kind.as_str() {
-            "hwb" => {
-                let [n] = rest else {
-                    return Err(Self::invalid(format!(
-                        "'hwb' expects one number in '{text}'"
-                    )));
-                };
-                let n = parse_usize("batch", n)?;
-                Ok(OracleSpec::permutation(
-                    qdaflow_boolfn::hwb::hwb_permutation(n),
-                    synthesis,
-                ))
+        const GRAMMAR: &str = "hwb N | random N [SEED] | perm … | expr … | qasm:<file>";
+        let flags: Vec<String> = match (kind.as_str(), rest) {
+            ("hwb", [n]) => vec!["--hwb".to_owned(), n.clone()],
+            ("random", [n]) => vec!["--random".to_owned(), n.clone()],
+            ("random", [n, seed]) => {
+                vec![
+                    "--random".to_owned(),
+                    n.clone(),
+                    "--seed".to_owned(),
+                    seed.clone(),
+                ]
             }
-            "random" => {
-                let (n, seed) = match rest {
-                    [n] => (n, None),
-                    [n, seed] => (n, Some(seed)),
-                    _ => {
-                        return Err(Self::invalid(format!(
-                            "'random' expects 'random N [SEED]' in '{text}'"
-                        )))
-                    }
-                };
-                let n = parse_usize("batch", n)?;
-                let seed = seed
-                    .map(|s| parse_usize("batch", s))
-                    .transpose()?
-                    .unwrap_or(1);
-                Ok(OracleSpec::permutation(
-                    qdaflow_boolfn::Permutation::random_seeded(n, seed as u64),
-                    synthesis,
-                ))
-            }
-            "perm" => {
-                let images: Result<Vec<usize>, _> =
-                    rest.iter().map(|t| parse_usize("batch", t)).collect();
-                let permutation = qdaflow_boolfn::Permutation::new(images?)
-                    .map_err(|e| Self::invalid(e.to_string()))?;
+            ("perm" | "expr", _) => vec![format!("--{kind}"), rest.join(" ")],
+            _ => return Err(Self::invalid(format!("expected {GRAMMAR}, found '{text}'"))),
+        };
+        let invalid = |error: FlowError| match error {
+            FlowError::InvalidPassArguments { message, .. } => Self::invalid(message),
+            other => Self::invalid(other.to_string()),
+        };
+        let revgen = passes::Revgen::from_args(&flags).map_err(invalid)?;
+        match revgen.generate().transpose().map_err(invalid)? {
+            Some(Ir::Permutation(permutation)) => {
                 Ok(OracleSpec::permutation(permutation, synthesis))
             }
-            "expr" => {
-                let expression = rest.join(" ");
-                let expr = qdaflow_boolfn::Expr::parse(&expression)
-                    .map_err(|e| Self::invalid(e.to_string()))?;
-                let table = expr
-                    .truth_table(expr.num_vars())
-                    .map_err(|e| Self::invalid(e.to_string()))?;
-                Ok(OracleSpec::phase_function(table))
-            }
-            other => Err(Self::invalid(format!(
-                "unknown spec kind '{other}' (expected hwb | random | perm | expr | qasm:<file>)"
+            Some(Ir::Function(function)) => Ok(OracleSpec::phase_function(function)),
+            _ => Err(Self::invalid(format!(
+                "'{text}' does not describe a specification"
             ))),
         }
     }
@@ -1143,18 +875,15 @@ impl Command for Qasm {
     fn execute(&self, args: &[String], store: &mut Store) -> Result<(), RevkitError> {
         match args {
             [] => {
-                let quantum = store
-                    .quantum()
-                    .ok_or(RevkitError::MissingStoreEntry {
-                        command: self.name(),
-                        expected: "quantum circuit",
-                    })?
-                    .clone();
+                let quantum = store.quantum().ok_or(RevkitError::MissingStoreEntry {
+                    command: self.name(),
+                    expected: StageSet::QUANTUM,
+                })?;
                 // The checked exporter turns silent semantic loss (mcx/mcz
                 // degraded to comments that a re-import drops) into a typed
                 // error; circuits that reach this command through `rptm` are
                 // already Clifford+T.
-                for line in qasm::to_qasm_checked(&quantum)?.lines() {
+                for line in qasm::to_qasm_checked(quantum)?.lines() {
                     store.log(line.to_owned());
                 }
                 Ok(())
@@ -1171,8 +900,8 @@ impl Command for Qasm {
                     circuit.num_qubits(),
                     circuit.num_gates()
                 ));
-                store.set_quantum(circuit);
-                store.set_qasm_source(source);
+                store.put(circuit.into());
+                store.put(Ir::QasmSource(source));
                 Ok(())
             }
             _ => Err(RevkitError::InvalidArguments {
@@ -1196,14 +925,11 @@ impl Command for Draw {
     }
 
     fn execute(&self, _args: &[String], store: &mut Store) -> Result<(), RevkitError> {
-        let quantum = store
-            .quantum()
-            .ok_or(RevkitError::MissingStoreEntry {
-                command: self.name(),
-                expected: "quantum circuit",
-            })?
-            .clone();
-        for line in drawer::draw(&quantum).lines() {
+        let quantum = store.quantum().ok_or(RevkitError::MissingStoreEntry {
+            command: self.name(),
+            expected: StageSet::QUANTUM,
+        })?;
+        for line in drawer::draw(quantum).lines() {
             store.log(line.to_owned());
         }
         Ok(())
@@ -1219,10 +945,18 @@ mod tests {
         command.execute(&args, store)
     }
 
+    /// The built-in pass command named `name`.
+    fn pass(name: &str) -> PassCommand {
+        *PASS_COMMANDS
+            .iter()
+            .find(|command| command.name == name)
+            .expect("a built-in pass command")
+    }
+
     #[test]
     fn revgen_hwb_sets_a_permutation() {
         let mut store = Store::new();
-        run(&Revgen, &["--hwb", "3"], &mut store).unwrap();
+        run(&pass("revgen"), &["--hwb", "3"], &mut store).unwrap();
         assert_eq!(store.permutation().unwrap().num_vars(), 3);
     }
 
@@ -1230,11 +964,15 @@ mod tests {
     fn revgen_requires_a_mode() {
         let mut store = Store::new();
         assert!(matches!(
-            run(&Revgen, &[], &mut store),
+            run(&pass("revgen"), &[], &mut store),
             Err(RevkitError::InvalidArguments { .. })
         ));
         assert!(matches!(
-            run(&Revgen, &["--hwb", "abc"], &mut store),
+            run(&pass("revgen"), &["--hwb", "abc"], &mut store),
+            Err(RevkitError::InvalidArguments { .. })
+        ));
+        assert!(matches!(
+            run(&pass("revgen"), &["--hwb", "0"], &mut store),
             Err(RevkitError::InvalidArguments { .. })
         ));
     }
@@ -1242,11 +980,21 @@ mod tests {
     #[test]
     fn revgen_parses_explicit_permutations_and_expressions() {
         let mut store = Store::new();
-        run(&Revgen, &["--perm", "0 2 3 5 7 1 4 6"], &mut store).unwrap();
+        run(&pass("revgen"), &["--perm", "0 2 3 5 7 1 4 6"], &mut store).unwrap();
         assert_eq!(store.permutation().unwrap().num_vars(), 3);
-        run(&Revgen, &["--expr", "(a & b) ^ (c & d)"], &mut store).unwrap();
+        run(
+            &pass("revgen"),
+            &["--expr", "(a & b) ^ (c & d)"],
+            &mut store,
+        )
+        .unwrap();
         assert_eq!(store.function().unwrap().num_vars(), 4);
-        run(&Revgen, &["--expr", "a ^ b", "--vars", "5"], &mut store).unwrap();
+        run(
+            &pass("revgen"),
+            &["--expr", "a ^ b", "--vars", "5"],
+            &mut store,
+        )
+        .unwrap();
         assert_eq!(store.function().unwrap().num_vars(), 5);
     }
 
@@ -1254,21 +1002,21 @@ mod tests {
     fn synthesis_commands_require_a_specification() {
         let mut store = Store::new();
         assert!(matches!(
-            run(&Tbs, &[], &mut store),
+            run(&pass("tbs"), &[], &mut store),
             Err(RevkitError::MissingStoreEntry { .. })
         ));
         assert!(matches!(
-            run(&Esopbs, &[], &mut store),
+            run(&pass("esopbs"), &[], &mut store),
             Err(RevkitError::MissingStoreEntry { .. })
         ));
     }
 
     #[test]
     fn tbs_and_dbs_fill_the_reversible_store() {
-        for synthesizer in [&Tbs as &dyn Command, &Dbs as &dyn Command] {
+        for synthesizer in [pass("tbs"), pass("dbs")] {
             let mut store = Store::new();
-            run(&Revgen, &["--hwb", "4"], &mut store).unwrap();
-            run(synthesizer, &[], &mut store).unwrap();
+            run(&pass("revgen"), &["--hwb", "4"], &mut store).unwrap();
+            run(&synthesizer, &[], &mut store).unwrap();
             let circuit = store.reversible().unwrap();
             assert!(qdaflow_reversible::simulation::realizes_permutation(
                 circuit,
@@ -1280,19 +1028,24 @@ mod tests {
     #[test]
     fn esopbs_synthesizes_functions() {
         let mut store = Store::new();
-        run(&Revgen, &["--expr", "(a & b) ^ (c & d)"], &mut store).unwrap();
-        run(&Esopbs, &[], &mut store).unwrap();
+        run(
+            &pass("revgen"),
+            &["--expr", "(a & b) ^ (c & d)"],
+            &mut store,
+        )
+        .unwrap();
+        run(&pass("esopbs"), &[], &mut store).unwrap();
         assert_eq!(store.reversible().unwrap().num_lines(), 5);
     }
 
     #[test]
     fn full_pipeline_commands_compose() {
         let mut store = Store::new();
-        run(&Revgen, &["--hwb", "4"], &mut store).unwrap();
-        run(&Tbs, &[], &mut store).unwrap();
-        run(&Revsimp, &[], &mut store).unwrap();
-        run(&Rptm, &[], &mut store).unwrap();
-        run(&Tpar, &[], &mut store).unwrap();
+        run(&pass("revgen"), &["--hwb", "4"], &mut store).unwrap();
+        run(&pass("tbs"), &[], &mut store).unwrap();
+        run(&pass("revsimp"), &[], &mut store).unwrap();
+        run(&pass("rptm"), &[], &mut store).unwrap();
+        run(&pass("tpar"), &[], &mut store).unwrap();
         run(&Ps, &["-c"], &mut store).unwrap();
         run(&Simulate, &[], &mut store).unwrap();
         run(&Qasm, &[], &mut store).unwrap();
@@ -1468,7 +1221,7 @@ mod tests {
                 target: 3,
             })
             .unwrap();
-        store.set_quantum(circuit);
+        store.put(circuit.into());
         assert!(matches!(
             run(&Qasm, &[], &mut store),
             Err(RevkitError::Quantum(
@@ -1523,6 +1276,9 @@ mod tests {
             &["--spec", "hwb 3", "--synth", "maybe"],
             &["--spec", "perm 0 0 1 1"],
             &["--spec", "expr )("],
+            // Sizes are bounded where the spec is parsed, by `revgen`.
+            &["--spec", "hwb 0"],
+            &["--spec", "random 25"],
         ] {
             assert!(
                 matches!(
@@ -1539,6 +1295,98 @@ mod tests {
             &mut store,
         )
         .unwrap();
+    }
+
+    #[test]
+    fn pass_commands_reject_arguments_their_pass_rejects() {
+        // A pass command takes exactly the arguments of its pipeline pass:
+        // each of these is an error naming the command, before anything
+        // runs, even though the store holds an input for every command.
+        let mut store = Store::new();
+        run(&pass("revgen"), &["--expr", "(a & b) ^ c"], &mut store).unwrap();
+        run(&pass("revgen"), &["--hwb", "3"], &mut store).unwrap();
+        run(&pass("tbs"), &[], &mut store).unwrap();
+        run(&pass("rptm"), &[], &mut store).unwrap();
+        let snapshot = |store: &Store| {
+            (
+                store.permutation().cloned(),
+                store.function().cloned(),
+                store.reversible().cloned(),
+                store.quantum().cloned(),
+                store.log_lines().len(),
+            )
+        };
+        let before = snapshot(&store);
+        let commands = builtin_commands();
+        for (name, arg) in [
+            ("tbs", "--fast"),
+            ("dbs", "x"),
+            ("esopbs", "x"),
+            ("revsimp", "--frobnicate"),
+            ("rptm", "x"),
+            ("tpar", "-v"),
+            ("ps", "--all"),
+        ] {
+            let command = commands.iter().find(|c| c.name() == name).unwrap();
+            match run(command.as_ref(), &[arg], &mut store) {
+                Err(RevkitError::InvalidArguments { command, .. }) => assert_eq!(command, name),
+                other => panic!("{name} {arg}: expected invalid arguments, got {other:?}"),
+            }
+            assert!(snapshot(&store) == before, "{name} {arg} changed the store");
+        }
+        run(&Ps, &["-c"], &mut store).unwrap();
+    }
+
+    #[test]
+    fn pass_commands_log_the_statistics_of_their_output() {
+        let mut store = Store::new();
+        for (name, args, stage) in [
+            ("revgen", &["--hwb", "4"][..], StageSet::PERMUTATION),
+            ("tbs", &[], StageSet::REVERSIBLE),
+            ("revsimp", &[], StageSet::REVERSIBLE),
+            ("rptm", &[], StageSet::QUANTUM),
+            ("tpar", &[], StageSet::QUANTUM),
+        ] {
+            let logged = store.log_lines().len();
+            run(&pass(name), args, &mut store).unwrap();
+            let output = store.input(stage).unwrap();
+            assert_eq!(
+                &store.log_lines()[logged..],
+                [format!("[{name}] {}", passes::statistics(&output))]
+            );
+        }
+    }
+
+    #[test]
+    fn missing_store_entries_name_the_stage_a_command_needs() {
+        for (name, expected) in [
+            ("tbs", "permutation"),
+            ("dbs", "permutation"),
+            ("esopbs", "boolean function"),
+            ("revsimp", "reversible circuit"),
+            ("rptm", "reversible circuit"),
+            ("tpar", "quantum circuit"),
+            ("simulate", "reversible circuit"),
+            ("qasm", "quantum circuit"),
+            ("draw", "quantum circuit"),
+        ] {
+            let command = builtin_commands()
+                .into_iter()
+                .find(|c| c.name() == name)
+                .unwrap();
+            let error = run(command.as_ref(), &[], &mut Store::new()).unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                format!("command '{name}' requires a {expected} in the store")
+            );
+        }
+        // A pipeline that takes its input from the store names the stage
+        // its first pass accepts.
+        let error = run(&Flow, &["revgen; tbs"], &mut Store::new()).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "command 'flow' requires a permutation in the store"
+        );
     }
 
     #[test]

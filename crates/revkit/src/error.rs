@@ -3,7 +3,7 @@
 use qdaflow_boolfn::BoolfnError;
 use qdaflow_engine::EngineError;
 use qdaflow_mapping::MappingError;
-use qdaflow_pipeline::{FlowError, ScriptError};
+use qdaflow_pipeline::{FlowError, ScriptError, StageSet};
 use qdaflow_quantum::QuantumError;
 use qdaflow_reversible::ReversibleError;
 use std::error::Error;
@@ -25,12 +25,13 @@ pub enum RevkitError {
         message: String,
     },
     /// A command needs data that is not yet in the store (for example `tbs`
-    /// before `revgen`).
+    /// before `revgen`). The message names the stages it would accept, e.g.
+    /// "command 'tbs' requires a permutation in the store".
     MissingStoreEntry {
         /// The command that failed.
         command: &'static str,
-        /// The kind of store entry that is missing.
-        expected: &'static str,
+        /// The stages of the store entries the command could have used.
+        expected: StageSet,
     },
     /// An error from the Boolean function substrate.
     Boolfn(BoolfnError),

@@ -11,6 +11,13 @@
 //! revgen --hwb 4; tbs; revsimp; rptm; tpar; ps -c
 //! ```
 //!
+//! The shell has no synthesis or optimization code of its own. Each pass
+//! command (`revgen`, `tbs`, `dbs`, `esopbs`, `revsimp`, `rptm`, `tpar`) is
+//! a [`command::PassCommand`] that runs the `qdaflow_pipeline` pass of the
+//! same name as a one-pass `Pipeline` over the store, the way `flow` runs a
+//! whole script, and logs `[<name>] ` followed by the `ps` statistics of its
+//! output.
+//!
 //! # Example
 //!
 //! ```

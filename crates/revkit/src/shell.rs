@@ -203,7 +203,9 @@ mod tests {
         // The produced circuits agree with each other.
         let quantum = shell.store().quantum().unwrap().clone();
         let reversible = shell.store().reversible().unwrap().clone();
-        assert!(crate::command::quantum_matches_reversible(&quantum, &reversible).unwrap());
+        assert!(
+            qdaflow_mapping::verify::quantum_matches_reversible(&quantum, &reversible).unwrap()
+        );
     }
 
     #[test]

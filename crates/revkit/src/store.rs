@@ -1,13 +1,17 @@
 //! The shell's data store.
 //!
 //! RevKit commands communicate through shared stores (one per object kind).
-//! This reproduction keeps one current entry per kind — a Boolean
-//! specification (permutation and/or single-output function), a reversible
-//! circuit, and a quantum circuit — which is exactly what the pipelines used
-//! in the paper need.
+//! This reproduction keeps one current entry per pipeline
+//! [`Stage`] — a Boolean specification (permutation and/or single-output
+//! function), a reversible circuit, a quantum circuit and a loaded OpenQASM
+//! source — which is exactly what the pipelines used in the paper need.
+//! [`Store::put`] and [`Store::input`] are the only code that maps stages to
+//! slots: pass commands and `flow` read their input through `input` and
+//! write every artifact back through `put`.
 
 use qdaflow_boolfn::{Permutation, TruthTable};
 use qdaflow_engine::{BackendChoice, BatchEngine, EngineError, JobService, JobServiceConfig};
+use qdaflow_pipeline::{Ir, Stage, StageSet};
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::QuantumCircuit;
 use qdaflow_reversible::ReversibleCircuit;
@@ -43,19 +47,9 @@ impl Store {
         self.permutation.as_ref()
     }
 
-    /// Replaces the current permutation specification.
-    pub fn set_permutation(&mut self, permutation: Permutation) {
-        self.permutation = Some(permutation);
-    }
-
     /// The current single-output Boolean function, if any.
     pub fn function(&self) -> Option<&TruthTable> {
         self.function.as_ref()
-    }
-
-    /// Replaces the current single-output Boolean function.
-    pub fn set_function(&mut self, function: TruthTable) {
-        self.function = Some(function);
     }
 
     /// The current reversible circuit, if any.
@@ -63,19 +57,9 @@ impl Store {
         self.reversible.as_ref()
     }
 
-    /// Replaces the current reversible circuit.
-    pub fn set_reversible(&mut self, circuit: ReversibleCircuit) {
-        self.reversible = Some(circuit);
-    }
-
     /// The current quantum circuit, if any.
     pub fn quantum(&self) -> Option<&QuantumCircuit> {
         self.quantum.as_ref()
-    }
-
-    /// Replaces the current quantum circuit.
-    pub fn set_quantum(&mut self, circuit: QuantumCircuit) {
-        self.quantum = Some(circuit);
     }
 
     /// The most recently loaded OpenQASM source (`qasm load <file>`), if any.
@@ -84,9 +68,28 @@ impl Store {
         self.qasm_source.as_deref()
     }
 
-    /// Replaces the current OpenQASM source.
-    pub fn set_qasm_source(&mut self, source: String) {
-        self.qasm_source = Some(source);
+    /// Replaces the entry of `value`'s stage with `value`.
+    pub fn put(&mut self, value: Ir) {
+        match value {
+            Ir::QasmSource(source) => self.qasm_source = Some(source),
+            Ir::Permutation(permutation) => self.permutation = Some(permutation),
+            Ir::Function(function) => self.function = Some(function),
+            Ir::Reversible(circuit) => self.reversible = Some(circuit),
+            Ir::Quantum(circuit) => self.quantum = Some(circuit),
+        }
+    }
+
+    /// A copy of the entry of the first stage in `stages` (in flow order)
+    /// that the store holds, or `None` if it holds none of them — the input
+    /// of a pipeline whose first pass accepts `stages`.
+    pub fn input(&self, stages: StageSet) -> Option<Ir> {
+        stages.stages().find_map(|stage| match stage {
+            Stage::QasmSource => self.qasm_source.clone().map(Ir::QasmSource),
+            Stage::Permutation => self.permutation.clone().map(Ir::Permutation),
+            Stage::Function => self.function.clone().map(Ir::Function),
+            Stage::Reversible => self.reversible.clone().map(Ir::Reversible),
+            Stage::Quantum => self.quantum.clone().map(Ir::Quantum),
+        })
     }
 
     /// The execution configuration used by simulating commands.
@@ -184,11 +187,11 @@ mod tests {
     fn store_holds_entries_by_kind() {
         let mut store = Store::new();
         assert!(store.permutation().is_none());
-        store.set_permutation(Permutation::identity(2));
-        store.set_function(TruthTable::zero(2).unwrap());
-        store.set_reversible(ReversibleCircuit::new(2));
-        store.set_quantum(QuantumCircuit::new(2));
-        store.set_qasm_source("qreg q[1];".to_owned());
+        store.put(Permutation::identity(2).into());
+        store.put(TruthTable::zero(2).unwrap().into());
+        store.put(ReversibleCircuit::new(2).into());
+        store.put(QuantumCircuit::new(2).into());
+        store.put(Ir::QasmSource("qreg q[1];".to_owned()));
         assert_eq!(store.qasm_source(), Some("qreg q[1];"));
         assert!(store.permutation().is_some());
         assert!(store.function().is_some());
@@ -202,5 +205,27 @@ mod tests {
         assert!(store.permutation().is_none());
         assert!(store.log_lines().is_empty());
         assert_eq!(store.backend_choice(), BackendChoice::Dense);
+    }
+
+    #[test]
+    fn input_takes_the_first_held_stage_in_flow_order() {
+        let mut store = Store::new();
+        assert_eq!(store.input(StageSet::ANY), None);
+        store.put(ReversibleCircuit::new(2).into());
+        store.put(Permutation::identity(2).into());
+        // The permutation precedes the reversible circuit in flow order.
+        assert_eq!(
+            store.input(StageSet::ANY),
+            Some(Ir::Permutation(Permutation::identity(2)))
+        );
+        assert_eq!(
+            store.input(StageSet::REVERSIBLE.union(StageSet::QUANTUM)),
+            Some(Ir::Reversible(ReversibleCircuit::new(2)))
+        );
+        assert_eq!(store.input(StageSet::FUNCTION), None);
+        // `put` replaces only the entry of its own stage.
+        store.put(Permutation::identity(3).into());
+        assert_eq!(store.permutation().unwrap().num_vars(), 3);
+        assert_eq!(store.reversible().unwrap().num_lines(), 2);
     }
 }

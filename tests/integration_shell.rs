@@ -1,7 +1,7 @@
 //! Integration tests of the RevKit-style shell against the rest of the flow.
 
+use qdaflow::mapping::verify::quantum_matches_reversible;
 use qdaflow::prelude::*;
-use qdaflow::revkit::command::quantum_matches_reversible;
 
 #[test]
 fn paper_pipeline_produces_a_verified_clifford_t_circuit() {
@@ -54,20 +54,25 @@ fn esop_pipeline_compiles_boolean_expressions() {
 #[test]
 fn shell_results_match_the_programmatic_flow() {
     // Compile the same permutation through the shell and through
-    // flow::compile_permutation; the final T-counts must agree.
+    // flow::compile_permutation; the final circuits must be identical.
+    use qdaflow::reversible::synthesis::SynthesisMethod;
     let pi = Permutation::new(vec![0, 2, 3, 5, 7, 1, 4, 6]).unwrap();
-    let report = qdaflow::flow::compile_permutation(
-        &pi,
-        qdaflow::reversible::synthesis::SynthesisMethod::TransformationBased,
-    )
-    .unwrap();
+    for (synthesis, method) in [
+        ("tbs", SynthesisMethod::TransformationBased),
+        ("dbs", SynthesisMethod::DecompositionBased),
+    ] {
+        let report = qdaflow::flow::compile_permutation(&pi, method).unwrap();
 
-    let mut shell = Shell::new();
-    shell
-        .run_script("revgen --perm \"0 2 3 5 7 1 4 6\"; tbs; revsimp; rptm; tpar")
-        .unwrap();
-    let shell_circuit = shell.store().quantum().unwrap();
-    assert_eq!(shell_circuit.t_count(), report.optimized.t_count);
+        let mut shell = Shell::new();
+        shell
+            .run_script(&format!(
+                "revgen --perm \"0 2 3 5 7 1 4 6\"; {synthesis}; revsimp; rptm; tpar"
+            ))
+            .unwrap();
+        let shell_circuit = shell.store().quantum().unwrap();
+        assert_eq!(shell_circuit.t_count(), report.optimized.t_count);
+        assert_eq!(shell_circuit, &report.circuit, "{synthesis}");
+    }
 }
 
 #[test]

@@ -425,6 +425,42 @@ fn trace_command_controls_the_recorder() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn shell_pass_commands_record_pass_spans_and_durations() {
+    let _guard = global_guard();
+    let dir = std::env::temp_dir().join(format!("qdaflow_pass_spans_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("passes.json");
+
+    // A shell pass command runs its pass as a one-pass pipeline, so it
+    // records the same span and duration sample as the pass inside `flow`.
+    let mut shell = Shell::new();
+    let output = shell
+        .run_script(&format!(
+            "trace on; revgen --expr \"(a & b) ^ (c & d)\"; esopbs; revsimp; trace off; trace dump {}; trace stats",
+            path.display()
+        ))
+        .unwrap();
+
+    let trace = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        trace.lines().any(|event| {
+            string_field(event, "cat").as_deref() == Some("pipeline")
+                && string_field(event, "name").as_deref() == Some("pass esopbs")
+                && string_field(event, "ph").as_deref() != Some("i")
+        }),
+        "no pipeline span named 'pass esopbs' in {trace}"
+    );
+    lint_chrome_trace(&trace);
+    assert!(
+        output
+            .iter()
+            .any(|l| l.starts_with("qdaflow_pass_duration_seconds_count{pass=\"esopbs\"} ")),
+        "trace stats has no esopbs pass duration: {output:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // `flow --json` schema pinning.
 // ---------------------------------------------------------------------------
