@@ -5,14 +5,13 @@
 //! sampling seed and a simulation [`BackendChoice`] (dense, sparse,
 //! stabilizer, or automatic). [`BatchEngine::run_job`] executes one job:
 //!
-//! 1. **one cache lookup** in the engine's [`OracleCache`], under the job's
-//!    [`BatchJob::cache_key`], so `N` jobs over `k` distinct oracles cost
+//! 1. **one cache lookup** in the engine's [`OracleCache`], under the spec's
+//!    [`OracleSpec::cache_key`], so `N` jobs over `k` distinct oracles cost
 //!    `k` compilations (or fewer, when the cache is warm from earlier
-//!    jobs). A [`BackendChoice::Auto`] job is looked up under the raw spec
-//!    key instead, censused ([`qdaflow_quantum::GateCensus`]) and routed by
-//!    [`resolve_backend`]; the program is then aliased into the resolved
-//!    backend's slot, so cache entries name a concrete backend, never
-//!    `auto`;
+//!    jobs) whatever backends they name. The job's choice is then resolved
+//!    against the program's stored census ([`BackendChoice::resolve`]): a
+//!    [`BackendChoice::Auto`] job is routed by [`resolve_backend`], a
+//!    concrete choice passes through;
 //! 2. the program is **simulated** on its backend through
 //!    [`BackendChoice::prepare`], the one place a choice becomes a
 //!    simulated state: a dense statevector, a sparse statevector, or a
@@ -26,9 +25,9 @@
 //! reproducible: a job's histogram depends only on `(spec, backend, shots,
 //! seed, shot_shard_size)` — never on the thread count, the batch
 //! composition, or the cache state. Auto resolution is reproducible too: it
-//! is a pure function of the compiled circuit, and `run_job` counts each
-//! job's dispatch (`qdaflow_dispatch_total`, plus the `auto -> <backend>`
-//! trace event for `Auto` jobs) exactly once.
+//! is a pure function of the compiled circuit, and `run_job` counts the
+//! dispatch of each job whose lookup succeeded (`qdaflow_dispatch_total`,
+//! plus the `auto -> <backend>` trace event for `Auto` jobs) exactly once.
 
 use crate::cache::{OracleCache, OracleSpec};
 use crate::engine::{note_dispatch, resolve_backend, BackendChoice};
@@ -36,7 +35,7 @@ use crate::EngineError;
 use qdaflow_pipeline::spec::{CanonicalHasher, SpecKey};
 use qdaflow_quantum::backend::{ExecutionResult, PreparedState};
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{GateCensus, QuantumCircuit};
+use qdaflow_quantum::QuantumCircuit;
 use qdaflow_telemetry as telemetry;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -92,34 +91,15 @@ impl BatchJob {
         self
     }
 
-    /// The cache key of this job's compilation.
-    ///
-    /// Dense jobs use the spec's canonical key unchanged (so the batch path
-    /// shares cache entries with [`OracleCache::get_or_compile`] and keys
-    /// stay stable across releases); every other backend extends the digest
-    /// with a backend tag, so the cache distinguishes which execution engine
-    /// a program was compiled for. Compilation itself is
-    /// backend-independent, so a mixed-backend workload over the same spec
-    /// deliberately compiles (and caches) it once *per backend* — the cache
-    /// records the execution-ready artifact per engine, trading one
-    /// redundant compilation for unambiguous per-backend provenance.
-    /// [`BackendChoice::Auto`] jobs are stored under the key of the
-    /// backend they resolve to ([`BatchEngine::run_job`]), so cache entries
-    /// stay backend-exact; the `backend:auto` tag only keys the service's
-    /// single-flight of unresolved jobs.
-    pub fn cache_key(&self) -> SpecKey {
-        backend_key(self.spec.cache_key(), self.backend)
-    }
-
-    /// The canonical identity digest of the whole job: the compilation
-    /// cache key extended with the shot count, the sampling seed and the
-    /// backend name. Two jobs with equal digests produce identical results
-    /// under the same `shot_shard_size`, which is what makes the digest
-    /// safe as the checkpoint key of the
-    /// [`Journal`](crate::store::Journal): a resumed service replays a
-    /// journaled result only onto an identical job.
+    /// The canonical identity digest of the whole job: the spec's cache key
+    /// extended with the shot count, the sampling seed and the backend
+    /// name. Two jobs with equal digests produce identical results under
+    /// the same `shot_shard_size`, which is what makes the digest safe as
+    /// the checkpoint key of the [`Journal`](crate::store::Journal): a
+    /// resumed service replays a journaled result only onto an identical
+    /// job.
     pub fn digest(&self) -> SpecKey {
-        let key = self.cache_key();
+        let key = self.spec.cache_key();
         let mut hasher = CanonicalHasher::new();
         hasher.write_str("job");
         hasher.write_u64((key.0 >> 64) as u64);
@@ -129,22 +109,6 @@ impl BatchJob {
         hasher.write_str(self.backend.as_str());
         hasher.finish()
     }
-}
-
-/// Extends a spec's raw cache key with the backend tag of
-/// [`BatchJob::cache_key`] (dense keeps the raw key).
-fn backend_key(base: SpecKey, backend: BackendChoice) -> SpecKey {
-    let tag = match backend {
-        BackendChoice::Dense => return base,
-        BackendChoice::Sparse => "backend:sparse",
-        BackendChoice::Stabilizer => "backend:stabilizer",
-        BackendChoice::Auto => "backend:auto",
-    };
-    let mut hasher = CanonicalHasher::new();
-    hasher.write_u64((base.0 >> 64) as u64);
-    hasher.write_u64(base.0 as u64);
-    hasher.write_str(tag);
-    hasher.finish()
 }
 
 /// Samples a job's shots from its prepared state with the shot-sharded
@@ -262,11 +226,11 @@ impl BatchEngine {
 
     /// Resolves every job's backend to a concrete choice without running
     /// anything: jobs already on a concrete backend pass through unchanged,
-    /// [`BackendChoice::Auto`] jobs are compiled through the cache under
-    /// the raw spec key (a counted lookup, like any other) and routed by
-    /// [`resolve_backend`] — the resolution [`BatchEngine::run_job`] makes.
-    /// The returned vector is in job order and never contains `Auto`. No
-    /// dispatch is recorded: only running a job does that.
+    /// [`BackendChoice::Auto`] jobs are compiled through the cache (a
+    /// counted lookup, like any other) and routed by the program's stored
+    /// census — the resolution [`BatchEngine::run_job`] makes. The returned
+    /// vector is in job order and never contains `Auto`. No dispatch is
+    /// recorded: only running a job does that.
     ///
     /// # Errors
     ///
@@ -274,10 +238,9 @@ impl BatchEngine {
     pub fn resolve_backends(&self, jobs: &[BatchJob]) -> Result<Vec<BackendChoice>, EngineError> {
         jobs.iter()
             .map(|job| match job.backend {
-                BackendChoice::Auto => {
-                    let program = self.cache.get_or_compile(&job.spec)?;
-                    Ok(resolve_backend(&GateCensus::of(program.circuit())))
-                }
+                BackendChoice::Auto => Ok(resolve_backend(
+                    self.cache.get_or_compile(&job.spec)?.census(),
+                )),
                 concrete => Ok(concrete),
             })
             .collect()
@@ -285,12 +248,12 @@ impl BatchEngine {
 
     /// Executes one job — the executor behind [`BatchEngine::run_batch`],
     /// [`BatchEngine::try_run_batch`] and the
-    /// [`JobService`](crate::JobService) workers: one cache lookup (for
-    /// `Auto`: under the raw spec key, then census, resolution and an alias
-    /// into the resolved backend's slot), one recorded dispatch,
-    /// simulation through [`BackendChoice::prepare`], and shot-sharded
-    /// sampling under the job's seed. Panics anywhere inside become
-    /// [`EngineError::JobPanicked`].
+    /// [`JobService`](crate::JobService) workers: one cache lookup under the
+    /// spec's key, resolution of the job's choice against the program's
+    /// census, one recorded dispatch, simulation through
+    /// [`BackendChoice::prepare`], and shot-sharded sampling under the
+    /// job's seed. A job whose lookup fails records no dispatch. Panics
+    /// anywhere inside become [`EngineError::JobPanicked`].
     ///
     /// # Errors
     ///
@@ -307,27 +270,10 @@ impl BatchEngine {
         catch_job_panic(|| {
             let _span =
                 telemetry::span!("batch", "run_job: {} shots on {}", job.shots, job.backend);
-            let spec_key = job.spec.cache_key();
-            let (program, backend) = match job.backend {
-                BackendChoice::Auto => {
-                    let program = self.cache.get_or_compile_keyed(spec_key, &job.spec)?;
-                    let census = GateCensus::of(program.circuit());
-                    let backend = resolve_backend(&census);
-                    note_dispatch(backend, Some(&census));
-                    // Aliasing is bookkeeping, not a lookup: it leaves the
-                    // hit/miss counters alone.
-                    self.cache
-                        .alias_keyed(backend_key(spec_key, backend), &program);
-                    (program, backend)
-                }
-                explicit => {
-                    note_dispatch(explicit, None);
-                    let program = self
-                        .cache
-                        .get_or_compile_keyed(backend_key(spec_key, explicit), &job.spec)?;
-                    (program, explicit)
-                }
-            };
+            let program = self.cache.get_or_compile(&job.spec)?;
+            let backend = job.backend.resolve(program.census());
+            let auto = job.backend == BackendChoice::Auto;
+            note_dispatch(backend, auto.then_some(program.census()));
             let circuit = program.circuit();
             let state = {
                 let _span = telemetry::span!("dispatch", "simulate on {backend}");
@@ -474,18 +420,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_distinguish_backend_choice() {
+    fn one_program_per_spec_across_backends() {
+        // The compiled circuit does not depend on the backend that runs it:
+        // dense, sparse and Auto jobs over one permutation share one
+        // compilation and one cache entry.
         let dense = perm_job(vec![0, 2, 3, 5, 7, 1, 4, 6], 64, 1);
-        let sparse = dense.clone().with_backend(BackendChoice::Sparse);
-        assert_ne!(dense.cache_key(), sparse.cache_key());
-        // The dense job key stays the raw spec key, so the batch path keeps
-        // sharing cache entries with direct `get_or_compile` callers.
-        assert_eq!(dense.cache_key(), dense.spec.cache_key());
-        // A mixed batch compiles (and caches) the oracle once per backend.
+        let jobs = [
+            dense.clone(),
+            dense.clone().with_backend(BackendChoice::Sparse),
+            dense.with_backend(BackendChoice::Auto),
+        ];
         let engine = BatchEngine::new();
-        engine.run_batch(&[dense, sparse]).unwrap();
+        engine.run_batch(&jobs).unwrap();
         let stats = engine.cache().stats();
-        assert_eq!((stats.misses, stats.entries), (2, 2));
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 2, 1));
     }
 
     #[test]
@@ -581,24 +529,19 @@ mod tests {
                 BackendChoice::Stabilizer,
             ]
         );
-        // The run goes through the same resolution, and the cache ends up
-        // keyed by the *resolved* backend: the dense job under the raw spec
-        // key, the others under their backend-tagged keys — no auto tag
-        // anywhere.
+        // The run goes through the same resolution. The cache holds one
+        // entry per spec, and its stored census routes to the resolved
+        // backend.
         let results = engine.run_batch(&jobs).unwrap();
         assert_eq!(results.len(), 3);
         for (job, backend) in jobs.iter().zip(&resolved) {
-            let resolved_key = job.clone().with_backend(*backend).cache_key();
-            assert!(
-                engine.cache().peek(resolved_key).is_some(),
-                "missing cache entry for resolved backend {backend}"
-            );
+            let program = engine.cache().peek(job.spec.cache_key()).unwrap();
+            assert_eq!(job.backend.resolve(program.census()), *backend);
         }
-        assert!(engine.cache().peek(jobs[2].cache_key()).is_none());
-        // Resolution compiled each spec once under its raw key; execution
-        // reuses those programs through tagged-slot aliases instead of
-        // compiling again.
-        assert_eq!(engine.cache().stats().misses, 3);
+        // Resolution compiled each spec once; execution reuses those
+        // programs instead of compiling again.
+        let stats = engine.cache().stats();
+        assert_eq!((stats.misses, stats.entries), (3, 3));
     }
 
     #[test]
@@ -632,7 +575,7 @@ mod tests {
         for (spec, backend) in specs {
             let program = cache.get_or_compile(&spec).unwrap();
             let circuit = program.circuit();
-            assert_eq!(resolve_backend(&GateCensus::of(circuit)), backend);
+            assert_eq!(resolve_backend(program.census()), backend);
             let auto = BackendChoice::Auto.prepare(circuit, &config).unwrap();
             let resolved = backend.prepare(circuit, &config).unwrap();
             assert_eq!(
@@ -665,9 +608,9 @@ mod tests {
 
     #[test]
     fn auto_jobs_take_one_cache_lookup() {
-        // Resolution and execution share one lookup, whether the resolved
-        // backend keeps the raw key (dense) or a tagged one (sparse): a
-        // fresh job is one miss, a repeat one hit.
+        // Resolution and execution share one lookup, whether the job
+        // resolves to dense or to sparse: a fresh job is one miss, a repeat
+        // one hit.
         let dense = OracleSpec::qasm(
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\nh q[1];\nh q[2];\nt q[0];\n",
         );
@@ -690,20 +633,6 @@ mod tests {
             let repeat = counts();
             assert_eq!((repeat.0 - fresh.0, repeat.1 - fresh.1), (1, 0));
         }
-    }
-
-    #[test]
-    fn auto_aliases_share_the_compiled_program() {
-        // A sparse-routed Auto job fills two slots, the raw spec key and the
-        // sparse-tagged key, with one program rather than a copy.
-        let job = perm_job(vec![0, 2, 3, 5, 7, 1, 4, 6], 64, 1).with_backend(BackendChoice::Auto);
-        let engine = BatchEngine::new();
-        engine.run_job(&job, &engine.exec_config()).unwrap();
-        let cache = engine.cache();
-        let raw = cache.peek(job.spec.cache_key()).unwrap();
-        let tagged = job.with_backend(BackendChoice::Sparse).cache_key();
-        assert!(std::sync::Arc::ptr_eq(&raw, &cache.peek(tagged).unwrap()));
-        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
@@ -845,11 +774,47 @@ mod tests {
         let other_seed = perm_job(vec![1, 0, 3, 2], 100, 2);
         let other_shots = perm_job(vec![1, 0, 3, 2], 200, 1);
         // Same compilation, so one cache key…
-        assert_eq!(base.cache_key(), other_seed.cache_key());
+        assert_eq!(base.spec.cache_key(), other_seed.spec.cache_key());
         // …but distinct checkpoints: a journal must not answer a 200-shot
         // job with a 100-shot result.
         assert_ne!(base.digest(), other_seed.digest());
         assert_ne!(base.digest(), other_shots.digest());
         assert_eq!(base.digest(), base.clone().digest());
+        // A job on another backend compiles the same program but is a
+        // distinct checkpoint.
+        let sparse = base.clone().with_backend(BackendChoice::Sparse);
+        assert_eq!(sparse.spec.cache_key(), base.spec.cache_key());
+        assert_ne!(sparse.digest(), base.digest());
+        // Dense digests are a stored format: journals already on disk
+        // replay their dense jobs.
+        assert_eq!(
+            base.digest().to_string(),
+            "a4307d3d1be857e125f3ca4e576e3e5d"
+        );
+    }
+
+    #[test]
+    fn auto_jobs_report_a_too_large_stabilizer_support_as_a_rank() {
+        use qdaflow_quantum::QuantumError;
+        use std::fmt::Write as _;
+        // All-Clifford, so `Auto` routes to the stabilizer; `h` on 21 of 40
+        // qubits gives a support of rank 21, one past the sampling cap.
+        let mut source = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[40];\n");
+        for q in 0..21 {
+            writeln!(source, "h q[{q}];").unwrap();
+        }
+        let job = BatchJob::new(OracleSpec::qasm(source), 64, 1).with_backend(BackendChoice::Auto);
+        let engine = BatchEngine::new();
+        assert_eq!(
+            engine.resolve_backends(std::slice::from_ref(&job)).unwrap(),
+            vec![BackendChoice::Stabilizer]
+        );
+        assert_eq!(
+            engine.run_job(&job, &engine.exec_config()),
+            Err(EngineError::Quantum(QuantumError::SupportTooLarge {
+                rank: 21,
+                maximum: 20
+            }))
+        );
     }
 }

@@ -9,9 +9,12 @@
 //! [`CompiledProgram`]s under the [`SpecKey`] of their [`OracleSpec`] (the
 //! canonical digest of the specification plus the pass list, see
 //! [`qdaflow_pipeline::spec`]), so a repeated compilation is a hash lookup
-//! instead of a synthesis run. The cache is `Sync`: concurrent
-//! `get_or_compile` calls for distinct specs compile in parallel outside the
-//! lock, and a race on the same key keeps the first inserted program.
+//! instead of a synthesis run. A compiled program does not depend on the
+//! backend that runs it, so jobs on every backend share the one entry of
+//! their spec; the program carries its gate census for automatic routing.
+//! The cache is `Sync`: concurrent `get_or_compile` calls for distinct
+//! specs compile in parallel outside the lock, and a race on the same key
+//! keeps the first inserted program.
 //!
 //! Each cache counts its own activity, once per event, in its own
 //! [`telemetry::MetricsRegistry`] ([`OracleCache::metrics`]): memory hits,
@@ -27,7 +30,7 @@ use crate::EngineError;
 use qdaflow_boolfn::{Permutation, TruthTable};
 use qdaflow_pipeline::spec::{self, CanonicalHasher, SpecKey};
 use qdaflow_quantum::resource::ResourceCounts;
-use qdaflow_quantum::QuantumCircuit;
+use qdaflow_quantum::{GateCensus, QuantumCircuit};
 use qdaflow_telemetry as telemetry;
 use std::collections::HashMap;
 use std::fmt;
@@ -183,22 +186,24 @@ impl OracleSpec {
 }
 
 /// A compiled, immutable oracle: the circuit plus the metadata the batch
-/// layer reports. Shared via `Arc` between the cache and all jobs using it;
-/// a program the cache holds under two keys is one allocation.
+/// layer reports and routes by. Shared via `Arc` between the cache and all
+/// jobs using it, whatever backend they run on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     circuit: QuantumCircuit,
     resources: ResourceCounts,
+    census: GateCensus,
     compile_time: Duration,
 }
 
 impl CompiledProgram {
     /// Builds a program from a compiled (or disk-loaded) circuit and the
-    /// time its cold compilation took; resource counts are recomputed —
-    /// they are cheap and derived.
+    /// time its cold compilation took; resource counts and the gate census
+    /// are recomputed — they are cheap and derived.
     pub(crate) fn from_parts(circuit: QuantumCircuit, compile_time: Duration) -> Self {
         Self {
             resources: ResourceCounts::of(&circuit),
+            census: GateCensus::of(&circuit),
             circuit,
             compile_time,
         }
@@ -212,6 +217,13 @@ impl CompiledProgram {
     /// Resource counts of the compiled circuit.
     pub fn resources(&self) -> &ResourceCounts {
         &self.resources
+    }
+
+    /// Gate census of the compiled circuit — what
+    /// [`BackendChoice::resolve`](crate::BackendChoice::resolve) routes an
+    /// automatic job by.
+    pub fn census(&self) -> &GateCensus {
+        &self.census
     }
 
     /// Wall-clock time the (cold) compilation took.
@@ -349,17 +361,7 @@ impl OracleCache {
     ///
     /// Propagates compilation failures; nothing is cached on error.
     pub fn get_or_compile(&self, spec: &OracleSpec) -> Result<Arc<CompiledProgram>, EngineError> {
-        self.get_or_compile_keyed(spec.cache_key(), spec)
-    }
-
-    /// [`OracleCache::get_or_compile`] for callers that already computed
-    /// the key to store the program under: `spec.cache_key()`, or the
-    /// backend-tagged key the batch engine derives from it.
-    pub(crate) fn get_or_compile_keyed(
-        &self,
-        key: SpecKey,
-        spec: &OracleSpec,
-    ) -> Result<Arc<CompiledProgram>, EngineError> {
+        let key = spec.cache_key();
         let m = &self.metrics;
         if let Some(program) = self.lock().get(&key).cloned() {
             m.hits.inc();
@@ -399,17 +401,6 @@ impl OracleCache {
             }
         }
         Ok(self.insert(key, program))
-    }
-
-    /// Stores an already-compiled program under a second cache key too,
-    /// unless that slot is taken. The batch engine uses this to share one
-    /// compilation between the raw spec slot (where automatic-backend
-    /// resolution compiles) and the backend-tagged slot (where execution
-    /// looks up). Both slots hold the same `Arc`, so the program is stored
-    /// once; an alias is bookkeeping, not a lookup, so the hit/miss
-    /// counters are untouched.
-    pub(crate) fn alias_keyed(&self, key: SpecKey, program: &Arc<CompiledProgram>) {
-        self.insert(key, Arc::clone(program));
     }
 
     /// Looks a program up without compiling (does not touch the hit/miss
@@ -582,6 +573,9 @@ mod tests {
             "restart must not recompile"
         );
         assert_eq!(warmed.circuit(), program.circuit());
+        // The census is derived on load, not stored on disk, so the loaded
+        // program routes like the compiled one.
+        assert_eq!(warmed.census(), program.census());
         // And the loaded entry now also sits in memory.
         second.get_or_compile(&spec).unwrap();
         assert_eq!(second.stats().hits, 1);

@@ -30,8 +30,9 @@ use std::fmt;
 /// runs the same engines as [`ExactBackend`](qdaflow_quantum::ExactBackend)s),
 /// per-job batch execution
 /// ([`BatchJob::with_backend`](crate::BatchJob::with_backend): every job is
-/// prepared through [`BackendChoice::prepare`], and the *resolved* choice is
-/// keyed into the oracle-cache digest), and the shell's `backend` command.
+/// prepared through [`BackendChoice::prepare`], while its compiled program
+/// is cached under the spec's key alone, shared by every backend), and the
+/// shell's `backend` command.
 /// Dense is the default and the right choice for states with dense support
 /// (e.g. Hadamard layers over the full register); sparse lifts the qubit
 /// ceiling for the paper's permutation-dominated oracle workloads;
@@ -60,7 +61,7 @@ pub enum BackendChoice {
 
 impl BackendChoice {
     /// The lower-case name used by the shell's `backend` command and the
-    /// cache-key encoding.
+    /// job digest ([`BatchJob::digest`](crate::BatchJob::digest)).
     pub fn as_str(&self) -> &'static str {
         match self {
             Self::Dense => "dense",
@@ -99,6 +100,9 @@ impl BackendChoice {
     /// Resolves this choice against a circuit census: [`BackendChoice::Auto`]
     /// becomes the [`resolve_backend`] recommendation, concrete choices pass
     /// through unchanged. The result is never `Auto`.
+    /// [`BatchEngine::run_job`](crate::BatchEngine::run_job) resolves every
+    /// job this way, against its program's stored
+    /// [`census`](crate::CompiledProgram::census).
     pub fn resolve(self, census: &GateCensus) -> Self {
         match self {
             Self::Auto => resolve_backend(census),
@@ -116,9 +120,9 @@ impl BackendChoice {
     /// # Errors
     ///
     /// The engine's simulation errors: [`QuantumError::TooManyQubits`]
-    /// beyond its ceiling (on the stabilizer also beyond its sampling rank)
-    /// and [`QuantumError::UnsupportedGate`] for non-Clifford gates on the
-    /// stabilizer.
+    /// beyond its ceiling, and on the stabilizer
+    /// [`QuantumError::SupportTooLarge`] beyond its sampling rank and
+    /// [`QuantumError::UnsupportedGate`] for non-Clifford gates.
     pub fn prepare(
         self,
         circuit: &QuantumCircuit,
@@ -156,7 +160,8 @@ impl BackendChoice {
 /// circuit has as many `H` gates as qubits, even when the layers cancel
 /// (hidden-shift circuits do exactly this), so it would misroute the
 /// paper's core workloads. The fractions below are structural, not
-/// simulated, so resolution costs one linear sweep per circuit.
+/// simulated: the census is one linear sweep per circuit, and a cached
+/// program takes it once, when it is built.
 ///
 /// The function is pure: it records nothing. The executors that act on
 /// its answer — [`BatchEngine::run_job`](crate::BatchEngine::run_job) and
@@ -176,8 +181,8 @@ pub fn resolve_backend(census: &GateCensus) -> BackendChoice {
 /// decision was an automatic resolution (`census` is the census that made
 /// it), emits the `auto -> <backend>` trace event.
 /// [`BatchEngine::run_job`](crate::BatchEngine::run_job) calls it once per
-/// job and [`MainEngine::flush`] once per automatic resolution, so the
-/// family reflects what actually ran.
+/// job, after the job's program lookup succeeded, and [`MainEngine::flush`]
+/// once per automatic resolution, so the family reflects what actually ran.
 pub(crate) fn note_dispatch(backend: BackendChoice, census: Option<&GateCensus>) {
     qdaflow_telemetry::global_metrics()
         .counter(

@@ -34,10 +34,10 @@
 //!   by the cache.
 //!
 //! Duplicate submissions are **single-flighted**: while one worker
-//! compiles a spec, other workers skip past jobs with the same cache key
-//! instead of compiling it redundantly; when the first finishes, the
-//! duplicates replay from the warm cache. This also makes the cache's
-//! compile counters deterministic under any worker count.
+//! compiles a spec, other workers skip past jobs with the same spec key,
+//! whatever backend they name, instead of compiling it redundantly; when
+//! the first finishes, the duplicates replay from the warm cache. This also
+//! makes the cache's compile counters deterministic under any worker count.
 //!
 //! ```
 //! use qdaflow_engine::{JobService, JobServiceConfig, JobStatus, OracleSpec, BatchJob, SynthesisChoice};
@@ -173,8 +173,9 @@ impl Default for JobServiceConfig {
 /// One queued execution slot (jobs re-enter the queue on retry).
 struct QueueEntry {
     id: JobId,
-    /// Single-flight key: the job's compilation cache key. While a worker
-    /// holds a key, other entries with the same key stay queued.
+    /// Single-flight key: the spec's cache key, shared by jobs on every
+    /// backend. While a worker holds a key, other entries with the same key
+    /// stay queued.
     key: SpecKey,
     /// Earliest instant the entry may run (backoff for retries).
     ready_at: Instant,
@@ -413,7 +414,7 @@ impl JobService {
             return Err(EngineError::ZeroShots { index: 0 });
         }
         let digest = job.digest();
-        let key = job.cache_key();
+        let key = job.spec.cache_key();
         let trace_parent = telemetry::current_span();
         let mut state = self.inner.lock();
         let id = JobId(state.next_id);
@@ -922,6 +923,35 @@ mod tests {
         let stats = service.engine().cache().stats();
         assert_eq!(stats.misses, 1, "one compile under any worker count");
         assert_eq!(stats.hits, 2, "duplicates replay from the warm cache");
+    }
+
+    #[test]
+    fn single_flight_spans_backends() {
+        // An `Auto` job and an explicit `Sparse` job over one spec compile
+        // the same program, so they share one single-flight key: whichever
+        // worker takes the second job waits for the first compile.
+        let spec = OracleSpec::permutation(
+            qdaflow_boolfn::hwb::hwb_permutation(6),
+            SynthesisChoice::default(),
+        );
+        for round in 0..20 {
+            let service = JobService::new(fast_config()).unwrap();
+            let ids = service
+                .submit_batch(&[
+                    BatchJob::new(spec.clone(), 16, round).with_backend(BackendChoice::Auto),
+                    BatchJob::new(spec.clone(), 16, round).with_backend(BackendChoice::Sparse),
+                ])
+                .unwrap();
+            for id in ids {
+                assert!(matches!(service.wait(id), Some(JobStatus::Done(_))));
+            }
+            let stats = service.engine().cache().stats();
+            assert_eq!(
+                (stats.misses, stats.hits, stats.entries),
+                (1, 1, 1),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `job-digest` is [`BatchJob::digest`](crate::BatchJob::digest) — the
-//! canonical 128-bit digest over the job's resolved cache key, shot count,
-//! seed and backend — so a journal replays only onto *identical* jobs. The
+//! canonical 128-bit digest over the job's spec key, shot count, seed and
+//! backend — so a journal replays only onto *identical* jobs. The
 //! rest of the record is the full [`ExecutionResult`], so a resumed job is
 //! answered without recompiling or resimulating anything. On load,
 //! unparsable lines (typically one torn final line) are skipped, never

@@ -32,6 +32,16 @@ pub enum QuantumError {
         /// Maximum supported by the simulator.
         maximum: usize,
     },
+    /// A simulated state's support is too large to sample: its GF(2) rank
+    /// (log₂ of the outcome count) is beyond the sampler's cap. Reported by
+    /// the stabilizer backend, whose register may be far wider than the
+    /// rank.
+    SupportTooLarge {
+        /// The support's rank.
+        rank: usize,
+        /// The largest rank the sampler enumerates.
+        maximum: usize,
+    },
     /// A noise or execution parameter is outside of its valid range.
     InvalidParameter {
         /// Name of the parameter.
@@ -81,6 +91,10 @@ impl fmt::Display for QuantumError {
             Self::TooManyQubits { requested, maximum } => write!(
                 f,
                 "simulation of {requested} qubits exceeds the supported maximum of {maximum}"
+            ),
+            Self::SupportTooLarge { rank, maximum } => write!(
+                f,
+                "the state's support has rank {rank} (2^{rank} outcomes), beyond the sampling cap of rank {maximum}"
             ),
             Self::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} has invalid value {value}")

@@ -35,7 +35,7 @@ use qdaflow_engine::{
 use qdaflow_mapping::verify;
 use qdaflow_pipeline::script::tokenize;
 use qdaflow_pipeline::{passes, FlowError, Ir, Pass, Pipeline, PipelineReport, StageSet};
-use qdaflow_quantum::{drawer, qasm, GateCensus};
+use qdaflow_quantum::{drawer, qasm};
 use qdaflow_telemetry as telemetry;
 
 /// A shell command.
@@ -571,17 +571,16 @@ impl Command for Batch {
         let ids = service.submit_batch(&jobs)?;
         let statuses: Vec<Option<JobStatus>> = ids.iter().map(|id| service.wait(*id)).collect();
         // Once the batch is done, name the engine each `backend auto` job
-        // ran on: the census route of its program in the cache, under the
-        // raw spec key `run_job` compiled it to. A job without a cached
-        // program (dead before compiling, or replayed from the journal)
-        // stays unnamed.
+        // ran on: the route of the census its cached program carries. A job
+        // without a cached program (dead before compiling, or replayed from
+        // the journal) stays unnamed.
         let cache = service.engine().cache();
         let resolved: Vec<Option<BackendChoice>> = jobs
             .iter()
             .map(|job| match job.backend {
                 BackendChoice::Auto => cache
                     .peek(job.spec.cache_key())
-                    .map(|program| resolve_backend(&GateCensus::of(program.circuit()))),
+                    .map(|program| resolve_backend(program.census())),
                 _ => None,
             })
             .collect();
@@ -619,16 +618,11 @@ impl Command for Batch {
         let after = cache.stats();
         let compiled = after.misses - before.misses;
         let hits = after.hits - before.hits;
-        // Distinct work items are counted by cache key, resolved where the
-        // job's backend is known: jobs over one spec that resolve alike
-        // share a key.
+        // Distinct work items are counted by spec key: jobs over one spec
+        // share one compiled program, whatever backend runs it.
         let distinct = jobs
             .iter()
-            .zip(&resolved)
-            .map(|(job, backend)| match backend {
-                Some(backend) => job.clone().with_backend(*backend).cache_key(),
-                None => job.cache_key(),
-            })
+            .map(|job| job.spec.cache_key())
             .collect::<std::collections::HashSet<_>>()
             .len();
         let dead_note = if dead > 0 {
@@ -668,10 +662,9 @@ impl Command for Batch {
 /// compiled job and routes it automatically (the recommended default for
 /// mixed workloads — the batch log shows each job's resolved backend);
 /// `backend dense` restores the default dense engine. Without an argument
-/// the command reports the current choice. The (resolved) choice is keyed
-/// into the batch engine's compiled-oracle cache digests, so runs of the
-/// same oracle on different engines are cached independently. Unknown names
-/// are rejected with the engine's typed
+/// the command reports the current choice. The choice does not change what
+/// is compiled: runs of the same oracle on different engines share one
+/// cached program. Unknown names are rejected with the engine's typed
 /// [`EngineError::UnknownBackend`](qdaflow_engine::EngineError), whose
 /// message lists the valid choices.
 pub struct BackendCmd;
@@ -1112,8 +1105,8 @@ mod tests {
         assert!(log.contains("job 0: hwb 3"), "{log}");
         assert!(log.contains("auto -> sparse"), "{log}");
         assert!(log.contains("auto -> stabilizer"), "{log}");
-        // The distinct count follows the resolved cache keys, and each job
-        // is resolved once: two fresh specs are two compiles, no hits.
+        // The distinct count follows the spec keys, and each job is
+        // resolved once: two fresh specs are two compiles, no hits.
         assert!(log.contains("2 jobs (2 distinct)"), "{log}");
         assert!(log.contains("2 compiled, 0 cache hits"), "{log}");
         assert!(log.contains("on the auto backend"), "{log}");

@@ -21,9 +21,9 @@ use std::collections::BTreeMap;
 /// accepts Clifford gates: non-Clifford content surfaces as the typed
 /// [`QuantumError::UnsupportedGate`], and final states with support rank
 /// beyond [`MAX_SAMPLING_RANK`](crate::MAX_SAMPLING_RANK) as
-/// [`QuantumError::TooManyQubits`] (whose `maximum` is that rank, not a
-/// register width) — never a panic. Nothing falls back to another engine on
-/// these errors: a job the automatic dispatcher routes here fails with them.
+/// [`QuantumError::SupportTooLarge`], which names the rank and the cap —
+/// never a panic. Nothing falls back to another engine on these errors: a
+/// job the automatic dispatcher routes here fails with them.
 pub type StabilizerBackend = ExactBackend<StabilizerSampler>;
 
 impl PreparedState for StabilizerSampler {

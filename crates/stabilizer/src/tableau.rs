@@ -120,8 +120,10 @@ impl From<StabilizerError> for QuantumError {
     /// Degrades stabilizer errors onto the shared quantum error vocabulary
     /// (what [`Backend`](qdaflow_quantum::backend::Backend) implementations
     /// must speak): `NonClifford` becomes [`QuantumError::UnsupportedGate`],
-    /// the capacity errors become [`QuantumError::TooManyQubits`] over the
-    /// relevant bound (register size, support rank, or outcome bit width).
+    /// `SupportTooLarge` becomes [`QuantumError::SupportTooLarge`] with the
+    /// same rank and cap, and the other capacity errors become
+    /// [`QuantumError::TooManyQubits`] over the relevant bound (register
+    /// size or outcome bit width).
     fn from(inner: StabilizerError) -> Self {
         match inner {
             StabilizerError::NonClifford { gate } => QuantumError::UnsupportedGate {
@@ -134,10 +136,9 @@ impl From<StabilizerError> for QuantumError {
             StabilizerError::TooManyQubits { requested, maximum } => {
                 QuantumError::TooManyQubits { requested, maximum }
             }
-            StabilizerError::SupportTooLarge { rank, maximum } => QuantumError::TooManyQubits {
-                requested: rank,
-                maximum,
-            },
+            StabilizerError::SupportTooLarge { rank, maximum } => {
+                QuantumError::SupportTooLarge { rank, maximum }
+            }
             StabilizerError::OutcomeOverflow { qubit } => QuantumError::TooManyQubits {
                 requested: qubit + 1,
                 maximum: usize::BITS as usize,
@@ -961,13 +962,24 @@ mod tests {
         }
         let tableau =
             StabilizerTableau::from_circuit(&circuit(MAX_SAMPLING_RANK + 1, &gates)).unwrap();
+        let error = tableau.sampler().unwrap_err();
         assert_eq!(
-            tableau.sampler(),
-            Err(StabilizerError::SupportTooLarge {
+            error,
+            StabilizerError::SupportTooLarge {
                 rank: MAX_SAMPLING_RANK + 1,
                 maximum: MAX_SAMPLING_RANK,
-            })
+            }
         );
+        // The shared vocabulary keeps it a rank, not a qubit count.
+        let quantum = QuantumError::from(error.clone());
+        assert_eq!(
+            quantum,
+            QuantumError::SupportTooLarge {
+                rank: MAX_SAMPLING_RANK + 1,
+                maximum: MAX_SAMPLING_RANK,
+            }
+        );
+        assert_eq!(quantum.to_string(), error.to_string());
     }
 
     #[test]

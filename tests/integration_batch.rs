@@ -35,7 +35,7 @@ fn batch_results_match_the_single_job_backend_path() {
     let results = engine.run_batch(&jobs).unwrap();
 
     for (job, result) in jobs.iter().zip(&results) {
-        let program = engine.cache().peek(job.cache_key()).unwrap();
+        let program = engine.cache().peek(job.spec.cache_key()).unwrap();
         let circuit = program.circuit();
         let counts = match job.backend {
             BackendChoice::Dense => StatevectorBackend::with_config(0, config)

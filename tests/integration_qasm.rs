@@ -61,9 +61,8 @@ fn golden_file_runs_as_direct_batch_jobs() {
         assert_eq!(result.num_qubits, 4);
         assert_eq!(result.most_likely(), Some((5, 1.0)));
     }
-    // Dense and sparse jobs are cached independently but compile the same
-    // source: one parse per backend key.
-    assert_eq!(engine.cache().stats().misses, 2);
+    // Dense and sparse jobs share the one program of their spec: one parse.
+    assert_eq!(engine.cache().stats().misses, 1);
 }
 
 #[test]

@@ -106,11 +106,12 @@ fn auto_dispatch_routes_the_acceptance_triple() {
     let results = engine.run_batch(&jobs).unwrap();
     assert_eq!(results[2].most_likely(), Some((HIDDEN_SHIFT, 1.0)));
 
-    // Cache entries are keyed by the *resolved* backend, never by `Auto`.
+    // One cache entry per spec, whatever the backend, and the census it
+    // carries routes to the resolved backend.
+    assert_eq!(engine.cache().stats().entries, jobs.len());
     for (job, &backend) in jobs.iter().zip(&resolved) {
-        let resolved_key = job.clone().with_backend(backend).cache_key();
-        assert!(engine.cache().peek(resolved_key).is_some(), "{backend}");
-        assert!(engine.cache().peek(job.cache_key()).is_none(), "{backend}");
+        let program = engine.cache().peek(job.spec.cache_key()).unwrap();
+        assert_eq!(resolve_backend(program.census()), backend);
     }
 }
 

@@ -461,6 +461,41 @@ fn shell_pass_commands_record_pass_spans_and_durations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn dispatches_count_only_jobs_whose_lookup_succeeded() {
+    let _guard = global_guard();
+    let sparse_dispatches = || -> u64 {
+        telemetry::global_metrics()
+            .render()
+            .lines()
+            .find_map(|line| {
+                line.strip_prefix("qdaflow_dispatch_total{backend=\"sparse\"} ")?
+                    .parse()
+                    .ok()
+            })
+            .unwrap_or(0)
+    };
+    let engine = BatchEngine::new();
+    let before = sparse_dispatches();
+    // A job whose compile fails never reaches a backend, so it records no
+    // dispatch, on an explicit backend as on `Auto`.
+    let failing = BatchJob::new(OracleSpec::fault_injection(false, 1), 64, 1)
+        .with_backend(BackendChoice::Sparse);
+    assert!(engine.try_run_batch(&[failing])[0].is_err());
+    assert_eq!(sparse_dispatches(), before);
+    let valid = BatchJob::new(
+        OracleSpec::permutation(
+            qdaflow::boolfn::hwb::hwb_permutation(3),
+            SynthesisChoice::default(),
+        ),
+        64,
+        1,
+    )
+    .with_backend(BackendChoice::Sparse);
+    assert!(engine.try_run_batch(&[valid])[0].is_ok());
+    assert_eq!(sparse_dispatches(), before + 1);
+}
+
 // ---------------------------------------------------------------------------
 // `flow --json` schema pinning.
 // ---------------------------------------------------------------------------
