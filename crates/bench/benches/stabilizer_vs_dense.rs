@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::prelude::*;
-use qdaflow::quantum::{QuantumError, Statevector, MAX_SIMULATOR_QUBITS};
+use qdaflow::quantum::{PreparedState, QuantumError, Statevector, MAX_SIMULATOR_QUBITS};
 use std::time::Duration;
 
 /// Register width of the beyond-dense-ceiling demonstration.
@@ -125,7 +125,7 @@ fn bench_shared_domain(c: &mut Criterion) {
     let sampler = StabilizerBackend::seeded(7).prepare(&circuit).unwrap();
     let config = ExecConfig::auto();
     group.bench_function("dense_sampling/20q_100000_shots", |b| {
-        b.iter(|| dense_state.sample_counts_sharded(7, 100_000, &config))
+        b.iter(|| dense_state.sample_sharded(7, 100_000, &config))
     });
     group.bench_function("stabilizer_sampling/20q_100000_shots", |b| {
         b.iter(|| {

@@ -17,7 +17,8 @@
 //!    simulated state: a dense statevector, a sparse statevector, or a
 //!    stabilizer support sampler, each a [`PreparedState`];
 //! 3. the job samples its shots with the **shot-sharded** sampler
-//!    ([`PreparedState::sample_sharded`]) under its own seed.
+//!    ([`PreparedState::sample_sharded`]) under its own seed, and reports
+//!    the resource counts its program stored when it was built.
 //!
 //! The [`JobService`](crate::JobService) workers call `run_job` directly,
 //! and [`BatchEngine::run_batch`] and [`BatchEngine::try_run_batch`] are
@@ -29,13 +30,12 @@
 //! dispatch of each job whose lookup succeeded (`qdaflow_dispatch_total`,
 //! plus the `auto -> <backend>` trace event for `Auto` jobs) exactly once.
 
-use crate::cache::{OracleCache, OracleSpec};
+use crate::cache::{CompiledProgram, OracleCache, OracleSpec};
 use crate::engine::{note_dispatch, resolve_backend, BackendChoice};
 use crate::EngineError;
 use qdaflow_pipeline::spec::{CanonicalHasher, SpecKey};
 use qdaflow_quantum::backend::{ExecutionResult, PreparedState};
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::QuantumCircuit;
 use qdaflow_telemetry as telemetry;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -112,11 +112,12 @@ impl BatchJob {
 }
 
 /// Samples a job's shots from its prepared state with the shot-sharded
-/// sampler and builds its [`ExecutionResult`]. Every engine uses the same
-/// `(seed, shard)` RNG scheme, so equal-seed jobs agree across backends.
+/// sampler and builds its [`ExecutionResult`] around the program's stored
+/// resource counts. Every engine uses the same `(seed, shard)` RNG scheme,
+/// so equal-seed jobs agree across backends.
 fn sample_job(
     state: &dyn PreparedState,
-    circuit: &QuantumCircuit,
+    program: &CompiledProgram,
     shots: usize,
     seed: u64,
     config: &ExecConfig,
@@ -139,7 +140,7 @@ fn sample_job(
         .add(shots as u64);
     let _span = telemetry::span!("sampling", "sample {shots} shots ({shards} shards)");
     let counts = state.sample_sharded(seed, shots, config);
-    ExecutionResult::from_counts(circuit, shots, counts)
+    ExecutionResult::sampled(program.resources().clone(), shots, counts)
 }
 
 /// The batch execution engine: an [`OracleCache`] plus an execution
@@ -160,9 +161,10 @@ impl BatchEngine {
     }
 
     /// Creates an engine with an explicit execution configuration
-    /// (`config.threads` bounds both the dense kernel's worker pool and the
-    /// shot-sharded sampling workers; `config.shot_shard_size` is part of
-    /// the sampling reproducibility contract).
+    /// (`config.threads` bounds the dense kernel's worker pool and the
+    /// sparse and stabilizer engines' sampling workers; dense jobs sample
+    /// sequentially; `config.shot_shard_size` is part of the sampling
+    /// reproducibility contract).
     pub fn with_config(config: ExecConfig) -> Self {
         Self {
             cache: OracleCache::new(),
@@ -274,12 +276,11 @@ impl BatchEngine {
             let backend = job.backend.resolve(program.census());
             let auto = job.backend == BackendChoice::Auto;
             note_dispatch(backend, auto.then_some(program.census()));
-            let circuit = program.circuit();
             let state = {
                 let _span = telemetry::span!("dispatch", "simulate on {backend}");
-                backend.prepare(circuit, config)?
+                backend.prepare(program.circuit(), config)?
             };
-            Ok(sample_job(&*state, circuit, job.shots, job.seed, config))
+            Ok(sample_job(&*state, &program, job.shots, job.seed, config))
         })
     }
 }
@@ -288,7 +289,10 @@ impl BatchEngine {
 mod tests {
     use super::*;
     use crate::oracle::SynthesisChoice;
+    use crate::DiskCache;
     use qdaflow_boolfn::{Permutation, TruthTable};
+    use qdaflow_quantum::resource::ResourceCounts;
+    use qdaflow_quantum::QuantumCircuit;
 
     /// The Fig. 4 hidden-shift program at `n` qubits as pure-Clifford QASM:
     /// the bent function f(x) = Σ x_{2i}·x_{2i+1} is a layer of CZ pairs
@@ -417,6 +421,31 @@ mod tests {
         let engine = BatchEngine::new();
         assert!(engine.run_batch(&[]).unwrap().is_empty());
         assert_eq!(engine.cache().stats().entries, 0);
+    }
+
+    #[test]
+    fn jobs_report_their_programs_stored_resource_counts() {
+        // The first engine compiles the program, the second loads it from
+        // the first one's disk cache; both jobs report the counts the
+        // program took when it was built, which equal a fresh count.
+        let dir = std::env::temp_dir().join(format!(
+            "qdaflow-batch-resources-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = perm_job(vec![0, 2, 3, 5, 7, 1, 4, 6], 64, 1);
+        for (misses, disk_hits) in [(1, 0), (0, 1)] {
+            let cache = OracleCache::with_disk(DiskCache::open(&dir).unwrap());
+            let engine = BatchEngine::with_cache(cache, ExecConfig::sequential());
+            let result = engine.run_job(&job, &engine.exec_config()).unwrap();
+            let stats = engine.cache().stats();
+            assert_eq!((stats.misses, stats.disk_hits), (misses, disk_hits));
+            let program = engine.cache().peek(job.spec.cache_key()).unwrap();
+            assert_eq!(&result.resources, program.resources());
+            assert_eq!(result.resources, ResourceCounts::of(program.circuit()));
+            assert_eq!(result.num_qubits, program.circuit().num_qubits());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,19 +11,20 @@ use qdaflow_quantum::backend::{
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::noise::NoiseModel;
 use qdaflow_quantum::{
-    GateCensus, QuantumCircuit, QuantumError, QuantumGate, Statevector, MAX_SIMULATOR_QUBITS,
+    GateCensus, QuantumCircuit, QuantumError, QuantumGate, SoaStatevector, MAX_SIMULATOR_QUBITS,
 };
 use qdaflow_sparse::{SparseBackend, SparseStatevector};
 use qdaflow_stabilizer::{StabilizerBackend, StabilizerSampler, MAX_STABILIZER_QUBITS};
 use std::fmt;
 
 /// Which exact-simulation engine executes circuits: the dense statevector
-/// (a `Vec` of all `2^n` amplitudes), the sparse statevector (a hash map of
-/// the nonzero amplitudes only), the stabilizer tableau (Pauli generators,
-/// Clifford circuits only), or automatic per-circuit dispatch between them.
+/// (all `2^n` amplitudes, in cache blocks), the sparse statevector (a hash
+/// map of the nonzero amplitudes only), the stabilizer tableau (Pauli
+/// generators, Clifford circuits only), or automatic per-circuit dispatch
+/// between them.
 ///
 /// Each concrete choice names one [`PreparedState`] engine
-/// ([`Statevector`], [`SparseStatevector`], [`StabilizerSampler`]), and
+/// ([`SoaStatevector`], [`SparseStatevector`], [`StabilizerSampler`]), and
 /// [`BackendChoice::prepare`] is the one place that turns a choice into a
 /// simulated state. The choice threads through the whole stack:
 /// [`MainEngine`] construction ([`MainEngine::with_simulator_choice`], which
@@ -129,7 +130,7 @@ impl BackendChoice {
         config: &ExecConfig,
     ) -> Result<Box<dyn PreparedState>, QuantumError> {
         Ok(match self {
-            Self::Dense => Box::new(Statevector::simulate(circuit, config)?),
+            Self::Dense => Box::new(SoaStatevector::simulate(circuit, config)?),
             Self::Sparse => Box::new(SparseStatevector::simulate(circuit, config)?),
             Self::Stabilizer => Box::new(StabilizerSampler::simulate(circuit, config)?),
             Self::Auto => {

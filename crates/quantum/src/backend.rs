@@ -8,7 +8,7 @@
 //! * [`ExactBackend`], the one exact simulator: generic over a
 //!   [`PreparedState`] engine, it simulates a circuit into that engine's
 //!   exact output state and samples it. The dense [`StatevectorBackend`]
-//!   is its alias over [`Statevector`]; the sparse and stabilizer crates
+//!   is its alias over [`SoaStatevector`]; the sparse and stabilizer crates
 //!   add `SparseBackend` and `StabilizerBackend` the same way, so adding an
 //!   exact engine means implementing [`PreparedState`] once;
 //! * the [`NoisyHardwareBackend`], standing in for the IBM Quantum
@@ -16,18 +16,21 @@
 //! * the [`ResourceCounterBackend`], which never simulates.
 //!
 //! Dense state evolution compiles circuits into the
-//! [`ExecPlan`](crate::plan::ExecPlan) kernel (structure-of-arrays
-//! amplitudes, cache-blocked sweeps, a worker pool for large states),
-//! governed by the [`ExecConfig`] the backend is built with: thread count,
-//! fusion, sampler shard size and cache-block size.
+//! [`ExecPlan`] kernel (structure-of-arrays amplitudes, cache-blocked
+//! sweeps, a worker pool for large states), governed by the [`ExecConfig`]
+//! the backend is built with: thread count, fusion, sampler shard size and
+//! cache-block size. The dense state is sampled in the blocked layout the
+//! kernel leaves (see [`crate::sampling`]); nothing on the dense path
+//! copies it into interleaved amplitudes or builds a `2^n` distribution.
 
 use crate::fusion::ExecConfig;
 use crate::noise::{NoiseModel, NoisySimulator};
+use crate::plan::{ExecPlan, SoaStatevector};
 use crate::resource::ResourceCounts;
-use crate::statevector::Statevector;
-use crate::{QuantumCircuit, QuantumError};
+use crate::sampling;
+use crate::{QuantumCircuit, QuantumError, MAX_SIMULATOR_QUBITS};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
@@ -51,28 +54,41 @@ impl ExecutionResult {
     /// Backends that fill a dense histogram produce their result here: the
     /// [`NoisyHardwareBackend`]'s Monte-Carlo replay and the
     /// [`DenseReferenceBackend`](crate::reference::DenseReferenceBackend)
-    /// test oracle. [`ExactBackend`] and batch jobs go through
-    /// [`ExecutionResult::from_counts`]. Both drop zero counts, so the
-    /// shape of [`ExecutionResult`] is the same on every path.
+    /// test oracle. [`ExactBackend`] goes through
+    /// [`ExecutionResult::from_counts`], batch jobs through
+    /// [`ExecutionResult::sampled`]. All drop zero counts, so the shape of
+    /// [`ExecutionResult`] is the same on every path.
     pub fn from_histogram(circuit: &QuantumCircuit, shots: usize, histogram: &[usize]) -> Self {
-        Self {
-            num_qubits: circuit.num_qubits(),
+        Self::sampled(
+            ResourceCounts::of(circuit),
             shots,
-            counts: nonzero_counts(histogram),
-            resources: ResourceCounts::of(circuit),
-        }
+            nonzero_counts(histogram),
+        )
     }
 
     /// Builds the result of a sampling backend from a *sparse* histogram of
-    /// measured basis states (outcome → count).
+    /// measured basis states (outcome → count), counting the circuit's
+    /// resources.
     ///
-    /// Every [`ExactBackend`] and every batch job produces its result here:
-    /// [`PreparedState`] samplers return counts maps, because the sparse
-    /// and stabilizer engines never materialize all `2^n` outcomes. Zero
-    /// counts are dropped, exactly as in
-    /// [`ExecutionResult::from_histogram`].
+    /// Every [`ExactBackend`] produces its result here: [`PreparedState`]
+    /// samplers return counts maps, because no exact engine materializes
+    /// all `2^n` outcomes to sample them. Zero counts are dropped, exactly
+    /// as in [`ExecutionResult::from_histogram`].
     pub fn from_counts(
         circuit: &QuantumCircuit,
+        shots: usize,
+        counts: BTreeMap<usize, usize>,
+    ) -> Self {
+        Self::sampled(ResourceCounts::of(circuit), shots, counts)
+    }
+
+    /// Builds a sampled result from resource counts the caller already
+    /// holds: a batch job reports its compiled program's stored counts
+    /// instead of counting the circuit again. The register width is
+    /// `resources.num_qubits`; zero counts are dropped, as in
+    /// [`ExecutionResult::from_counts`].
+    pub fn sampled(
+        resources: ResourceCounts,
         shots: usize,
         mut counts: BTreeMap<usize, usize>,
     ) -> Self {
@@ -80,10 +96,10 @@ impl ExecutionResult {
         // walks the tree without rebuilding it.
         counts.retain(|_, count| *count > 0);
         Self {
-            num_qubits: circuit.num_qubits(),
+            num_qubits: resources.num_qubits,
             shots,
             counts,
-            resources: ResourceCounts::of(circuit),
+            resources,
         }
     }
 
@@ -149,12 +165,13 @@ pub trait Backend {
 /// The exact output state of a circuit on one simulation engine, ready to
 /// be sampled — what an [`ExactBackend`] prepares before it draws shots.
 ///
-/// Implemented by the dense [`Statevector`] here, by `SparseStatevector` in
-/// `qdaflow_sparse` and by `StabilizerSampler` in `qdaflow_stabilizer`.
-/// Every implementation samples through a
-/// [`CumulativeDistribution`](crate::sampling::CumulativeDistribution) over
-/// its outcomes in ascending basis order, so equal seeds give equal
-/// histograms across engines on their shared domain. The two associated
+/// Implemented by the dense [`SoaStatevector`] here, by `SparseStatevector`
+/// in `qdaflow_sparse` and by `StabilizerSampler` in `qdaflow_stabilizer`.
+/// Every implementation maps every draw to the outcome
+/// [`CumulativeDistribution::outcome_of`](crate::sampling::CumulativeDistribution::outcome_of)
+/// gives it on the distribution of its outcomes in ascending basis order,
+/// so equal seeds give equal histograms across engines on their shared
+/// domain. The two associated
 /// functions are `where Self: Sized`, which keeps the trait object-safe:
 /// callers that pick the engine at run time (the engine crate's
 /// `BackendChoice::prepare`) hold a `Box<dyn PreparedState>`.
@@ -195,17 +212,31 @@ pub trait PreparedState {
     ) -> BTreeMap<usize, usize>;
 }
 
-impl PreparedState for Statevector {
+/// The dense engine: the circuit runs through its [`ExecPlan`] on a blocked
+/// zero state, and the state is sampled in that layout, by one walk over
+/// sorted draws (see [`crate::sampling`]). Sampling is sequential:
+/// `config.threads` drives only the kernel.
+impl PreparedState for SoaStatevector {
     fn backend_name() -> &'static str {
         "statevector-simulator"
     }
 
     fn simulate(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
-        Self::run(circuit, config)
+        if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
+            return Err(QuantumError::TooManyQubits {
+                requested: circuit.num_qubits(),
+                maximum: MAX_SIMULATOR_QUBITS,
+            });
+        }
+        let plan = ExecPlan::compile(circuit, config);
+        let mut state = Self::zero_state(circuit.num_qubits(), plan.block_bits());
+        plan.apply_soa(&mut state, config);
+        Ok(state)
     }
 
     fn sample_with(&self, rng: &mut StdRng, shots: usize) -> BTreeMap<usize, usize> {
-        nonzero_counts(&self.sample_counts(rng, shots))
+        let draws = (0..shots).map(|_| rng.gen::<f64>()).collect();
+        sampling::count_draws(self.block_slices(), draws)
     }
 
     fn sample_sharded(
@@ -214,7 +245,8 @@ impl PreparedState for Statevector {
         shots: usize,
         config: &ExecConfig,
     ) -> BTreeMap<usize, usize> {
-        nonzero_counts(&self.sample_counts_sharded(seed, shots, config))
+        let draws = sampling::sharded_draws(seed, shots, config.shot_shard_size);
+        sampling::count_draws(self.block_slices(), draws)
     }
 }
 
@@ -234,10 +266,11 @@ pub struct ExactBackend<S> {
     engine: PhantomData<fn() -> S>,
 }
 
-/// Exact dense statevector backend: all `2^n` amplitudes, simulated through
-/// the [`ExecPlan`](crate::plan::ExecPlan) interpreter under the backend's
-/// [`ExecConfig`].
-pub type StatevectorBackend = ExactBackend<Statevector>;
+/// Exact dense statevector backend: all `2^n` amplitudes in the blocked
+/// [`SoaStatevector`] layout, simulated through the [`ExecPlan`] interpreter
+/// under the backend's [`ExecConfig`] and sampled where the kernel leaves
+/// them.
+pub type StatevectorBackend = ExactBackend<SoaStatevector>;
 
 impl<S: PreparedState> ExactBackend<S> {
     /// Creates a backend with a fixed random seed (sampling is the only
@@ -368,7 +401,8 @@ impl Backend for ResourceCounterBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuantumGate;
+    use crate::sampling::CumulativeDistribution;
+    use crate::{Complex, QuantumGate};
 
     fn bell() -> QuantumCircuit {
         let mut circuit = QuantumCircuit::new(2);
@@ -465,9 +499,50 @@ mod tests {
     }
 
     #[test]
+    fn dense_draws_past_the_total_mass_land_on_the_last_outcome() {
+        // Norm 0.5: a quarter of the mass on |00⟩ and on |11⟩, so every draw
+        // at or above 0.5 falls past the mass and, as with `outcome_of`,
+        // lands on |11⟩ next to the draws in [0.25, 0.5).
+        let half = Complex::real(0.5);
+        let amplitudes = [half, Complex::ZERO, Complex::ZERO, half];
+        let state = SoaStatevector::from_amplitudes(&amplitudes, 1);
+        let dist = CumulativeDistribution::from_amplitudes(&amplitudes);
+        let config = ExecConfig::sequential().with_shot_shard_size(64);
+        let counts = state.sample_sharded(3, 1000, &config);
+        assert_eq!(counts, nonzero_counts(&dist.sample_sharded(3, 1000, 1, 64)));
+        assert_eq!(counts.keys().copied().collect::<Vec<_>>(), [0, 3]);
+        assert!(counts[&3] > counts[&0] * 2, "{counts:?}");
+        assert_eq!(dist.outcome_of(0.75), 3);
+    }
+
+    #[test]
+    fn dense_sampling_of_zero_shots_is_empty() {
+        let state = SoaStatevector::simulate(&bell(), &ExecConfig::sequential()).unwrap();
+        assert!(state
+            .sample_sharded(5, 0, &ExecConfig::sequential())
+            .is_empty());
+        let mut rng = StdRng::seed_from_u64(5);
+        assert!(state.sample_with(&mut rng, 0).is_empty());
+        // No draw was taken.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(5).gen::<u64>());
+    }
+
+    #[test]
+    fn dense_sampling_of_a_basis_state_is_one_outcome() {
+        let mut amplitudes = [Complex::ZERO; 8];
+        amplitudes[0b101] = Complex::ONE;
+        let state = SoaStatevector::from_amplitudes(&amplitudes, 1);
+        let expected = BTreeMap::from([(0b101usize, 777usize)]);
+        let config = ExecConfig::sequential().with_shot_shard_size(100);
+        assert_eq!(state.sample_sharded(9, 777, &config), expected);
+        let mut rng = StdRng::seed_from_u64(9);
+        assert_eq!(state.sample_with(&mut rng, 777), expected);
+    }
+
+    #[test]
     fn statevector_accessor_returns_exact_state() {
         let backend = StatevectorBackend::default();
         let state = backend.prepare(&bell()).unwrap();
-        assert!((state.probability_of(0b11) - 0.5).abs() < 1e-12);
+        assert!((state.amplitude(0b11).norm_sqr() - 0.5).abs() < 1e-12);
     }
 }

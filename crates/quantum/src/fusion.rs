@@ -44,7 +44,10 @@ pub(crate) const MAX_THREADS: usize = 16;
 /// the default block size); below that, thread startup would dominate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Number of worker threads; `1` (or `0`) executes sequentially.
+    /// Number of worker threads; `1` (or `0`) executes sequentially. It
+    /// sizes the plan kernel's worker pool and the sparse and stabilizer
+    /// engines' sampling workers; dense sampling is one sequential walk
+    /// over the state and does not use it.
     pub threads: usize,
     /// Whether circuits are optimized before execution: the gate-fusion
     /// pass ([`FusedProgram::fuse`]) plus the plan lowering's commuting-op

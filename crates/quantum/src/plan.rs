@@ -181,6 +181,11 @@ struct AmpBlock {
 /// lives in block `k >> b` at local index `k & (2^b - 1)`, with qubit 0 as
 /// the least significant bit — the same indexing contract as the dense
 /// [`Statevector`](crate::statevector::Statevector).
+///
+/// It is also the dense engine's
+/// [`PreparedState`](crate::backend::PreparedState): the
+/// [`StatevectorBackend`](crate::backend::StatevectorBackend) and dense
+/// batch jobs simulate into it and sample it in this layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaStatevector {
     num_qubits: usize,
@@ -270,6 +275,13 @@ impl SoaStatevector {
     /// log2 of the amplitudes per cache block.
     pub fn block_bits(&self) -> usize {
         self.block_bits
+    }
+
+    /// The cache blocks in basis order, as (`re`, `im`) component slices.
+    pub(crate) fn block_slices(&self) -> impl Iterator<Item = (&[f64], &[f64])> {
+        self.blocks
+            .iter()
+            .map(|block| (block.re.as_slice(), block.im.as_slice()))
     }
 
     /// The amplitude of basis state `basis`.

@@ -21,10 +21,23 @@
 //! count and the configured shard size — never on the worker count — so the
 //! merged histogram is reproducible at any thread count (also enforced by the
 //! differential suite).
+//!
+//! The dense engine does not build either of these. Its state, a blocked
+//! [`SoaStatevector`](crate::plan::SoaStatevector), is sampled where the
+//! kernel leaves it: the job's draws — the same `f64` values, from the same
+//! streams, as above — are sorted, and one walk over the blocks in basis
+//! order keeps the running sum that [`CumulativeDistribution`] stores,
+//! placing each draw on the outcome
+//! [`CumulativeDistribution::outcome_of`] gives it. The walk holds one
+//! block of prefix sums, never all `2^n`, and stops after the last draw.
+//! The `CumulativeDistribution` samplers stay the reference it is checked
+//! against, draw for draw, and the sampler of the sparse and stabilizer
+//! engines.
 
 use crate::complex::Complex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::thread;
 
 /// Default number of shots per shard of the sharded sampler; see
@@ -37,7 +50,8 @@ pub const DEFAULT_SHOT_SHARD_SIZE: usize = 4096;
 /// `prefix[k]` holds the probability of measuring an outcome `<= k`,
 /// accumulated left to right exactly like the historical linear-scan sampler,
 /// so binary-searching a uniform draw reproduces the scan's outcome bit for
-/// bit.
+/// bit. The sparse and stabilizer engines sample through it; the dense
+/// engine does not build it, and is checked against it draw for draw.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CumulativeDistribution {
     prefix: Vec<f64>,
@@ -168,6 +182,88 @@ impl CumulativeDistribution {
     }
 }
 
+/// The uniform draws of [`CumulativeDistribution::sample_sharded`] under
+/// `(seed, shots, shard_size)`, in shard order: shard `i` takes its shots
+/// from [`shard_rng`]`(seed, i)`, one `f64` per shot.
+pub(crate) fn sharded_draws(seed: u64, shots: usize, shard_size: usize) -> Vec<f64> {
+    let shard_size = shard_size.max(1);
+    let mut draws = Vec::with_capacity(shots);
+    for (shard, start) in (0..shots).step_by(shard_size).enumerate() {
+        let mut rng = shard_rng(seed, shard);
+        draws.extend((start..shots.min(start + shard_size)).map(|_| rng.gen::<f64>()));
+    }
+    draws
+}
+
+/// Places uniform draws on the outcomes of a distribution given as blocks
+/// of amplitudes (`re`, `im` component slices) in basis order, and returns
+/// the nonzero counts.
+///
+/// Each draw lands on the outcome [`CumulativeDistribution::outcome_of`]
+/// gives it on `CumulativeDistribution::from_amplitudes` of the same
+/// amplitudes: the walk adds the same `re² + im²` terms in the same order,
+/// so its running sums are the stored prefix sums bit for bit. The draws
+/// are sorted, so one pass places them all; it keeps one block of prefix
+/// sums and stops after the last draw. Draws at or past the total mass land
+/// on the last outcome.
+pub(crate) fn count_draws<'a>(
+    blocks: impl IntoIterator<Item = (&'a [f64], &'a [f64])>,
+    mut draws: Vec<f64>,
+) -> BTreeMap<usize, usize> {
+    // Draws are non-negative (uniform draws lie in [0, 1)), where the order
+    // of the bit patterns is the order of the values; integer keys sort
+    // faster than `f64::total_cmp`.
+    draws.sort_unstable_by_key(|draw| draw.to_bits());
+    let mut counts: Vec<(usize, usize)> = Vec::new();
+    let mut tally = |outcome: usize, shots: usize| match counts.last_mut() {
+        Some((last, count)) if *last == outcome => *count += shots,
+        _ => counts.push((outcome, shots)),
+    };
+    let mut placed = 0;
+    let mut cumulative = 0.0f64;
+    let mut prefix = Vec::new();
+    let mut offset = 0;
+    for (re, im) in blocks {
+        if placed == draws.len() {
+            break;
+        }
+        prefix.clear();
+        prefix.extend(re.iter().zip(im).map(|(&re, &im)| {
+            cumulative += re * re + im * im;
+            cumulative
+        }));
+        let mut local = 0;
+        for &draw in &draws[placed..] {
+            local += gallop(&prefix[local..], draw);
+            if local == prefix.len() {
+                break;
+            }
+            tally(offset + local, 1);
+            placed += 1;
+        }
+        offset += prefix.len();
+    }
+    if placed < draws.len() {
+        tally(offset - 1, draws.len() - placed);
+    }
+    counts.into_iter().collect()
+}
+
+/// The first index of the non-decreasing `prefix` whose value exceeds
+/// `draw` (`prefix.len()` when none does), found by galloping from the
+/// front: sorted draws mostly land at or just past the previous one.
+fn gallop(prefix: &[f64], draw: f64) -> usize {
+    // Every value before `low` is at most `draw`.
+    let mut low = 0;
+    let mut step = 1;
+    while low + step <= prefix.len() && prefix[low + step - 1] <= draw {
+        low += step;
+        step *= 2;
+    }
+    let high = prefix.len().min(low + step);
+    low + prefix[low..high].partition_point(|&cumulative| cumulative <= draw)
+}
+
 /// The deterministic RNG stream of shard `shard` under batch seed `seed`.
 ///
 /// The two values are mixed through a splitmix64-style finalizer so that
@@ -243,6 +339,33 @@ mod tests {
         assert_eq!(dist.sample_sharded(7, 0, 4, 64), vec![0; 4]);
         let mut rng = StdRng::seed_from_u64(7);
         assert_eq!(dist.sample_counts(&mut rng, 0), vec![0; 4]);
+    }
+
+    #[test]
+    fn draws_on_the_prefix_sums_land_where_outcome_of_puts_them() {
+        // Draws on and one ulp either side of every prefix sum sit where a
+        // running sum one ulp off, or `<` in place of `<=`, would move them.
+        // The zero amplitude makes two equal prefix sums; blocks of two
+        // amplitudes make the walk carry its sum across seven boundaries.
+        let mut amplitudes: Vec<Complex> = (0..16u32)
+            .map(|k| Complex::new(f64::from(k % 5 + 1) * 0.1, f64::from(k % 3) * 0.07))
+            .collect();
+        amplitudes[9] = Complex::ZERO;
+        let dist = CumulativeDistribution::from_amplitudes(&amplitudes);
+        let draws: Vec<f64> = dist
+            .prefix
+            .iter()
+            .flat_map(|p| [p.to_bits() - 1, p.to_bits(), p.to_bits() + 1])
+            .map(f64::from_bits)
+            .collect();
+        let mut expected = BTreeMap::new();
+        for &draw in &draws {
+            *expected.entry(dist.outcome_of(draw)).or_insert(0) += 1;
+        }
+        let re: Vec<f64> = amplitudes.iter().map(|a| a.re).collect();
+        let im: Vec<f64> = amplitudes.iter().map(|a| a.im).collect();
+        let blocks = re.chunks(2).zip(im.chunks(2));
+        assert_eq!(count_draws(blocks, draws), expected);
     }
 
     #[test]

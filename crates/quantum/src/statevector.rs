@@ -6,6 +6,7 @@
 //! Whole circuits execute through the [`ExecPlan`] interpreter; single
 //! gates go through the scalar [`kernel`].
 
+use crate::backend::PreparedState;
 use crate::complex::Complex;
 use crate::fusion::ExecConfig;
 use crate::kernel;
@@ -73,25 +74,21 @@ impl Statevector {
     }
 
     /// Runs a full circuit on the all-zeros state with an explicit execution
-    /// configuration: the circuit is compiled to an [`ExecPlan`] and applied
-    /// to a blocked SoA zero state, which is converted to the interleaved
-    /// layout once at the end.
+    /// configuration, for callers that want interleaved amplitudes: the
+    /// dense engine's simulation ([`SoaStatevector`]'s
+    /// [`PreparedState::simulate`]: an [`ExecPlan`] applied to a blocked
+    /// zero state), copied once into this layout with
+    /// [`SoaStatevector::to_amplitudes`]. Jobs and the
+    /// [`StatevectorBackend`](crate::backend::StatevectorBackend) sample the
+    /// blocked state itself and never make this copy.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::TooManyQubits`] for oversized circuits.
     pub fn run(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
-        if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
-            return Err(QuantumError::TooManyQubits {
-                requested: circuit.num_qubits(),
-                maximum: MAX_SIMULATOR_QUBITS,
-            });
-        }
-        let plan = ExecPlan::compile(circuit, config);
-        let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
-        plan.apply_soa(&mut state, config);
+        let state = SoaStatevector::simulate(circuit, config)?;
         Ok(Self {
-            num_qubits: circuit.num_qubits(),
+            num_qubits: state.num_qubits(),
             amplitudes: state.to_amplitudes(),
         })
     }

@@ -1,7 +1,7 @@
 //! Differential property tests for the measurement sampler: the
 //! binary-search (CDF) fast path against the retained linear-scan reference,
-//! and the shot-sharded parallel sampler against itself at different thread
-//! counts.
+//! the shot-sharded parallel sampler against itself at different thread
+//! counts, and the dense engine's sorted-draw sampler against the CDF.
 //!
 //! Random states of up to 10 qubits are produced by random circuits; each
 //! case then checks, for the *same* seeded RNG stream, that
@@ -9,18 +9,27 @@
 //! histogram of the per-shot linear scan bit for bit — not merely
 //! statistically — and that the sharded sampler's merged histogram is
 //! invariant under the worker count (1/2/4/8 threads), which is the
-//! reproducibility contract of the batch execution subsystem.
+//! reproducibility contract of the batch execution subsystem. Suite 5
+//! holds the sampler every dense job and `StatevectorBackend::run` use —
+//! `SoaStatevector`'s `PreparedState` impl, which walks the blocked state
+//! once over sorted draws — to the CDF samplers, draw for draw.
 
 use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::sampling::CumulativeDistribution;
-use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
+use qdaflow_quantum::{PreparedState, QuantumCircuit, QuantumGate, SoaStatevector, Statevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Builds a random state over 1..=10 qubits from a seed, via a random
 /// circuit mixing superposition, phases and entanglement.
 fn random_state(seed: u64) -> Statevector {
+    Statevector::from_circuit(&random_circuit(seed)).expect("small register")
+}
+
+/// The random circuit behind [`random_state`].
+fn random_circuit(seed: u64) -> QuantumCircuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let num_qubits = rng.gen_range(1..11usize);
     let num_gates = rng.gen_range(1..31usize);
@@ -46,7 +55,17 @@ fn random_state(seed: u64) -> Statevector {
         };
         circuit.push(gate).expect("generated gates are in range");
     }
-    Statevector::from_circuit(&circuit).expect("small register")
+    circuit
+}
+
+/// The nonzero entries of a dense histogram as an outcome → count map.
+fn nonzero(histogram: &[usize]) -> BTreeMap<usize, usize> {
+    histogram
+        .iter()
+        .enumerate()
+        .filter(|(_, &count)| count > 0)
+        .map(|(outcome, &count)| (outcome, count))
+        .collect()
 }
 
 /// Histogram drawn with the retired per-shot linear scan — the reference
@@ -121,5 +140,47 @@ proptest! {
         let dist = CumulativeDistribution::from_probabilities(&state.probabilities());
         let via_dist = dist.sample_sharded(seed, shots, 4, 64);
         prop_assert_eq!(via_state, via_dist);
+    }
+
+    /// Suite 5: the dense engine's sampler places every draw where the CDF
+    /// does. States are simulated straight to `SoaStatevector` at the
+    /// default cache-block size and at 2-8 amplitudes per block, so one
+    /// walk crosses many blocks; shot counts sit at and around the basis
+    /// size, and shard sizes of 1, 7 and 4096 split them differently.
+    /// Sharded sampling must equal the CDF's sharded histogram at 1 and 4
+    /// threads; sequential sampling must equal `sample_counts` from an
+    /// equally seeded RNG and leave that RNG where `sample_counts` leaves
+    /// it (one draw per shot).
+    #[test]
+    fn dense_sampler_matches_the_cdf_draw_for_draw(seed in any::<u64>()) {
+        let circuit = random_circuit(seed);
+        let basis = 1usize << circuit.num_qubits();
+        for block_bits in [0usize, 1, 2, 3] {
+            let config = ExecConfig::sequential().with_block_bits(block_bits);
+            let state = SoaStatevector::simulate(&circuit, &config).unwrap();
+            let dist = CumulativeDistribution::from_amplitudes(&state.to_amplitudes());
+            for shots in [1, basis - 1, basis, 3 * basis + 1] {
+                for shard in [1usize, 7, 4096] {
+                    for threads in [1usize, 4] {
+                        let sharded = config.with_threads(threads).with_shot_shard_size(shard);
+                        let expected = nonzero(&dist.sample_sharded(seed, shots, threads, shard));
+                        prop_assert_eq!(
+                            state.sample_sharded(seed, shots, &sharded),
+                            expected,
+                            "block_bits={} shots={} shard={} threads={}",
+                            block_bits, shots, shard, threads
+                        );
+                    }
+                }
+                let mut walked = StdRng::seed_from_u64(seed);
+                let mut reference = StdRng::seed_from_u64(seed);
+                prop_assert_eq!(
+                    state.sample_with(&mut walked, shots),
+                    nonzero(&dist.sample_counts(&mut reference, shots)),
+                    "block_bits={} shots={}", block_bits, shots
+                );
+                prop_assert_eq!(walked.gen::<u64>(), reference.gen::<u64>());
+            }
+        }
     }
 }
