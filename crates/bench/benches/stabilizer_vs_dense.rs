@@ -13,8 +13,11 @@
 //! 2. **Tableau evolution replaces amplitude sweeps** — on a 20-qubit
 //!    register both engines can run the same circuit; the tableau updates
 //!    cost `O(n/64)` words per gate instead of the `2^20`-amplitude sweep,
-//!    and sampling enumerates the affine support instead of prefix-summing
-//!    a million amplitudes.
+//!    and sampling maps each draw into the affine support's closed form
+//!    instead of prefix-summing a million amplitudes.
+//!
+//! A third group, `stabilizer_sampling`, times sampling from a support no
+//! list could hold: `h` on 40 qubits, `2^40` outcomes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::prelude::*;
@@ -137,5 +140,32 @@ fn bench_shared_domain(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_beyond_dense_ceiling, bench_shared_domain);
+fn bench_wide_support(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stabilizer_sampling");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    let mut circuit = QuantumCircuit::new(40);
+    for qubit in 0..40 {
+        circuit.push(QuantumGate::H(qubit)).expect("in range");
+    }
+    let backend = StabilizerBackend::seeded(7);
+    let sampler = backend.prepare(&circuit).unwrap();
+    let config = backend.exec_config();
+    group.bench_function("rank40_1024_shots", |b| {
+        b.iter(|| {
+            let counts = sampler.sample_sharded(7, 1024, &config);
+            assert_eq!(counts.values().sum::<usize>(), 1024);
+            counts
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_beyond_dense_ceiling,
+    bench_shared_domain,
+    bench_wide_support
+);
 criterion_main!(benches);

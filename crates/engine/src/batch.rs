@@ -162,7 +162,7 @@ impl BatchEngine {
 
     /// Creates an engine with an explicit execution configuration
     /// (`config.threads` bounds the dense kernel's worker pool and the
-    /// sparse and stabilizer engines' sampling workers; dense jobs sample
+    /// sparse engine's sampling workers; dense and stabilizer jobs sample
     /// sequentially; `config.shot_shard_size` is part of the sampling
     /// reproducibility contract).
     pub fn with_config(config: ExecConfig) -> Self {
@@ -822,17 +822,24 @@ mod tests {
         );
     }
 
+    /// QASM source of `h` on each of the first `width` of `num_qubits`
+    /// qubits: an all-Clifford circuit whose support has rank `width`.
+    fn hadamard_qasm(num_qubits: usize, width: usize) -> String {
+        use std::fmt::Write as _;
+        let mut source = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{num_qubits}];\n");
+        for q in 0..width {
+            writeln!(source, "h q[{q}];").unwrap();
+        }
+        source
+    }
+
     #[test]
     fn auto_jobs_report_a_too_large_stabilizer_support_as_a_rank() {
         use qdaflow_quantum::QuantumError;
-        use std::fmt::Write as _;
-        // All-Clifford, so `Auto` routes to the stabilizer; `h` on 21 of 40
-        // qubits gives a support of rank 21, one past the sampling cap.
-        let mut source = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[40];\n");
-        for q in 0..21 {
-            writeln!(source, "h q[{q}];").unwrap();
-        }
-        let job = BatchJob::new(OracleSpec::qasm(source), 64, 1).with_backend(BackendChoice::Auto);
+        // All-Clifford, so `Auto` routes to the stabilizer; `h` on 54 of 60
+        // qubits gives a support of rank 54, one past the sampling cap.
+        let job = BatchJob::new(OracleSpec::qasm(hadamard_qasm(60, 54)), 64, 1)
+            .with_backend(BackendChoice::Auto);
         let engine = BatchEngine::new();
         assert_eq!(
             engine.resolve_backends(std::slice::from_ref(&job)).unwrap(),
@@ -841,9 +848,43 @@ mod tests {
         assert_eq!(
             engine.run_job(&job, &engine.exec_config()),
             Err(EngineError::Quantum(QuantumError::SupportTooLarge {
-                rank: 21,
-                maximum: 20
+                rank: 54,
+                maximum: 53
             }))
         );
+        // No engine runs it: the register is past both amplitude ceilings.
+        for backend in [BackendChoice::Dense, BackendChoice::Sparse] {
+            let job = job.clone().with_backend(backend);
+            assert!(
+                matches!(
+                    engine.run_job(&job, &engine.exec_config()),
+                    Err(EngineError::Quantum(QuantumError::TooManyQubits {
+                        requested: 60,
+                        ..
+                    }))
+                ),
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn auto_jobs_sample_wide_stabilizer_supports() {
+        let engine = BatchEngine::new();
+        for width in [21, 40] {
+            let job = BatchJob::new(OracleSpec::qasm(hadamard_qasm(40, width)), 1024, 9)
+                .with_backend(BackendChoice::Auto);
+            let result = engine.run_job(&job, &engine.exec_config()).unwrap();
+            assert_eq!(result.counts.values().sum::<usize>(), 1024);
+            assert!(
+                result.counts.keys().all(|&outcome| outcome < 1 << width),
+                "width {width}: an outcome outside the support"
+            );
+            if width == 21 {
+                let stabilizer = job.with_backend(BackendChoice::Stabilizer);
+                let explicit = engine.run_job(&stabilizer, &engine.exec_config()).unwrap();
+                assert_eq!(result.counts, explicit.counts);
+            }
+        }
     }
 }

@@ -122,8 +122,9 @@ impl BackendChoice {
     ///
     /// The engine's simulation errors: [`QuantumError::TooManyQubits`]
     /// beyond its ceiling, and on the stabilizer
-    /// [`QuantumError::SupportTooLarge`] beyond its sampling rank and
-    /// [`QuantumError::UnsupportedGate`] for non-Clifford gates.
+    /// [`QuantumError::SupportTooLarge`] beyond its sampling rank of 53,
+    /// [`QuantumError::TooManyQubits`] for outcomes past the `usize` width,
+    /// and [`QuantumError::UnsupportedGate`] for non-Clifford gates.
     pub fn prepare(
         self,
         circuit: &QuantumCircuit,
@@ -145,9 +146,10 @@ impl BackendChoice {
 ///
 /// 1. **All-Clifford circuits go to the stabilizer tableau** (when they fit
 ///    [`MAX_STABILIZER_QUBITS`]): polynomial cost at any width. Its sampling
-///    caps can still reject a final state with huge support, but that
-///    surfaces as a typed error, whereas an amplitude engine would exhaust
-///    memory on the same circuit long before failing cleanly.
+///    caps reject a final state of support rank above 53 or with outcomes
+///    past bit 63, as a typed error; both need a register of at least 54
+///    qubits, which neither amplitude engine can hold, so every
+///    all-Clifford circuit that some engine runs samples here.
 /// 2. **Hadamard-heavy circuits go dense** (when they fit
 ///    [`MAX_SIMULATOR_QUBITS`]): at ≥ 25% `H` gates the sparse support is
 ///    presumed to spread across the basis, which is exactly the regime where

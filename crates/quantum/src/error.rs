@@ -33,13 +33,13 @@ pub enum QuantumError {
         maximum: usize,
     },
     /// A simulated state's support is too large to sample: its GF(2) rank
-    /// (log₂ of the outcome count) is beyond the sampler's cap. Reported by
-    /// the stabilizer backend, whose register may be far wider than the
-    /// rank.
+    /// (log₂ of the outcome count) is beyond the sampler's cap, past which
+    /// one `f64` draw per shot cannot reach every outcome. Reported by the
+    /// stabilizer backend, whose register may be far wider than the rank.
     SupportTooLarge {
         /// The support's rank.
         rank: usize,
-        /// The largest rank the sampler enumerates.
+        /// The largest rank the sampler accepts.
         maximum: usize,
     },
     /// A noise or execution parameter is outside of its valid range.

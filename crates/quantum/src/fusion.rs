@@ -45,9 +45,9 @@ pub(crate) const MAX_THREADS: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of worker threads; `1` (or `0`) executes sequentially. It
-    /// sizes the plan kernel's worker pool and the sparse and stabilizer
-    /// engines' sampling workers; dense sampling is one sequential walk
-    /// over the state and does not use it.
+    /// sizes the plan kernel's worker pool and the sparse engine's sampling
+    /// workers; dense and stabilizer sampling are sequential and do not use
+    /// it.
     pub threads: usize,
     /// Whether circuits are optimized before execution: the gate-fusion
     /// pass ([`FusedProgram::fuse`]) plus the plan lowering's commuting-op

@@ -30,9 +30,12 @@
 //! placing each draw on the outcome
 //! [`CumulativeDistribution::outcome_of`] gives it. The walk holds one
 //! block of prefix sums, never all `2^n`, and stops after the last draw.
-//! The `CumulativeDistribution` samplers stay the reference it is checked
-//! against, draw for draw, and the sampler of the sparse and stabilizer
-//! engines.
+//! The stabilizer engine's support is uniform over `2^rank` outcomes, so it
+//! needs no prefix sums at all: it places each of the same draws `u` on
+//! its outcome of ascending index `⌊u·2^rank⌋`, which is where
+//! `outcome_of` would put it. The `CumulativeDistribution` samplers stay the reference
+//! both are checked against, draw for draw, and the sampler of the sparse
+//! engine.
 
 use crate::complex::Complex;
 use rand::rngs::StdRng;
@@ -50,8 +53,8 @@ pub const DEFAULT_SHOT_SHARD_SIZE: usize = 4096;
 /// `prefix[k]` holds the probability of measuring an outcome `<= k`,
 /// accumulated left to right exactly like the historical linear-scan sampler,
 /// so binary-searching a uniform draw reproduces the scan's outcome bit for
-/// bit. The sparse and stabilizer engines sample through it; the dense
-/// engine does not build it, and is checked against it draw for draw.
+/// bit. The sparse engine samples through it; the dense and stabilizer
+/// engines do not build it, and are checked against it draw for draw.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CumulativeDistribution {
     prefix: Vec<f64>,
@@ -185,7 +188,12 @@ impl CumulativeDistribution {
 /// The uniform draws of [`CumulativeDistribution::sample_sharded`] under
 /// `(seed, shots, shard_size)`, in shard order: shard `i` takes its shots
 /// from [`shard_rng`]`(seed, i)`, one `f64` per shot.
-pub(crate) fn sharded_draws(seed: u64, shots: usize, shard_size: usize) -> Vec<f64> {
+///
+/// The dense engine and the stabilizer sampler (`qdaflow_stabilizer`) draw
+/// this stream on the shot-sharded path and place each draw where
+/// [`CumulativeDistribution::outcome_of`] would, so their histograms are
+/// those of `sample_sharded` at every thread count.
+pub fn sharded_draws(seed: u64, shots: usize, shard_size: usize) -> Vec<f64> {
     let shard_size = shard_size.max(1);
     let mut draws = Vec::with_capacity(shots);
     for (shard, start) in (0..shots).step_by(shard_size).enumerate() {

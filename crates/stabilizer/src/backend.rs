@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
 /// Stabilizer tableau simulation backend: exact measurement statistics for
-/// Clifford circuits sampled from the enumerated affine support of a
-/// [`StabilizerTableau`].
+/// Clifford circuits sampled from the affine support of a
+/// [`StabilizerTableau`], held in closed form.
 ///
 /// An alias of the one exact backend, [`ExactBackend`], over the
 /// [`StabilizerSampler`], so seeding, RNG consumption and the shot-sharded
@@ -23,7 +23,9 @@ use std::collections::BTreeMap;
 /// beyond [`MAX_SAMPLING_RANK`](crate::MAX_SAMPLING_RANK) as
 /// [`QuantumError::SupportTooLarge`], which names the rank and the cap —
 /// never a panic. Nothing falls back to another engine on these errors: a
-/// job the automatic dispatcher routes here fails with them.
+/// job the automatic dispatcher routes here fails with them. Either needs a
+/// register of at least 54 qubits, past both amplitude engines' ceilings,
+/// so no other engine could run such a job either.
 pub type StabilizerBackend = ExactBackend<StabilizerSampler>;
 
 impl PreparedState for StabilizerSampler {
@@ -33,8 +35,8 @@ impl PreparedState for StabilizerSampler {
 
     /// Evolves a [`StabilizerTableau`] and extracts its support sampler, so
     /// support-extraction errors surface here and sampling stays
-    /// infallible. Tableau evolution is sequential; `config` only matters
-    /// to sampling.
+    /// infallible. Tableau evolution and sampling are sequential; only
+    /// `config.shot_shard_size` matters, to sharded sampling.
     fn simulate(circuit: &QuantumCircuit, _config: &ExecConfig) -> Result<Self, QuantumError> {
         Ok(StabilizerTableau::from_circuit(circuit)?.sampler()?)
     }

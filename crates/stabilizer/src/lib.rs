@@ -22,17 +22,23 @@
 //! are rejected with the typed [`StabilizerError::NonClifford`] — the
 //! automatic dispatcher in `qdaflow_engine` uses the matching
 //! `GateCensus::is_all_clifford` predicate so circuits are only routed here
-//! when every gate is accepted. Sampling caps ([`MAX_SAMPLING_RANK`]) are
-//! not part of that routing: an all-Clifford circuit whose final support is
-//! too large fails with a typed error instead of moving to another engine.
+//! when every gate is accepted. Sampling caps ([`MAX_SAMPLING_RANK`] and the
+//! `usize` outcome width) are not part of that routing: an all-Clifford
+//! circuit whose final support exceeds them fails with a typed error instead
+//! of moving to another engine. Only registers of at least 54 qubits can
+//! exceed them, beyond both amplitude engines' ceilings.
 //!
 //! Sampling reuses the workspace-wide seeded-RNG discipline: the final
 //! state's support is an affine subspace of basis states (offset plus the
-//! GF(2) span of the stabilizers' X-parts), extracted once by
-//! [`StabilizerTableau::sampler`] and sampled through the shared
-//! [`CumulativeDistribution`](qdaflow_quantum::sampling) — one `f64` draw
-//! per shot sequentially, and the same `(seed, shard)` scheme as the dense
-//! and sparse engines on the shot-sharded batch path. The
+//! GF(2) span of the stabilizers' X-parts), which
+//! [`StabilizerTableau::sampler`] reduces once to a closed form of `rank + 1`
+//! words — the smallest element and `rank` generators — without listing it.
+//! The state is uniform over its `2^rank` outcomes, so a draw `u` lands on
+//! the outcome of ascending index `⌊u·2^rank⌋`, exactly where the shared
+//! [`CumulativeDistribution`](qdaflow_quantum::sampling::CumulativeDistribution)
+//! over the ascending support would put it: one `f64` draw per shot
+//! sequentially, and the same `(seed, shard)` draw stream as the dense and
+//! sparse engines on the shot-sharded batch path. The
 //! [`StabilizerSampler`] is this crate's
 //! [`PreparedState`](qdaflow_quantum::PreparedState), and
 //! [`StabilizerBackend`] is the workspace's one exact backend,
@@ -40,7 +46,9 @@
 //!
 //! Correctness is established differentially: `tests/differential.rs`
 //! compares sampled histograms shot-for-shot against the dense simulator on
-//! random Clifford circuits over the shared (≤ 10 qubit) domain.
+//! random Clifford circuits over the shared (≤ 10 qubit) domain, and the
+//! closed form against the dense support and a `CumulativeDistribution`
+//! over it, draw for draw, at ranks up to 16.
 //!
 //! # Example
 //!
@@ -80,19 +88,20 @@ pub use tableau::{StabilizerError, StabilizerSampler, StabilizerTableau};
 /// The tableau stores `(2n+1)` rows of two bits per qubit plus a phase
 /// column — `O(n²)` bits overall, about 4 MiB at this bound — so the cap is
 /// a memory guard rather than a representational limit. Sampling has its
-/// own, much tighter limits ([`MAX_SAMPLING_RANK`] and the `usize` outcome
-/// width); they apply to the *final* support only, so deep circuits over
-/// hundreds of qubits simulate freely as long as they end in a
-/// small-support state.
+/// own limits ([`MAX_SAMPLING_RANK`] and the `usize` outcome width); they
+/// apply to the *final* support only, so deep circuits over hundreds of
+/// qubits simulate and sample freely as long as their final support fits.
 pub const MAX_STABILIZER_QUBITS: usize = 4096;
 
 /// Maximum support rank (log₂ of the number of distinct outcomes) the
-/// sampler will enumerate.
+/// sampler accepts: the 53 bits of an `f64` mantissa.
 ///
 /// A stabilizer state is uniform over an affine subspace of `2^rank` basis
-/// states; sampling materializes that subspace as a sorted outcome list, so
-/// the rank is capped at `2^20` ≈ one million entries. States with larger
-/// final support (e.g. a surviving `H` layer over more than 20 qubits)
-/// return the typed [`StabilizerError::SupportTooLarge`] instead of
-/// exhausting memory — those circuits belong on the dense engine.
-pub const MAX_SAMPLING_RANK: usize = 20;
+/// states, held in closed form, so the rank costs no memory. The cap comes
+/// from the draws: a shot's uniform draw is `m·2^-53` with `m < 2^53`, and
+/// lands on the outcome of ascending index `⌊m·2^(rank-53)⌋`. Up to rank
+/// 53 every outcome is reached by exactly `2^(53 - rank)` draw values; at
+/// rank 54 half of them could never be drawn. States with larger final
+/// support (which needs a register of at least 54 qubits) return the typed
+/// [`StabilizerError::SupportTooLarge`].
+pub const MAX_SAMPLING_RANK: usize = f64::MANTISSA_DIGITS as usize;

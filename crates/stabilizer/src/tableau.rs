@@ -1,6 +1,6 @@
 //! The Aaronson–Gottesman stabilizer tableau: packed bit-columns, CHP
-//! conjugation updates, deterministic/random measurement, and affine-support
-//! extraction for shot sampling.
+//! conjugation updates, deterministic/random measurement, and the affine
+//! support in closed form for shot sampling.
 //!
 //! # Representation
 //!
@@ -38,7 +38,7 @@
 
 use crate::{MAX_SAMPLING_RANK, MAX_STABILIZER_QUBITS};
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::sampling::CumulativeDistribution;
+use qdaflow_quantum::sampling;
 use qdaflow_quantum::{QuantumCircuit, QuantumError, QuantumGate};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -68,12 +68,13 @@ pub enum StabilizerError {
         /// Maximum supported by the tableau.
         maximum: usize,
     },
-    /// The final state's support is too large to enumerate for sampling
-    /// (more than `2^`[`MAX_SAMPLING_RANK`] outcomes).
+    /// The final state's support is too large to sample: more than
+    /// `2^`[`MAX_SAMPLING_RANK`] outcomes, more than one `f64` draw can
+    /// reach.
     SupportTooLarge {
         /// The support's GF(2) rank (log₂ of the outcome count).
         rank: usize,
-        /// The enumeration cap.
+        /// The sampling cap, [`MAX_SAMPLING_RANK`].
         maximum: usize,
     },
     /// A support element sets a basis bit beyond what a `usize` outcome can
@@ -503,16 +504,20 @@ impl StabilizerTableau {
             .collect()
     }
 
-    /// Extracts the state's support and packages it for sampling.
+    /// Extracts the state's support in closed form, ready for sampling.
     ///
     /// A stabilizer state is uniform (in magnitude) over an affine subspace
-    /// of basis states: Gaussian elimination over the generators' X-parts
-    /// yields `rank` independent X-carrying generators whose X-parts span
-    /// the subspace's direction, and the remaining `n - rank` Z-only
-    /// generators pin the offset through their sign constraints
-    /// (`(-1)^r Z^v` stabilizes `|x⟩` iff `v·x ≡ r (mod 2)`). The
-    /// enumerated support is sorted ascending with exact uniform
-    /// probabilities `2^-rank`, matching the dense engine's outcome order.
+    /// of basis states: Gaussian elimination over the generators' X-parts,
+    /// pivoting on each column from the highest down, yields `rank`
+    /// independent X-carrying generators whose X-parts span the subspace's
+    /// direction, and the remaining `n - rank` Z-only generators pin the
+    /// offset through their sign constraints (`(-1)^r Z^v` stabilizes
+    /// `|x⟩` iff `v·x ≡ r (mod 2)`). Each reduced generator's highest bit
+    /// is its pivot, which no other generator sets, and the offset sets no
+    /// pivot bit; so the offset is the smallest support element, and the
+    /// `k`-th smallest (counting from 0) is the offset XOR the generators
+    /// picked by the bits of `k` in ascending pivot order. Nothing is
+    /// enumerated.
     ///
     /// # Errors
     ///
@@ -523,12 +528,14 @@ impl StabilizerTableau {
         let n = self.num_qubits;
         let qwords = qubit_words(n);
         let mut gens = self.stabilizer_rows();
-        // Full reduction over the X-block: after the sweep the pivot
-        // generators' X-parts are an independent (reduced) basis and every
-        // non-pivot generator is Z-only.
-        let mut pivots: Vec<usize> = Vec::new();
+        // Full reduction over the X-block, highest column first: after the
+        // sweep every non-pivot generator is Z-only, and each pivot
+        // generator has no X bit above its pivot column nor on any other
+        // pivot column. `pivots` holds (column, generator) pairs, highest
+        // column first.
+        let mut pivots: Vec<(usize, usize)> = Vec::new();
         let mut is_pivot = vec![false; n];
-        for q in 0..n {
+        for q in (0..n).rev() {
             let Some(p) = (0..n).find(|&i| !is_pivot[i] && gens[i].x_bit(q)) else {
                 continue;
             };
@@ -539,7 +546,7 @@ impl StabilizerTableau {
                     gen.mul(&pivot, n);
                 }
             }
-            pivots.push(p);
+            pivots.push((q, p));
         }
         let rank = pivots.len();
         if rank > MAX_SAMPLING_RANK {
@@ -583,31 +590,26 @@ impl StabilizerTableau {
                 offset[q >> 6] |= 1 << (q & 63);
             }
         }
-        // Outcomes must fit the usize histogram domain.
-        let basis_vectors: Vec<&Vec<u64>> = pivots.iter().map(|&p| &gens[p].xs).collect();
-        for bits in std::iter::once(&offset).chain(basis_vectors.iter().copied()) {
-            if let Some(high) = highest_bit(bits) {
-                if high >= usize::BITS as usize {
-                    return Err(StabilizerError::OutcomeOverflow { qubit: high });
-                }
-            }
+        // Outcomes must fit the usize histogram domain: every support
+        // element does iff the offset and the generators do, and the first
+        // pivot is the highest bit a generator sets.
+        let highest = highest_bit(&offset).max(pivots.first().map(|&(q, _)| q));
+        if let Some(qubit) = highest.filter(|&q| q >= usize::BITS as usize) {
+            return Err(StabilizerError::OutcomeOverflow { qubit });
         }
-        let mut outcomes: Vec<usize> = Vec::with_capacity(1usize << rank);
-        outcomes.push(low_word(&offset) as usize);
-        for bits in &basis_vectors {
-            let direction = low_word(bits) as usize;
-            for i in 0..outcomes.len() {
-                outcomes.push(outcomes[i] ^ direction);
-            }
-        }
-        outcomes.sort_unstable();
-        // Uniform 2^-rank probabilities are exactly representable, so the
-        // prefix sums the sampler binary-searches carry no rounding at all.
-        let probability = 1.0 / outcomes.len() as f64;
-        let probabilities = vec![probability; outcomes.len()];
+        // The offset sets only Z pivots, which are the lowest bits of the
+        // Z-parts' span. That span is orthogonal to the X-parts' span, and a
+        // vector with highest bit `q` has inner product 1 with any vector
+        // whose lowest bit is `q`, so no Z pivot is an X pivot: the offset
+        // has every X pivot bit clear and is the smallest support element.
+        debug_assert!(pivots.iter().all(|&(q, _)| !bit_at(&offset, q)));
         Ok(StabilizerSampler {
-            outcomes,
-            distribution: CumulativeDistribution::from_probabilities(&probabilities),
+            offset: offset[0] as usize,
+            generators: pivots
+                .iter()
+                .rev()
+                .map(|&(_, p)| gens[p].xs[0] as usize)
+                .collect(),
         })
     }
 }
@@ -628,10 +630,6 @@ fn highest_bit(bits: &[u64]) -> Option<usize> {
         .rev()
         .find(|(_, word)| **word != 0)
         .map(|(w, word)| (w << 6) + 63 - word.leading_zeros() as usize)
-}
-
-fn low_word(bits: &[u64]) -> u64 {
-    bits[0]
 }
 
 /// The per-qubit contribution to the exponent of `i` when multiplying Pauli
@@ -683,63 +681,79 @@ impl PauliRow {
     }
 }
 
-/// The enumerated support of a stabilizer state, ready for measurement
-/// sampling: a sorted outcome list plus the exact uniform
-/// [`CumulativeDistribution`] over it.
+/// The support of a stabilizer state in closed form, ready for measurement
+/// sampling: the smallest support element and the `rank` reduced
+/// generators, `rank + 1` words in all.
 ///
-/// Sampling follows the workspace-wide discipline — one `f64` draw per shot
-/// through [`StabilizerSampler::sample_counts`], and the shared
-/// `(seed, shard)` stream scheme through
-/// [`StabilizerSampler::sample_counts_sharded`] — so equal-seed runs agree
-/// with the dense engine shot for shot on the shared domain (the
-/// differential test contract of this crate).
+/// Support element `k` (from 0, ascending) is the offset XOR the generators
+/// picked by the bits of `k`, and a shot's uniform draw `u` lands on
+/// element `⌊u·2^rank⌋`: where
+/// [`CumulativeDistribution::outcome_of`](qdaflow_quantum::sampling::CumulativeDistribution::outcome_of)
+/// puts it on the ascending support, so equal seeds agree with the dense
+/// engine shot for shot (the differential test contract of this crate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StabilizerSampler {
-    outcomes: Vec<usize>,
-    distribution: CumulativeDistribution,
+    /// The smallest support element.
+    offset: usize,
+    /// The reduced generators in ascending pivot order.
+    generators: Vec<usize>,
 }
 
 impl StabilizerSampler {
-    /// The sorted basis states carrying probability mass (each with
-    /// probability `1 / support().len()`).
-    pub fn support(&self) -> &[usize] {
-        &self.outcomes
+    /// The basis states carrying probability mass, in ascending order (each
+    /// with probability `1 / support().len()`). They are computed as the
+    /// iterator reaches them; no list of them is ever held.
+    pub fn support(&self) -> impl DoubleEndedIterator<Item = usize> + ExactSizeIterator + '_ {
+        (0..1usize << self.generators.len()).map(|index| self.outcome(index))
     }
 
-    /// Samples `shots` outcomes sequentially from `rng` into a sparse
-    /// histogram (zero-count outcomes omitted).
+    /// The support element of ascending index `index`.
+    fn outcome(&self, index: usize) -> usize {
+        self.generators
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| (index >> bit) & 1 == 1)
+            .fold(self.offset, |outcome, (_, generator)| outcome ^ generator)
+    }
+
+    /// Samples `shots` outcomes sequentially from `rng` (one `f64` draw per
+    /// shot) into a sparse histogram (zero-count outcomes omitted).
     pub fn sample_counts<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         shots: usize,
     ) -> BTreeMap<usize, usize> {
-        self.collect_counts(self.distribution.sample_counts(rng, shots))
+        self.count_draws((0..shots).map(|_| rng.gen::<f64>()))
     }
 
-    /// Shot-sharded parallel sampling under an explicit seed: identical
-    /// histograms at every thread count, fully determined by
+    /// Shot-sharded sampling under an explicit seed, from the draws of
+    /// [`sampling::sharded_draws`]: the histogram is fully determined by
     /// `(seed, shots, config.shot_shard_size)` — the execution path the
-    /// batch engine uses.
+    /// batch engine uses. Sampling is sequential and ignores
+    /// `config.threads`.
     pub fn sample_counts_sharded(
         &self,
         seed: u64,
         shots: usize,
         config: &ExecConfig,
     ) -> BTreeMap<usize, usize> {
-        self.collect_counts(self.distribution.sample_sharded(
-            seed,
-            shots,
-            config.threads,
-            config.shot_shard_size,
-        ))
+        self.count_draws(sampling::sharded_draws(seed, shots, config.shot_shard_size))
     }
 
-    fn collect_counts(&self, histogram: Vec<usize>) -> BTreeMap<usize, usize> {
-        self.outcomes
-            .iter()
-            .zip(histogram)
-            .filter(|(_, count)| *count > 0)
-            .map(|(&outcome, count)| (outcome, count))
+    /// Places each draw `u` on support element `⌊u·2^rank⌋` and counts them.
+    /// A draw is `m·2^-53` with `m < 2^53` and the scale is a power of two,
+    /// so the product is exact and truncation is its floor. Sorted, each
+    /// distinct index is mapped to its outcome once, in ascending order.
+    fn count_draws(&self, draws: impl IntoIterator<Item = f64>) -> BTreeMap<usize, usize> {
+        let scale = (1u64 << self.generators.len()) as f64;
+        let mut indices: Vec<usize> = draws
+            .into_iter()
+            .map(|draw| (draw * scale) as usize)
+            .collect();
+        indices.sort_unstable();
+        indices
+            .chunk_by(|a, b| a == b)
+            .map(|run| (self.outcome(run[0]), run.len()))
             .collect()
     }
 }
@@ -762,7 +776,7 @@ mod tests {
     fn fresh_tableau_is_all_zeros() {
         let tableau = StabilizerTableau::new(3).unwrap();
         let sampler = tableau.sampler().unwrap();
-        assert_eq!(sampler.support(), &[0]);
+        assert_eq!(sampler.support().collect::<Vec<_>>(), [0]);
     }
 
     #[test]
@@ -770,7 +784,10 @@ mod tests {
         let mut tableau = StabilizerTableau::new(4).unwrap();
         tableau.apply(&QuantumGate::X(1)).unwrap();
         tableau.apply(&QuantumGate::X(3)).unwrap();
-        assert_eq!(tableau.sampler().unwrap().support(), &[0b1010]);
+        assert_eq!(
+            tableau.sampler().unwrap().support().collect::<Vec<_>>(),
+            [0b1010]
+        );
         let mut rng = StdRng::seed_from_u64(1);
         assert!(tableau.is_deterministic(1).unwrap());
         assert!(tableau.measure(1, &mut rng).unwrap());
@@ -824,7 +841,10 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert_eq!(tableau.sampler().unwrap().support(), &[0, 0b11111]);
+        assert_eq!(
+            tableau.sampler().unwrap().support().collect::<Vec<_>>(),
+            [0, 0b11111]
+        );
     }
 
     #[test]
@@ -835,7 +855,10 @@ mod tests {
             &[QuantumGate::H(0), QuantumGate::Z(0), QuantumGate::H(0)],
         ))
         .unwrap();
-        assert_eq!(tableau.sampler().unwrap().support(), &[1]);
+        assert_eq!(
+            tableau.sampler().unwrap().support().collect::<Vec<_>>(),
+            [1]
+        );
     }
 
     #[test]
@@ -851,7 +874,10 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert_eq!(x_via_s.sampler().unwrap().support(), &[1]);
+        assert_eq!(
+            x_via_s.sampler().unwrap().support().collect::<Vec<_>>(),
+            [1]
+        );
         let identity = StabilizerTableau::from_circuit(&circuit(
             1,
             &[
@@ -862,7 +888,10 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert_eq!(identity.sampler().unwrap().support(), &[0]);
+        assert_eq!(
+            identity.sampler().unwrap().support().collect::<Vec<_>>(),
+            [0]
+        );
     }
 
     #[test]
@@ -880,7 +909,10 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert_eq!(tableau.sampler().unwrap().support(), &[1]);
+        assert_eq!(
+            tableau.sampler().unwrap().support().collect::<Vec<_>>(),
+            [1]
+        );
         let mut rejected = StabilizerTableau::new(1).unwrap();
         assert_eq!(
             rejected.apply(&QuantumGate::Rz {
@@ -951,7 +983,10 @@ mod tests {
             &[QuantumGate::X(0), QuantumGate::Swap { a: 0, b: 2 }],
         ))
         .unwrap();
-        assert_eq!(tableau.sampler().unwrap().support(), &[0b100]);
+        assert_eq!(
+            tableau.sampler().unwrap().support().collect::<Vec<_>>(),
+            [0b100]
+        );
     }
 
     #[test]
@@ -1030,7 +1065,10 @@ mod tests {
         ))
         .unwrap();
         let sampler = tableau.sampler().unwrap();
-        assert_eq!(sampler.support(), &[0b000, 0b011, 0b100, 0b111]);
+        assert_eq!(
+            sampler.support().collect::<Vec<_>>(),
+            [0b000, 0b011, 0b100, 0b111]
+        );
         let config = ExecConfig::sequential().with_shot_shard_size(64);
         let reference = sampler.sample_counts_sharded(9, 4000, &config);
         assert_eq!(reference.values().sum::<usize>(), 4000);
@@ -1041,6 +1079,53 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// An RNG whose every `next_u64` returns the same value.
+    struct ConstantRng(u64);
+
+    impl Rng for ConstantRng {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn rank_53_supports_sample_their_first_and_last_elements() {
+        // `h` on 53 of 60 qubits plus `x` on qubit 59: the support is
+        // 2^59 + [0, 2^53), at the sampling cap.
+        let mut gates: Vec<QuantumGate> = (0..53).map(QuantumGate::H).collect();
+        gates.push(QuantumGate::X(59));
+        let sampler = StabilizerTableau::from_circuit(&circuit(60, &gates))
+            .unwrap()
+            .sampler()
+            .unwrap();
+        assert_eq!(MAX_SAMPLING_RANK, 53);
+        assert_eq!(sampler.support().len(), 1 << 53);
+        let first = sampler.support().next().unwrap();
+        let last = sampler.support().next_back().unwrap();
+        assert_eq!((first, last), (1 << 59, (1 << 59) | ((1 << 53) - 1)));
+        // The smallest draw, 0, lands on the first element and the largest,
+        // 1 - 2^-53, on the last.
+        assert_eq!(
+            sampler.sample_counts(&mut ConstantRng(0), 16),
+            BTreeMap::from([(first, 16)])
+        );
+        assert_eq!(
+            sampler.sample_counts(&mut ConstantRng(u64::MAX), 16),
+            BTreeMap::from([(last, 16)])
+        );
+    }
+
+    #[test]
+    fn zero_shots_give_an_empty_histogram() {
+        let tableau = StabilizerTableau::from_circuit(&circuit(2, &[QuantumGate::H(0)])).unwrap();
+        let sampler = tableau.sampler().unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(sampler.sample_counts(&mut rng, 0).is_empty());
+        assert!(sampler
+            .sample_counts_sharded(3, 0, &ExecConfig::sequential())
+            .is_empty());
     }
 
     #[test]
@@ -1060,7 +1145,7 @@ mod tests {
             QuantumGate::Swap { a: 2, b: 3 },
         ];
         let base = StabilizerTableau::from_circuit(&circuit(4, &gates)).unwrap();
-        let support = base.sampler().unwrap().support().to_vec();
+        let support = base.sampler().unwrap().support().collect::<Vec<_>>();
         for seed in 0..64u64 {
             let mut tableau = base.clone();
             let mut rng = StdRng::seed_from_u64(seed);

@@ -1,35 +1,65 @@
 //! Differential property tests for the stabilizer tableau engine against the
-//! dense simulator on their shared (≤ 10 qubit, Clifford-only) domain.
+//! dense simulator on their shared (≤ 16 qubit, Clifford-only) domain.
 //!
 //! Random Clifford circuits covering **every Clifford gate of the IR** (H, X,
 //! Y, Z, S, S†, quarter-turn Rz, CX, CZ, SWAP, one- and two-qubit MCZ) are
 //! run on both engines; each case checks
 //!
 //! * sampled histograms *identical* to the dense engine's at 1, 2, 4 and 8
-//!   sampling threads — a stabilizer state is uniform over an affine support,
-//!   so the exact `1/|S|` step heights of the tableau sampler coincide with
-//!   the dense prefix sums and equal seeds must map every draw to the same
-//!   outcome,
+//!   `ExecConfig::threads` values — a stabilizer state is uniform over an
+//!   affine support, so the tableau sampler's `⌊u·2^rank⌋` index of a draw
+//!   `u` is where the dense prefix sums put it, and equal seeds must map
+//!   every draw to the same outcome,
 //! * the sequential `Backend::run` paths agree shot for shot under equal
 //!   seeds,
 //! * non-Clifford content surfaces as typed errors (`NonClifford` at the
-//!   tableau layer, `UnsupportedGate` at the backend layer) — never a panic.
+//!   tableau layer, `UnsupportedGate` at the backend layer) — never a panic,
+//! * on 11–16 qubits, with an `h` prefix that spreads the support rank over
+//!   0–16, the closed-form support is the dense state's support, and the
+//!   closed form places every draw, sharded and sequential, where a
+//!   `CumulativeDistribution` over that enumerated support does.
 
 use proptest::prelude::*;
 use qdaflow_quantum::backend::{Backend, StatevectorBackend};
 use qdaflow_quantum::fusion::ExecConfig;
+use qdaflow_quantum::sampling::CumulativeDistribution;
 use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
 use qdaflow_stabilizer::{StabilizerBackend, StabilizerError, StabilizerTableau};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Builds a random Clifford circuit over 2..=10 qubits from a seed, drawing
 /// every Clifford gate kind of the IR.
 fn random_clifford_circuit(seed: u64) -> QuantumCircuit {
     let mut rng = StdRng::seed_from_u64(seed);
-    let num_qubits = rng.gen_range(2..11usize);
-    let num_gates = rng.gen_range(1..41usize);
+    let mut circuit = QuantumCircuit::new(rng.gen_range(2..11usize));
+    push_random_clifford_gates(&mut circuit, rng);
+    circuit
+}
+
+/// Builds a random Clifford circuit over 11..=16 qubits from a seed whose
+/// support rank spreads over 0..=16: `h` on a random run of the qubits
+/// (of random length, from a random start), then the random gates of
+/// [`random_clifford_circuit`].
+fn wide_support_clifford_circuit(seed: u64) -> QuantumCircuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let num_qubits = rng.gen_range(11..17usize);
     let mut circuit = QuantumCircuit::new(num_qubits);
+    let start = rng.gen_range(0..num_qubits);
+    for offset in 0..rng.gen_range(0..num_qubits + 1) {
+        circuit
+            .push(QuantumGate::H((start + offset) % num_qubits))
+            .unwrap();
+    }
+    push_random_clifford_gates(&mut circuit, rng);
+    circuit
+}
+
+/// Appends 1..=40 random gates covering every Clifford gate kind of the IR.
+fn push_random_clifford_gates(circuit: &mut QuantumCircuit, mut rng: StdRng) {
+    let num_qubits = circuit.num_qubits();
+    let num_gates = rng.gen_range(1..41usize);
     // A distinct-qubit pair starting from a random offset.
     let pick_pair = |rng: &mut StdRng| -> (usize, usize) {
         let start = rng.gen_range(0..num_qubits);
@@ -71,7 +101,6 @@ fn random_clifford_circuit(seed: u64) -> QuantumCircuit {
         };
         circuit.push(gate).unwrap();
     }
-    circuit
 }
 
 proptest! {
@@ -159,5 +188,55 @@ proptest! {
             StabilizerBackend::seeded(seed).run(&circuit, 8),
             Err(qdaflow_quantum::QuantumError::UnsupportedGate { gate, .. }) if gate == mnemonic
         ));
+    }
+
+    /// Suite 4: the closed form against an independent enumeration, draw
+    /// for draw, on 11..=16 qubits at ranks 0..=16. `support()` is the
+    /// ascending list of the dense state's nonzero outcomes, and every draw
+    /// lands where a `CumulativeDistribution` with uniform `2^-rank`
+    /// probabilities over that list puts it: sharded at 1 and 4 threads,
+    /// and sequentially, one draw per shot.
+    #[test]
+    fn closed_form_matches_the_enumerated_support_draw_for_draw(seed in any::<u64>()) {
+        let circuit = wide_support_clifford_circuit(seed);
+        let sampler = StabilizerTableau::from_circuit(&circuit).unwrap().sampler().unwrap();
+        let dense = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();
+        let support: Vec<usize> = dense
+            .probabilities()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &probability)| probability > 1e-9)
+            .map(|(outcome, _)| outcome)
+            .collect();
+        prop_assert_eq!(sampler.support().collect::<Vec<_>>(), support.clone());
+        let distribution = CumulativeDistribution::from_probabilities(
+            &vec![1.0 / support.len() as f64; support.len()],
+        );
+        let on_support = |histogram: Vec<usize>| -> BTreeMap<usize, usize> {
+            support
+                .iter()
+                .zip(histogram)
+                .filter(|&(_, count)| count > 0)
+                .map(|(&outcome, count)| (outcome, count))
+                .collect()
+        };
+        let shots = 200 + (seed % 1000) as usize;
+        let sample_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let base = ExecConfig::baseline().with_shot_shard_size(128);
+        for threads in [1usize, 4] {
+            prop_assert_eq!(
+                sampler.sample_counts_sharded(sample_seed, shots, &base.with_threads(threads)),
+                on_support(distribution.sample_sharded(sample_seed, shots, threads, 128)),
+                "threads={}",
+                threads
+            );
+        }
+        let mut closed_form_rng = StdRng::seed_from_u64(sample_seed);
+        let mut reference_rng = StdRng::seed_from_u64(sample_seed);
+        prop_assert_eq!(
+            sampler.sample_counts(&mut closed_form_rng, shots),
+            on_support(distribution.sample_counts(&mut reference_rng, shots))
+        );
+        prop_assert_eq!(closed_form_rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 }
