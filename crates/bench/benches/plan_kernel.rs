@@ -7,12 +7,15 @@
 //! plan against a resident split re/im register. The block-size variants
 //! show the cache-blocking trade-off directly, and the unfused variant
 //! prices the one-record-per-gate mode the differential suites and the
-//! noisy replay run in.
+//! noisy replay run in. `simulate_20q` times what a dense job runs: the
+//! circuit's leading single-qubit layer written as the initial product
+//! state, then the plan of the ops after it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
 use qdaflow::quantum::plan::{ExecPlan, SoaStatevector};
+use qdaflow::quantum::{FusedProgram, PreparedState};
 use std::time::Duration;
 
 const NUM_QUBITS: usize = 20;
@@ -36,12 +39,16 @@ fn bench_plan_kernel(c: &mut Criterion) {
     let circuit = twenty_qubit_hidden_shift();
     let config = ExecConfig::sequential();
     let plan = ExecPlan::compile(&circuit, &config);
+    let (_, rest) = FusedProgram::fuse(&circuit).split_product_layer();
+    let job_plan = ExecPlan::from_program(&rest, &config);
     println!(
-        "hidden-shift-20q: {} gates -> {} dispatch records ({} pool f64s, block_bits {})",
+        "hidden-shift-20q: {} gates -> {} dispatch records ({} pool f64s, block_bits {}); \
+         a job's plan after its product layer: {} records",
         circuit.num_gates(),
         plan.num_records(),
         plan.matrix_pool().len(),
         plan.block_bits(),
+        job_plan.num_records(),
     );
 
     let mut group = c.benchmark_group("plan_kernel");
@@ -63,6 +70,16 @@ fn bench_plan_kernel(c: &mut Criterion) {
             state.reset();
             plan.apply_soa(&mut state, &config);
             state.amplitude(0)
+        })
+    });
+
+    // A dense job's simulation (`PreparedState::simulate`): compile, write
+    // the product state of the leading layer, apply the remaining plan.
+    group.bench_function("simulate_20q", |b| {
+        b.iter(|| {
+            SoaStatevector::simulate(&circuit, &config)
+                .expect("20 qubits fit the dense simulator")
+                .amplitude(0)
         })
     });
 

@@ -23,16 +23,18 @@
 //! kernel leaves (see [`crate::sampling`]); nothing on the dense path
 //! copies it into interleaved amplitudes or builds a `2^n` distribution.
 
-use crate::fusion::ExecConfig;
+use crate::fusion::{ExecConfig, FusedProgram, ProductLayer};
 use crate::noise::{NoiseModel, NoisySimulator};
 use crate::plan::{ExecPlan, SoaStatevector};
 use crate::resource::ResourceCounts;
 use crate::sampling;
 use crate::{QuantumCircuit, QuantumError, MAX_SIMULATOR_QUBITS};
+use qdaflow_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::time::Instant;
 
 /// The result of executing a circuit on a backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,24 +214,65 @@ pub trait PreparedState {
     ) -> BTreeMap<usize, usize>;
 }
 
-/// The dense engine: the circuit runs through its [`ExecPlan`] on a blocked
-/// zero state, and the state is sampled in that layout, by one walk over
+/// The dense engine: the circuit runs through an [`ExecPlan`] on a blocked
+/// initial state, and the state is sampled in that layout, by one walk over
 /// sorted draws (see [`crate::sampling`]). Sampling is sequential:
 /// `config.threads` drives only the kernel.
+///
+/// With [`ExecConfig::fusion`] on, the fused program's leading single-qubit
+/// layer ([`FusedProgram::split_product_layer`]) is written as the initial
+/// product state ([`SoaStatevector::product_state`]), and the plan holds only
+/// the ops after it: a job's plan can have fewer records than
+/// [`ExecPlan::compile`] of its circuit. With fusion off the per-gate plan
+/// runs on [`SoaStatevector::zero_state`], so the amplitudes are the
+/// bit-identical per-gate arithmetic the sparse and stabilizer engines
+/// reproduce.
+///
+/// Under tracing, `simulate` records a `plan compile` section (record and
+/// segment counts) and a `state prepare` span (qubits absorbed) beside the
+/// kernel's `apply_soa` span.
 impl PreparedState for SoaStatevector {
     fn backend_name() -> &'static str {
         "statevector-simulator"
     }
 
     fn simulate(circuit: &QuantumCircuit, config: &ExecConfig) -> Result<Self, QuantumError> {
-        if circuit.num_qubits() > MAX_SIMULATOR_QUBITS {
+        let num_qubits = circuit.num_qubits();
+        if num_qubits > MAX_SIMULATOR_QUBITS {
             return Err(QuantumError::TooManyQubits {
-                requested: circuit.num_qubits(),
+                requested: num_qubits,
                 maximum: MAX_SIMULATOR_QUBITS,
             });
         }
-        let plan = ExecPlan::compile(circuit, config);
-        let mut state = Self::zero_state(circuit.num_qubits(), plan.block_bits());
+        let compile_started = telemetry::enabled().then(Instant::now);
+        let (layer, plan) = if config.fusion {
+            let (layer, rest) = FusedProgram::fuse(circuit).split_product_layer();
+            (Some(layer), ExecPlan::from_program(&rest, config))
+        } else {
+            (None, ExecPlan::compile(circuit, config))
+        };
+        if let Some(started) = compile_started {
+            telemetry::complete(
+                "kernel",
+                format!(
+                    "plan compile {num_qubits}q: {} records, {} segments",
+                    plan.num_records(),
+                    plan.num_segments()
+                ),
+                started.elapsed(),
+            );
+        }
+        let mut state = {
+            let absorbed = layer.as_ref().map_or(0, ProductLayer::num_absorbed);
+            let _span = telemetry::span!(
+                "kernel",
+                "state prepare {num_qubits}q: {absorbed} qubits absorbed"
+            );
+            match &layer {
+                Some(layer) => Self::product_state(layer.factors(), plan.block_bits()),
+                None => Self::zero_state(num_qubits, plan.block_bits()),
+            }
+        };
         plan.apply_soa(&mut state, config);
         Ok(state)
     }

@@ -51,11 +51,15 @@ pub struct ExecConfig {
     pub threads: usize,
     /// Whether circuits are optimized before execution: the gate-fusion
     /// pass ([`FusedProgram::fuse`]) plus the plan lowering's commuting-op
-    /// clustering and 4×4 batching. Exact up to floating-point rounding
+    /// clustering and 4×4 batching. A simulation from `|0…0⟩`
+    /// ([`PreparedState::simulate`](crate::backend::PreparedState::simulate))
+    /// also writes the fused program's leading single-qubit layer as its
+    /// initial product state ([`FusedProgram::split_product_layer`]) instead
+    /// of applying it as records. Exact up to floating-point rounding
     /// (reordering only ever swaps commuting ops, merging adds one rounding
     /// per composed matrix). Off, the plan holds one dispatch record per
-    /// gate, and its amplitudes are bit-identical at every block size and
-    /// thread count.
+    /// gate and runs on the zero state, and its amplitudes are bit-identical
+    /// at every block size and thread count.
     pub fusion: bool,
     /// Shots per shard of the sharded measurement sampler (see
     /// [`crate::sampling`]). Part of the reproducibility contract: together
@@ -222,6 +226,52 @@ impl FusedOp {
         }
     }
 
+    /// Mask of the qubits this op reads or writes.
+    fn support(&self) -> usize {
+        match self {
+            Self::Dense { qubit, .. } => 1 << qubit,
+            Self::Phase { mask, .. } => *mask,
+            Self::Mcx {
+                control_mask,
+                target,
+            } => control_mask | (1 << target),
+            Self::Swap { a, b } => (1 << a) | (1 << b),
+        }
+    }
+
+    /// The qubit of an op that keeps a product state a product state by
+    /// acting on one factor: a dense gate, a one-qubit phase or a
+    /// control-free X.
+    fn single_qubit(&self) -> Option<usize> {
+        match self {
+            Self::Dense { qubit, .. } => Some(*qubit),
+            Self::Phase { mask, .. } if mask.count_ones() == 1 => {
+                Some(mask.trailing_zeros() as usize)
+            }
+            Self::Mcx {
+                control_mask: 0,
+                target,
+            } => Some(*target),
+            _ => None,
+        }
+    }
+
+    /// Applies a [`FusedOp::single_qubit`] op to its qubit's factor, the
+    /// qubit's amplitudes of `|0⟩` and `|1⟩`.
+    fn apply_to_factor(&self, factor: &mut [Complex; 2]) {
+        let [zero, one] = factor;
+        match self {
+            Self::Dense { matrix, .. } => {
+                let (a, b) = (*zero, *one);
+                *zero = matrix[0][0] * a + matrix[0][1] * b;
+                *one = matrix[1][0] * a + matrix[1][1] * b;
+            }
+            Self::Phase { phase, .. } => *one *= *phase,
+            Self::Mcx { .. } => std::mem::swap(zero, one),
+            Self::Swap { .. } => unreachable!("a swap acts on two qubits"),
+        }
+    }
+
     /// Returns `true` if this op commutes with a phase multiply on `mask`.
     fn commutes_with_phase(&self, mask: usize) -> bool {
         match self {
@@ -339,6 +389,64 @@ impl FusedProgram {
     /// Number of compiled operations (≤ the source gate count).
     pub fn num_ops(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Splits the program's leading single-qubit layer off as the product
+    /// state it makes of `|0…0⟩`, and returns it with the ops that remain.
+    ///
+    /// One walk over the ops tracks the qubits the kept ops touch. An op on
+    /// one qubit that no kept op has touched yet — a [`FusedOp::Dense`], a
+    /// one-qubit [`FusedOp::Phase`] or a control-free [`FusedOp::Mcx`] — is
+    /// applied to that qubit's factor, which starts at `|0⟩`. Every other op
+    /// is kept in order and marks its qubits touched. No kept op touches an
+    /// absorbed qubit before the ops absorbed on it, so those ops commute
+    /// with every kept op ahead of them, and running the kept ops on the
+    /// product state is exact.
+    pub fn split_product_layer(self) -> (ProductLayer, Self) {
+        let mut factors = vec![[Complex::ONE, Complex::ZERO]; self.num_qubits];
+        let mut absorbed = 0usize;
+        let mut touched = 0usize;
+        let mut kept = Vec::with_capacity(self.ops.len());
+        for op in self.ops {
+            match op.single_qubit() {
+                Some(qubit) if touched & (1 << qubit) == 0 => {
+                    op.apply_to_factor(&mut factors[qubit]);
+                    absorbed |= 1 << qubit;
+                }
+                _ => {
+                    touched |= op.support();
+                    kept.push(op);
+                }
+            }
+        }
+        let layer = ProductLayer { factors, absorbed };
+        let rest = Self {
+            num_qubits: self.num_qubits,
+            ops: kept,
+        };
+        (layer, rest)
+    }
+}
+
+/// The leading single-qubit layer of a [`FusedProgram`] as the product state
+/// it makes of `|0…0⟩` (see [`FusedProgram::split_product_layer`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProductLayer {
+    factors: Vec<[Complex; 2]>,
+    absorbed: usize,
+}
+
+impl ProductLayer {
+    /// Per qubit, its factor of the product state: the amplitudes of `|0⟩`
+    /// and `|1⟩` the absorbed ops make of `|0⟩`; `[1, 0]` on qubits nothing
+    /// was absorbed on.
+    pub fn factors(&self) -> &[[Complex; 2]] {
+        &self.factors
+    }
+
+    /// Number of qubits at least one op was absorbed on.
+    pub fn num_absorbed(&self) -> usize {
+        self.absorbed.count_ones() as usize
     }
 }
 
@@ -558,6 +666,50 @@ mod tests {
         let program = FusedProgram::fuse(&circuit);
         assert_eq!(program.num_ops(), 1);
         assert_matches_kernel(&circuit, &ExecConfig::sequential());
+    }
+
+    #[test]
+    fn leading_single_qubit_layer_splits_off_as_factors() {
+        // H(0) and T(1) come before the CX that first touches their qubits,
+        // S(2) acts on a qubit nothing else touches, and the second H(0)
+        // follows the CX: it stays, with the CX, in the program.
+        let mut circuit = QuantumCircuit::new(4);
+        let cx = QuantumGate::Cx {
+            control: 0,
+            target: 1,
+        };
+        for gate in [
+            QuantumGate::H(0),
+            QuantumGate::T(1),
+            cx.clone(),
+            QuantumGate::H(0),
+            QuantumGate::S(2),
+        ] {
+            circuit.push(gate).unwrap();
+        }
+        let (layer, rest) = FusedProgram::fuse(&circuit).split_product_layer();
+        assert_eq!(
+            rest.ops(),
+            [
+                FusedOp::from_gate(&cx),
+                FusedOp::from_gate(&QuantumGate::H(0))
+            ]
+        );
+        assert_eq!(rest.num_qubits(), 4);
+        let on_zero = |gate: QuantumGate| {
+            let matrix = gate.single_qubit_matrix().unwrap();
+            [matrix[0][0], matrix[1][0]]
+        };
+        assert_eq!(
+            layer.factors(),
+            [
+                on_zero(QuantumGate::H(0)),
+                on_zero(QuantumGate::T(1)),
+                on_zero(QuantumGate::S(2)),
+                [Complex::ONE, Complex::ZERO],
+            ]
+        );
+        assert_eq!(layer.num_absorbed(), 3);
     }
 
     #[test]

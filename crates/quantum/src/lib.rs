@@ -50,7 +50,7 @@ pub use census::GateCensus;
 pub use circuit::QuantumCircuit;
 pub use complex::Complex;
 pub use error::QuantumError;
-pub use fusion::{ExecConfig, FusedOp, FusedProgram};
+pub use fusion::{ExecConfig, FusedOp, FusedProgram, ProductLayer};
 pub use gate::QuantumGate;
 pub use plan::{DispatchRecord, ExecPlan, OpKind, SoaStatevector};
 pub use reference::{DenseReference, DenseReferenceBackend};

@@ -28,7 +28,17 @@
 //!   blocks into balanced tasks, sends them to the workers over a channel
 //!   and collects them back from a second channel; workers apply whole runs
 //!   or cross-block pair/quad records (including the Mcx/Swap permutation
-//!   sweeps). No per-op spawning, and no `unsafe`.
+//!   sweeps). No per-op spawning, and no `unsafe`;
+//! * a **product-state start**: a fused simulation from `|0…0⟩`
+//!   ([`PreparedState::simulate`](crate::backend::PreparedState::simulate))
+//!   does not apply the circuit's leading single-qubit layer as records.
+//!   [`SoaStatevector::product_state`] writes the state that layer makes
+//!   ([`FusedProgram::split_product_layer`]) in the pass that allocates it,
+//!   and the plan holds only the ops after it, so a job's plan can have
+//!   fewer records than [`ExecPlan::compile`] of its circuit. `compile`
+//!   itself makes no such split: its plans also run on other states (the
+//!   noisy replay, `Statevector::apply_circuit_with`, the mapping
+//!   verifier's basis states).
 //!
 //! Correctness is established differentially (`tests/differential.rs`,
 //! `tests/plan_differential.rs`): fused and unfused plans match the
@@ -195,18 +205,50 @@ pub struct SoaStatevector {
 
 impl SoaStatevector {
     /// Creates the all-zeros state `|0...0⟩` with the given block size
-    /// (clamped to the register size).
+    /// (clamped to the register size): the [`SoaStatevector::product_state`]
+    /// of `|0⟩` factors.
     pub fn zero_state(num_qubits: usize, block_bits: usize) -> Self {
+        Self::product_state(&vec![[Complex::ONE, Complex::ZERO]; num_qubits], block_bits)
+    }
+
+    /// Creates the product state whose qubit `q` is `factors[q]` (its
+    /// amplitudes of `|0⟩` and `|1⟩`), with the given block size (clamped to
+    /// the register size), in one write pass.
+    ///
+    /// Every block is one `2^b` vector, the tensor product of the low
+    /// `block_bits` factors, times the block's scale, the product of the
+    /// high factors' entries its index selects. Blocks whose scale is 0 are
+    /// allocated zeroed and never written.
+    pub fn product_state(factors: &[[Complex; 2]], block_bits: usize) -> Self {
+        let num_qubits = factors.len();
         let block_bits = block_bits.min(num_qubits);
         let block_len = 1usize << block_bits;
-        let num_blocks = 1usize << (num_qubits - block_bits);
-        let mut blocks: Vec<AmpBlock> = (0..num_blocks)
-            .map(|_| AmpBlock {
-                re: vec![0.0; block_len],
-                im: vec![0.0; block_len],
+        let (low, high) = factors.split_at(block_bits);
+        let pattern = tensor_product(low);
+        let pattern_re: Vec<f64> = pattern.iter().map(|a| a.re).collect();
+        let pattern_im: Vec<f64> = pattern.iter().map(|a| a.im).collect();
+        let blocks = tensor_product(high)
+            .into_iter()
+            .map(|scale| {
+                if scale == Complex::ZERO {
+                    return AmpBlock {
+                        re: vec![0.0; block_len],
+                        im: vec![0.0; block_len],
+                    };
+                }
+                // The arithmetic of `Complex`'s product, one component array
+                // at a time.
+                let pairs = || pattern_re.iter().zip(&pattern_im);
+                AmpBlock {
+                    re: pairs()
+                        .map(|(&r, &i)| r * scale.re - i * scale.im)
+                        .collect(),
+                    im: pairs()
+                        .map(|(&r, &i)| r * scale.im + i * scale.re)
+                        .collect(),
+                }
             })
             .collect();
-        blocks[0].re[0] = 1.0;
         Self {
             num_qubits,
             block_bits,
@@ -362,6 +404,21 @@ impl SoaStatevector {
         let pool = single_op_pool(op);
         apply_global_sequential(&record, &pool, self);
     }
+}
+
+/// The `2^k` amplitudes of the tensor product of `k` one-qubit factors, in
+/// basis order with `factors[0]` as the least significant qubit.
+fn tensor_product(factors: &[[Complex; 2]]) -> Vec<Complex> {
+    let mut product = Vec::with_capacity(1 << factors.len());
+    product.push(Complex::ONE);
+    for &[zero, one] in factors {
+        let half = product.len();
+        product.extend_from_within(..);
+        for (index, amplitude) in product.iter_mut().enumerate() {
+            *amplitude *= if index < half { zero } else { one };
+        }
+    }
+    product
 }
 
 /// Lowers one [`FusedOp`] to a record whose `slot` is `0` (paired with
@@ -789,6 +846,12 @@ impl ExecPlan {
     /// Number of dispatch records (≤ the fused op count).
     pub fn num_records(&self) -> usize {
         self.records.len()
+    }
+
+    /// Number of segments, the passes over the state one application makes:
+    /// one per run of block-local records and one per global record.
+    pub(crate) fn num_segments(&self) -> usize {
+        self.segments.len()
     }
 
     /// Applies the plan in place to a `2^n` interleaved amplitude slice: the
@@ -1901,6 +1964,70 @@ mod tests {
         state.reset();
         assert_eq!(state.amplitude(0), Complex::ONE);
         assert!((state.norm() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn product_state_matches_its_gates_applied_to_zero() {
+        // Qubit 3 stays |0⟩ and qubit 4 is |1⟩, so at every block size
+        // some factor zeroes half the amplitudes.
+        let mut circuit = QuantumCircuit::new(5);
+        push_all(
+            &mut circuit,
+            [
+                QuantumGate::H(0),
+                QuantumGate::T(0),
+                QuantumGate::Y(1),
+                QuantumGate::H(2),
+                QuantumGate::Rz {
+                    qubit: 2,
+                    angle: 0.3,
+                },
+                QuantumGate::X(4),
+                QuantumGate::S(4),
+            ],
+        );
+        let program = FusedProgram::lower(&circuit);
+        let (layer, rest) = program.clone().split_product_layer();
+        assert_eq!(rest.num_ops(), 0);
+        assert_eq!(layer.num_absorbed(), 4);
+        for block_bits in 0..=5 {
+            let mut expected = SoaStatevector::zero_state(5, block_bits);
+            for op in program.ops() {
+                expected.apply_fused_op(op);
+            }
+            let state = SoaStatevector::product_state(layer.factors(), block_bits);
+            assert_eq!(state.block_bits(), block_bits);
+            for (index, (a, b)) in state
+                .to_amplitudes()
+                .iter()
+                .zip(expected.to_amplitudes())
+                .enumerate()
+            {
+                assert!(
+                    a.approx_eq(b, 1e-15),
+                    "block_bits {block_bits}, amplitude {index}: {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_state_is_the_basis_vector_bit_for_bit() {
+        for num_qubits in 0..=4 {
+            let mut basis = vec![Complex::ZERO; 1 << num_qubits];
+            basis[0] = Complex::ONE;
+            let bits = |amplitudes: &[Complex]| -> Vec<(u64, u64)> {
+                amplitudes
+                    .iter()
+                    .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                    .collect()
+            };
+            for block_bits in 0..=num_qubits + 1 {
+                let state = SoaStatevector::zero_state(num_qubits, block_bits);
+                assert_eq!(state.block_bits(), block_bits.min(num_qubits));
+                assert_eq!(bits(&state.to_amplitudes()), bits(&basis));
+            }
+        }
     }
 
     #[test]

@@ -76,9 +76,11 @@ impl Statevector {
     /// Runs a full circuit on the all-zeros state with an explicit execution
     /// configuration, for callers that want interleaved amplitudes: the
     /// dense engine's simulation ([`SoaStatevector`]'s
-    /// [`PreparedState::simulate`]: an [`ExecPlan`] applied to a blocked
-    /// zero state), copied once into this layout with
-    /// [`SoaStatevector::to_amplitudes`]. Jobs and the
+    /// [`PreparedState::simulate`]: with fusion on, the circuit's leading
+    /// single-qubit layer written as a blocked product state and an
+    /// [`ExecPlan`] of the ops after it applied to that; with fusion off,
+    /// the per-gate plan applied to a blocked zero state), copied once into
+    /// this layout with [`SoaStatevector::to_amplitudes`]. Jobs and the
     /// [`StatevectorBackend`](crate::backend::StatevectorBackend) sample the
     /// blocked state itself and never make this copy.
     ///

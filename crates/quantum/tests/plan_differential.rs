@@ -14,7 +14,11 @@
 //!   reproducibility contract the batch subsystem and the sparse and
 //!   stabilizer histogram-identity suites rely on;
 //! * the noisy simulator's plan replay: identical RNG streams and
-//!   bit-identical histograms at every cache-block size (suite 5).
+//!   bit-identical histograms at every cache-block size (suite 5);
+//! * circuits that open with a random single-qubit layer, which a fused
+//!   simulation writes as its initial product state: within 1e-10 of the
+//!   oracle at several block sizes and thread counts, and with fusion off
+//!   bit for bit the per-gate plan applied to the zero state (suite 6).
 //!
 //! `tests/differential.rs` checks the fused, unfused and multi-threaded
 //! configurations against the oracle on 2–8 qubits, with the norm.
@@ -23,7 +27,9 @@ use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::noise::{NoiseModel, NoisySimulator};
 use qdaflow_quantum::reference::DenseReference;
-use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
+use qdaflow_quantum::{
+    ExecPlan, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector, Statevector,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -98,6 +104,44 @@ fn random_circuit(seed: u64) -> QuantumCircuit {
         circuit.push(gate).expect("generated gates are in range");
     }
     circuit
+}
+
+/// `random_circuit(seed)` behind a random single-qubit layer: each qubit
+/// gets nothing, `H`, `X`, `Y`, `S`, `T` or `Rz(kπ/4)`, so some qubits stay
+/// `|0⟩` and some high-qubit factors zero whole blocks.
+fn layered_circuit(seed: u64) -> QuantumCircuit {
+    let body = random_circuit(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1A7E);
+    let mut circuit = QuantumCircuit::new(body.num_qubits());
+    for qubit in 0..body.num_qubits() {
+        let gate = match rng.gen_range(0..7u32) {
+            0 => continue,
+            1 => QuantumGate::H(qubit),
+            2 => QuantumGate::X(qubit),
+            3 => QuantumGate::Y(qubit),
+            4 => QuantumGate::S(qubit),
+            5 => QuantumGate::T(qubit),
+            _ => QuantumGate::Rz {
+                qubit,
+                angle: f64::from(rng.gen_range(0..8u32)) * std::f64::consts::FRAC_PI_4,
+            },
+        };
+        circuit.push(gate).expect("layer gates are in range");
+    }
+    for gate in &body {
+        circuit.push(gate.clone()).expect("body gates are in range");
+    }
+    circuit
+}
+
+/// The bit patterns of a state's amplitudes, for bit-identity checks that
+/// `==` on `f64` would blur (it equates `0.0` and `-0.0`).
+fn amplitude_bits(state: &SoaStatevector) -> Vec<(u64, u64)> {
+    state
+        .to_amplitudes()
+        .iter()
+        .map(|a| (a.re.to_bits(), a.im.to_bits()))
+        .collect()
 }
 
 /// Draws a qubit distinct from the ones already used.
@@ -204,6 +248,37 @@ proptest! {
                     "{} threads produce a different histogram", threads
                 );
             }
+        }
+    }
+
+    /// Suite 6: a circuit behind a random single-qubit layer. With fusion
+    /// on, the simulation writes that layer as its initial product state
+    /// and stays within 1e-10 of the oracle at the auto block size and at
+    /// 2- and 4-amplitude blocks, on one thread and on four. With fusion
+    /// off, `SoaStatevector::simulate` is bit for bit `ExecPlan::compile`
+    /// applied to `zero_state`: it takes no shortcut.
+    #[test]
+    fn product_layer_simulation_matches_dense_reference(seed in any::<u64>()) {
+        let circuit = layered_circuit(seed);
+        for block_bits in [0usize, 1, 2] {
+            for threads in [1usize, 4] {
+                let config = ExecConfig::sequential()
+                    .with_block_bits(block_bits)
+                    .with_threads(threads);
+                assert_matches_reference(&circuit, &config);
+            }
+            let baseline = ExecConfig::baseline().with_block_bits(block_bits);
+            let simulated = SoaStatevector::simulate(&circuit, &baseline)
+                .expect("small register");
+            let plan = ExecPlan::compile(&circuit, &baseline);
+            let mut expected = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+            plan.apply_soa(&mut expected, &baseline);
+            prop_assert_eq!(
+                amplitude_bits(&simulated),
+                amplitude_bits(&expected),
+                "fusion off (block_bits {}) is not the per-gate plan on the zero state",
+                block_bits
+            );
         }
     }
 }

@@ -114,3 +114,30 @@ fn resource_counter_backend_reports_oracle_costs() {
     assert!(outcome.execution.resources.t_count > 0);
     assert!(outcome.execution.resources.h_count >= 3 * 6);
 }
+
+/// A dense job starts from the product state the 20-qubit hidden shift's
+/// leading Hadamard layer (with the shift's `X` gates fused in) makes of
+/// `|0…0⟩`, so its plan has fewer records than `ExecPlan::compile` of the
+/// circuit — the instance of the `plan_kernel` bench.
+#[test]
+fn twenty_qubit_job_plan_starts_after_the_leading_layer() {
+    use qdaflow::quantum::{ExecPlan, FusedProgram};
+    let mm = MaioranaMcFarland::inner_product(10);
+    let instance = HiddenShiftInstance::from_maiorana_mcfarland(&mm, 0b10_1101_1001).unwrap();
+    let circuit = instance
+        .build_circuit(OracleStyle::MaioranaMcFarland {
+            synthesis: SynthesisChoice::TransformationBased,
+        })
+        .unwrap();
+    let config = ExecConfig::sequential();
+    let compiled = ExecPlan::compile(&circuit, &config);
+    let (layer, rest) = FusedProgram::fuse(&circuit).split_product_layer();
+    let job = ExecPlan::from_program(&rest, &config);
+    assert_eq!(layer.num_absorbed(), 20);
+    assert!(
+        job.num_records() < compiled.num_records(),
+        "job plan {} records, compiled plan {}",
+        job.num_records(),
+        compiled.num_records()
+    );
+}

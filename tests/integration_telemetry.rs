@@ -328,6 +328,14 @@ fn traced_batch_produces_a_linted_chrome_trace_and_unified_stats() {
             "missing layer {expected:?} in {layers:?}"
         );
     }
+    // A dense job's simulation says where its time went: the plan compile
+    // and the initial state beside the kernel's `apply_soa`.
+    for span in ["plan compile", "state prepare", "apply_soa"] {
+        assert!(
+            trace.contains(&format!("\"name\":\"{span} ")),
+            "missing span {span:?}"
+        );
+    }
 
     // (b) `--stats` logged the per-service metrics followed by the unified
     // process-wide registry; together they must contain the new families.
