@@ -10,32 +10,33 @@
 //!   variables are merged, and the merged exponent is re-emitted with the
 //!   cheapest equivalent gate sequence.
 //!
+//! Parities are exact for any number of path variables: each wire carries
+//! its affine parity as a sorted list of variable ids, and each distinct
+//! parity a phase gate acts on is stored once, in one arena. Both passes
+//! take time linear in the gate count (for `phase_folding`, times the
+//! length of the parities a `CX` combines), and no gate gets a heap
+//! allocation of its own.
+//!
 //! Both passes preserve the circuit's unitary (up to the global phase), which
 //! the tests check by statevector comparison.
 
 use qdaflow_quantum::{QuantumCircuit, QuantumGate};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
-/// Removes adjacent inverse pairs until a fixed point is reached.
+/// Removes adjacent inverse pairs until none is left, in one stack pass: a
+/// gate that inverts the last gate kept so far removes it, so cancellations
+/// cascade (`T H H T†` vanishes) and the output has no adjacent inverse
+/// pair.
 pub fn cancel_adjacent(circuit: &QuantumCircuit) -> QuantumCircuit {
-    let mut gates: Vec<QuantumGate> = circuit.gates().to_vec();
-    loop {
-        let mut changed = false;
-        let mut index = 0;
-        while index + 1 < gates.len() {
-            if is_inverse_pair(&gates[index], &gates[index + 1]) {
-                gates.drain(index..index + 2);
-                changed = true;
-                index = index.saturating_sub(1);
-            } else {
-                index += 1;
-            }
-        }
-        if !changed {
-            break;
+    let mut kept: Vec<QuantumGate> = Vec::with_capacity(circuit.num_gates());
+    for gate in circuit {
+        if kept.last().is_some_and(|last| is_inverse_pair(last, gate)) {
+            kept.pop();
+        } else {
+            kept.push(gate.clone());
         }
     }
-    rebuild(circuit.num_qubits(), gates)
+    rebuild(circuit.num_qubits(), kept)
 }
 
 fn is_inverse_pair(left: &QuantumGate, right: &QuantumGate) -> bool {
@@ -43,89 +44,43 @@ fn is_inverse_pair(left: &QuantumGate, right: &QuantumGate) -> bool {
 }
 
 fn rebuild(num_qubits: usize, gates: Vec<QuantumGate>) -> QuantumCircuit {
-    let mut circuit = QuantumCircuit::new(num_qubits);
-    for gate in gates {
-        circuit
-            .push(gate)
-            .expect("optimization passes never introduce new qubits");
-    }
-    circuit
-}
-
-/// Phase-polynomial key: the parity of path variables carried by a wire plus
-/// the affine constant introduced by X gates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ParityKey {
-    parity: u128,
-    constant: bool,
+    QuantumCircuit::from_gates(num_qubits, gates)
+        .expect("optimization passes never introduce new qubits")
 }
 
 /// Simplified T-par: merges π/4-phase gates applied to equal parities of path
 /// variables. Non-phase gates are left untouched; the merged phase is emitted
 /// at the position of its first contributing gate.
 pub fn phase_folding(circuit: &QuantumCircuit) -> QuantumCircuit {
-    let num_qubits = circuit.num_qubits();
-    // Each wire carries a parity over "path variables"; fresh variables are
-    // allocated at the start and whenever a non-linear gate (H, Y, Toffoli
-    // target, ...) acts on a wire. With u128 masks we support up to 128 path
-    // variables; if more are needed the optimization degrades gracefully by
-    // flushing the phase table.
-    let mut next_variable: usize = 0;
-    let mut parity: Vec<u128> = Vec::with_capacity(num_qubits);
-    let mut constant: Vec<bool> = vec![false; num_qubits];
-    for _ in 0..num_qubits {
-        parity.push(fresh_variable(&mut next_variable));
-    }
-
-    // First pass: compute, for every phase gate, its parity key; accumulate
-    // exponents (in units of π/4 mod 8) per key and remember the first gate
-    // index of each key.
-    #[derive(Default)]
-    struct PhaseTerm {
-        exponent: i64,
-        first_gate: usize,
-    }
-    let mut terms: HashMap<ParityKey, PhaseTerm> = HashMap::new();
-    let mut gate_keys: Vec<Option<ParityKey>> = vec![None; circuit.num_gates()];
-
+    // First pass: track every wire's parity, and add each phase gate's
+    // exponent to the term of the parity it acts on. Terms are created in
+    // gate order, so they are sorted by their first gate.
+    let mut wires = Wires::new(circuit.num_qubits());
+    let mut terms = Terms::with_capacity(circuit.num_gates());
     for (index, gate) in circuit.iter().enumerate() {
         match phase_exponent(gate) {
             Some((qubit, exponent)) => {
-                let key = ParityKey {
-                    parity: parity[qubit],
-                    constant: constant[qubit],
-                };
-                let term = terms.entry(key).or_insert_with(|| PhaseTerm {
-                    exponent: 0,
-                    first_gate: index,
-                });
-                term.exponent = (term.exponent + exponent).rem_euclid(8);
-                gate_keys[index] = Some(key);
+                terms.add(wires.hashes[qubit], &wires.parities[qubit], index, exponent);
             }
-            None => {
-                apply_linear_update(gate, &mut parity, &mut constant, &mut next_variable);
-            }
+            None => wires.apply(gate),
         }
     }
 
-    // Second pass: rebuild the circuit, emitting each merged phase at its
-    // first contributing position and dropping the other contributors.
-    let mut emitted: HashMap<ParityKey, bool> = HashMap::new();
+    // Second pass: emit each merged phase at its first contributing gate
+    // and drop the other contributors.
     let mut output: Vec<QuantumGate> = Vec::with_capacity(circuit.num_gates());
+    let mut terms = terms.terms.iter().peekable();
     for (index, gate) in circuit.iter().enumerate() {
-        match gate_keys[index] {
-            Some(key) => {
-                let term = &terms[&key];
-                if term.first_gate == index && !*emitted.get(&key).unwrap_or(&false) {
-                    let qubit = gate.qubits()[0];
+        match phase_exponent(gate) {
+            Some((qubit, _)) => {
+                if let Some(term) = terms.next_if(|term| term.first_gate == index) {
                     output.extend(phase_gates_for_exponent(term.exponent, qubit));
-                    emitted.insert(key, true);
                 }
             }
             None => output.push(gate.clone()),
         }
     }
-    rebuild(num_qubits, output)
+    rebuild(circuit.num_qubits(), output)
 }
 
 /// Runs adjacent-gate cancellation, phase folding, and a final cancellation
@@ -136,22 +91,189 @@ pub fn optimize_clifford_t(circuit: &QuantumCircuit) -> QuantumCircuit {
     cancel_adjacent(&folded)
 }
 
-fn fresh_variable(next_variable: &mut usize) -> u128 {
-    let variable = *next_variable;
-    *next_variable += 1;
-    if variable < 128 {
-        1u128 << variable
-    } else {
-        // Path-variable budget exhausted: reuse the highest bit. This only
-        // affects optimization quality, not correctness, because the caller
-        // flushes the phase table when it happens.
-        1u128 << 127
+/// Path-variable id 0 stands for the constant 1 of an affine parity.
+const CONSTANT: u32 = 0;
+
+/// The affine parity every wire carries, over path variables: the wire's
+/// value at the start and every value a non-linear gate (`H`, `Y`, a
+/// Toffoli target, ...) leaves on it get fresh variables.
+struct Wires {
+    /// Per wire, the ids of the variables in its parity, sorted ascending.
+    parities: Vec<Vec<u32>>,
+    /// Per wire, the XOR of [`variable_hash`] over its parity's ids.
+    hashes: Vec<u64>,
+    next_variable: u32,
+    /// The buffer a `CX` builds its target's parity in.
+    buffer: Vec<u32>,
+}
+
+impl Wires {
+    fn new(num_qubits: usize) -> Self {
+        let mut wires = Self {
+            parities: vec![Vec::new(); num_qubits],
+            hashes: vec![0; num_qubits],
+            next_variable: CONSTANT + 1,
+            buffer: Vec::new(),
+        };
+        for qubit in 0..num_qubits {
+            wires.fresh(qubit);
+        }
+        wires
+    }
+
+    /// Applies a gate that is not a π/4-multiple phase.
+    fn apply(&mut self, gate: &QuantumGate) {
+        match gate {
+            QuantumGate::Cx { control, target } => {
+                symmetric_difference(
+                    &self.parities[*control],
+                    &self.parities[*target],
+                    &mut self.buffer,
+                );
+                std::mem::swap(&mut self.parities[*target], &mut self.buffer);
+                self.hashes[*target] ^= self.hashes[*control];
+            }
+            QuantumGate::X(q) => {
+                let parity = &mut self.parities[*q];
+                if parity.first() == Some(&CONSTANT) {
+                    parity.remove(0);
+                } else {
+                    parity.insert(0, CONSTANT);
+                }
+                self.hashes[*q] ^= variable_hash(CONSTANT);
+            }
+            QuantumGate::Swap { a, b } => {
+                self.parities.swap(*a, *b);
+                self.hashes.swap(*a, *b);
+            }
+            QuantumGate::Cz { .. } | QuantumGate::Mcz { .. } => {
+                // Diagonal gates do not change the carried values.
+            }
+            QuantumGate::Ccx { target, .. } | QuantumGate::Mcx { target, .. } => {
+                self.fresh(*target);
+            }
+            other => {
+                // H, Y, and phases that are not multiples of π/4: every
+                // qubit of the gate starts a fresh parity.
+                for qubit in other.qubits() {
+                    self.fresh(qubit);
+                }
+            }
+        }
+    }
+
+    fn fresh(&mut self, qubit: usize) {
+        let variable = self.next_variable;
+        self.next_variable = variable
+            .checked_add(1)
+            .expect("a circuit held in memory has fewer than 2^32 path variables");
+        self.parities[qubit].clear();
+        self.parities[qubit].push(variable);
+        self.hashes[qubit] = variable_hash(variable);
+    }
+}
+
+/// Writes the sorted symmetric difference of two sorted id lists to `out`.
+fn symmetric_difference(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// A 64-bit hash of one path variable (the splitmix64 finalizer). A
+/// parity's hash is the XOR over its variables, so a `CX` updates it by
+/// XOR and an `X` toggles the constant's hash.
+fn variable_hash(variable: u32) -> u64 {
+    let mut z = u64::from(variable).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One distinct parity that phase gates act on.
+struct Term {
+    hash: u64,
+    /// Where the parity's ids sit in [`Terms::arena`].
+    start: usize,
+    len: usize,
+    /// Index of the first phase gate on this parity.
+    first_gate: usize,
+    /// Merged exponent, in units of π/4 modulo 8.
+    exponent: u8,
+}
+
+/// The distinct parities of a circuit's phase gates, each stored once.
+struct Terms {
+    terms: Vec<Term>,
+    /// Every term's parity ids, back to back.
+    arena: Vec<u32>,
+    /// Open-addressing table of term ids, probed linearly from the
+    /// parity's hash; a hash hit is confirmed by comparing the ids.
+    slots: Vec<u32>,
+}
+
+impl Terms {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Room for up to `max_terms` terms at a load factor of at most 1/2.
+    fn with_capacity(max_terms: usize) -> Self {
+        Self {
+            terms: Vec::new(),
+            arena: Vec::new(),
+            slots: vec![Self::EMPTY; (2 * max_terms).next_power_of_two()],
+        }
+    }
+
+    /// Adds `exponent` to the term of `parity`, creating the term at
+    /// `gate` if the parity is new.
+    fn add(&mut self, hash: u64, parity: &[u32], gate: usize, exponent: u8) {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let id = self.slots[slot];
+            if id == Self::EMPTY {
+                break;
+            }
+            let term = &mut self.terms[id as usize];
+            if term.hash == hash && self.arena[term.start..term.start + term.len] == *parity {
+                term.exponent = (term.exponent + exponent) % 8;
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = u32::try_from(self.terms.len())
+            .expect("a circuit held in memory has fewer than 2^32 phase gates");
+        self.terms.push(Term {
+            hash,
+            start: self.arena.len(),
+            len: parity.len(),
+            first_gate: gate,
+            exponent,
+        });
+        self.arena.extend_from_slice(parity);
     }
 }
 
 /// Returns `Some((qubit, exponent))` when the gate is a pure π/4-multiple
-/// phase on a single qubit.
-fn phase_exponent(gate: &QuantumGate) -> Option<(usize, i64)> {
+/// phase on a single qubit, with the exponent in `0..8`.
+fn phase_exponent(gate: &QuantumGate) -> Option<(usize, u8)> {
     match gate {
         QuantumGate::Z(q) => Some((*q, 4)),
         QuantumGate::S(q) => Some((*q, 2)),
@@ -161,7 +283,7 @@ fn phase_exponent(gate: &QuantumGate) -> Option<(usize, i64)> {
         QuantumGate::Rz { qubit, angle } => {
             let eighth_turns = angle / std::f64::consts::FRAC_PI_4;
             if (eighth_turns - eighth_turns.round()).abs() < 1e-9 {
-                Some((*qubit, (eighth_turns.round() as i64).rem_euclid(8)))
+                Some((*qubit, (eighth_turns.round() as i64).rem_euclid(8) as u8))
             } else {
                 None
             }
@@ -170,62 +292,22 @@ fn phase_exponent(gate: &QuantumGate) -> Option<(usize, i64)> {
     }
 }
 
-/// Applies the effect of a non-phase gate on the tracked parities; gates that
-/// are not linear over GF(2) allocate fresh path variables for their targets.
-fn apply_linear_update(
-    gate: &QuantumGate,
-    parity: &mut [u128],
-    constant: &mut [bool],
-    next_variable: &mut usize,
-) {
-    match gate {
-        QuantumGate::Cx { control, target } => {
-            parity[*target] ^= parity[*control];
-            constant[*target] ^= constant[*control];
-        }
-        QuantumGate::X(q) => {
-            constant[*q] ^= true;
-        }
-        QuantumGate::Swap { a, b } => {
-            parity.swap(*a, *b);
-            constant.swap(*a, *b);
-        }
-        QuantumGate::Cz { .. } | QuantumGate::Mcz { .. } => {
-            // Diagonal gates do not change the carried values.
-        }
-        QuantumGate::Ccx { target, .. } => {
-            parity[*target] = fresh_variable(next_variable);
-            constant[*target] = false;
-        }
-        QuantumGate::Mcx { target, .. } => {
-            parity[*target] = fresh_variable(next_variable);
-            constant[*target] = false;
-        }
-        other => {
-            // H, Y, Z-like already handled as phases; any remaining
-            // single-qubit gate invalidates the carried parity.
-            for qubit in other.qubits() {
-                parity[qubit] = fresh_variable(next_variable);
-                constant[qubit] = false;
-            }
-        }
-    }
-}
-
-/// Emits the cheapest gate sequence for a phase of `exponent · π/4` on
-/// `qubit` (exponent taken modulo 8).
-fn phase_gates_for_exponent(exponent: i64, qubit: usize) -> Vec<QuantumGate> {
-    match exponent.rem_euclid(8) {
-        0 => vec![],
-        1 => vec![QuantumGate::T(qubit)],
-        2 => vec![QuantumGate::S(qubit)],
-        3 => vec![QuantumGate::S(qubit), QuantumGate::T(qubit)],
-        4 => vec![QuantumGate::Z(qubit)],
-        5 => vec![QuantumGate::Z(qubit), QuantumGate::T(qubit)],
-        6 => vec![QuantumGate::Sdg(qubit)],
-        7 => vec![QuantumGate::Tdg(qubit)],
-        _ => unreachable!("rem_euclid(8) is always in 0..8"),
-    }
+/// The cheapest gate sequence, at most two gates, for a phase of
+/// `exponent · π/4` on `qubit` (exponent in `0..8`).
+fn phase_gates_for_exponent(exponent: u8, qubit: usize) -> impl Iterator<Item = QuantumGate> {
+    use QuantumGate::{Sdg, Tdg, S, T, Z};
+    let gates = match exponent {
+        0 => [None, None],
+        1 => [Some(T(qubit)), None],
+        2 => [Some(S(qubit)), None],
+        3 => [Some(S(qubit)), Some(T(qubit))],
+        4 => [Some(Z(qubit)), None],
+        5 => [Some(Z(qubit)), Some(T(qubit))],
+        6 => [Some(Sdg(qubit)), None],
+        7 => [Some(Tdg(qubit)), None],
+        _ => unreachable!("exponents are reduced modulo 8"),
+    };
+    gates.into_iter().flatten()
 }
 
 #[cfg(test)]
@@ -388,6 +470,31 @@ mod tests {
     }
 
     #[test]
+    fn parities_stay_exact_past_128_path_variables() {
+        // 130 Hadamards put wire 1 on its 132nd path variable. The T gates
+        // around the last H act on different variables and must not merge.
+        let mut gates = vec![QuantumGate::H(1); 130];
+        gates.extend([QuantumGate::T(1), QuantumGate::H(1), QuantumGate::T(1)]);
+        let circuit = circuit_of(2, &gates);
+        let optimized = phase_folding(&circuit);
+        assert_eq!(optimized.t_count(), 2);
+        assert_equivalent(&circuit, &optimized);
+
+        // Equal parities still merge that deep: the two T(0) around CX CX
+        // become one S.
+        let cx = QuantumGate::Cx {
+            control: 0,
+            target: 1,
+        };
+        gates.extend([QuantumGate::T(0), cx.clone(), cx, QuantumGate::T(0)]);
+        let circuit = circuit_of(2, &gates);
+        let optimized = phase_folding(&circuit);
+        assert_eq!(optimized.t_count(), 2);
+        assert_eq!(optimized.num_gates(), circuit.num_gates() - 1);
+        assert_equivalent(&circuit, &optimized);
+    }
+
+    #[test]
     fn x_conjugation_is_tracked_in_the_constant() {
         // X; T; X and a bare T act on different affine functions and must not
         // merge into S.
@@ -471,8 +578,9 @@ mod tests {
 
     #[test]
     fn full_phase_exponent_table() {
-        for exponent in 0..8i64 {
-            let gates = phase_gates_for_exponent(exponent, 0);
+        for exponent in 0..8u8 {
+            let gates: Vec<QuantumGate> = phase_gates_for_exponent(exponent, 0).collect();
+            assert!(gates.len() <= 2);
             let circuit = circuit_of(1, &gates);
             // Compare against a bare sequence of `exponent` T gates.
             let reference = circuit_of(1, &vec![QuantumGate::T(0); exponent as usize]);

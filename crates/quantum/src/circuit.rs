@@ -56,6 +56,23 @@ impl QuantumCircuit {
         self.gates.is_empty()
     }
 
+    /// Builds a circuit from a gate list, keeping the vector as it is.
+    ///
+    /// Every gate is checked as [`QuantumCircuit::push`] checks it, so the
+    /// result is the circuit that pushing the gates one by one would build,
+    /// without growing a second vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error [`QuantumCircuit::push`] returns for the first
+    /// gate it would reject.
+    pub fn from_gates(num_qubits: usize, gates: Vec<QuantumGate>) -> Result<Self, QuantumError> {
+        for gate in &gates {
+            check_gate(num_qubits, gate)?;
+        }
+        Ok(Self { num_qubits, gates })
+    }
+
     /// Appends a gate to the circuit.
     ///
     /// # Errors
@@ -64,22 +81,7 @@ impl QuantumCircuit {
     /// qubit `>= num_qubits` and [`QuantumError::DuplicateQubit`] if it
     /// references the same qubit twice.
     pub fn push(&mut self, gate: QuantumGate) -> Result<(), QuantumError> {
-        let qubits = gate.qubits();
-        for &qubit in &qubits {
-            if qubit >= self.num_qubits {
-                return Err(QuantumError::QubitOutOfRange {
-                    qubit,
-                    num_qubits: self.num_qubits,
-                });
-            }
-        }
-        let mut sorted = qubits;
-        sorted.sort_unstable();
-        for pair in sorted.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(QuantumError::DuplicateQubit { qubit: pair[0] });
-            }
-        }
+        check_gate(self.num_qubits, &gate)?;
         self.gates.push(gate);
         Ok(())
     }
@@ -129,36 +131,22 @@ impl QuantumCircuit {
     /// Circuit depth: the length of the longest chain of gates sharing
     /// qubits, computed with the usual as-soon-as-possible scheduling.
     pub fn depth(&self) -> usize {
-        let mut layer_of_qubit = vec![0usize; self.num_qubits];
-        let mut depth = 0usize;
+        let mut layers = Layers::new(self.num_qubits);
         for gate in &self.gates {
-            let qubits = gate.qubits();
-            let layer = qubits.iter().map(|&q| layer_of_qubit[q]).max().unwrap_or(0) + 1;
-            for &q in &qubits {
-                layer_of_qubit[q] = layer;
-            }
-            depth = depth.max(layer);
+            layers.place(&gate.qubits(), 1);
         }
-        depth
+        layers.depth()
     }
 
     /// T-depth: depth counting only T/T† gates (layers of parallel T gates),
     /// the figure of merit optimized by the T-par algorithm referenced in the
     /// paper.
     pub fn t_depth(&self) -> usize {
-        let mut layer_of_qubit = vec![0usize; self.num_qubits];
-        let mut t_depth = 0usize;
+        let mut layers = Layers::new(self.num_qubits);
         for gate in &self.gates {
-            let qubits = gate.qubits();
-            let is_t = gate.t_count() > 0;
-            let layer =
-                qubits.iter().map(|&q| layer_of_qubit[q]).max().unwrap_or(0) + usize::from(is_t);
-            for &q in &qubits {
-                layer_of_qubit[q] = layer;
-            }
-            t_depth = t_depth.max(layer);
+            layers.place(&gate.qubits(), usize::from(gate.t_count() > 0));
         }
-        t_depth
+        layers.depth()
     }
 
     /// Number of T and T† gates in the circuit (not counting undecomposed
@@ -208,6 +196,56 @@ impl<'a> IntoIterator for &'a QuantumCircuit {
 
     fn into_iter(self) -> Self::IntoIter {
         self.gates.iter()
+    }
+}
+
+/// The check [`QuantumCircuit::push`] and [`QuantumCircuit::from_gates`]
+/// run on each gate: every qubit in range, and none repeated (the smallest
+/// repeated qubit is reported).
+fn check_gate(num_qubits: usize, gate: &QuantumGate) -> Result<(), QuantumError> {
+    let qubits = gate.qubits();
+    if let Some(&qubit) = qubits.iter().find(|&&qubit| qubit >= num_qubits) {
+        return Err(QuantumError::QubitOutOfRange { qubit, num_qubits });
+    }
+    let repeated = qubits
+        .iter()
+        .enumerate()
+        .filter(|&(index, qubit)| qubits[index + 1..].contains(qubit))
+        .map(|(_, &qubit)| qubit)
+        .min();
+    match repeated {
+        Some(qubit) => Err(QuantumError::DuplicateQubit { qubit }),
+        None => Ok(()),
+    }
+}
+
+/// As-soon-as-possible layering of a gate sequence: the layer each qubit's
+/// last gate landed in, and the deepest layer so far.
+pub(crate) struct Layers {
+    of_qubit: Vec<usize>,
+    depth: usize,
+}
+
+impl Layers {
+    pub(crate) fn new(num_qubits: usize) -> Self {
+        Self {
+            of_qubit: vec![0; num_qubits],
+            depth: 0,
+        }
+    }
+
+    /// Places a gate on `qubits` `weight` layers past the latest layer of
+    /// any of them (weight 0 aligns the qubits without adding a layer).
+    pub(crate) fn place(&mut self, qubits: &[usize], weight: usize) {
+        let layer = qubits.iter().map(|&q| self.of_qubit[q]).max().unwrap_or(0) + weight;
+        for &q in qubits {
+            self.of_qubit[q] = layer;
+        }
+        self.depth = self.depth.max(layer);
+    }
+
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
     }
 }
 
@@ -262,6 +300,43 @@ mod tests {
                 target: 1
             })
             .is_ok());
+    }
+
+    #[test]
+    fn from_gates_checks_like_push() {
+        let gates = vec![
+            QuantumGate::H(0),
+            QuantumGate::Cx {
+                control: 0,
+                target: 1,
+            },
+        ];
+        assert_eq!(QuantumCircuit::from_gates(2, gates).unwrap(), bell());
+        let rejected = [
+            QuantumGate::H(2),
+            QuantumGate::Cz { a: 1, b: 1 },
+            QuantumGate::Mcx {
+                controls: vec![1, 0, 1, 0],
+                target: 1,
+            },
+            QuantumGate::Mcz {
+                qubits: vec![0, 5, 0],
+            },
+        ];
+        for gate in rejected {
+            let pushed = QuantumCircuit::new(2).push(gate.clone()).unwrap_err();
+            let built = QuantumCircuit::from_gates(2, vec![QuantumGate::X(1), gate]).unwrap_err();
+            assert_eq!(built, pushed);
+        }
+        assert_eq!(
+            QuantumCircuit::new(3)
+                .push(QuantumGate::Mcx {
+                    controls: vec![2, 1, 2],
+                    target: 1,
+                })
+                .unwrap_err(),
+            QuantumError::DuplicateQubit { qubit: 1 }
+        );
     }
 
     #[test]

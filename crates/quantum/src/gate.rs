@@ -9,6 +9,13 @@
 use crate::complex::Complex;
 use std::f64::consts::FRAC_PI_4;
 use std::fmt;
+use std::ops::Deref;
+
+/// Mnemonics of the [`QuantumGate`] variants, indexed by
+/// [`QuantumGate::kind`].
+pub(crate) const GATE_NAMES: [&str; 15] = [
+    "h", "x", "y", "z", "s", "sdg", "t", "tdg", "rz", "cx", "cz", "swap", "ccx", "mcx", "mcz",
+];
 
 /// A quantum gate applied to specific qubits of a circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +90,10 @@ pub enum QuantumGate {
 
 impl QuantumGate {
     /// The qubits the gate acts on, in declaration order.
-    pub fn qubits(&self) -> Vec<usize> {
+    ///
+    /// Gates on up to three qubits return them inline, without allocating;
+    /// only [`QuantumGate::Mcx`] and [`QuantumGate::Mcz`] copy their list.
+    pub fn qubits(&self) -> Qubits {
         match self {
             Self::H(q)
             | Self::X(q)
@@ -92,49 +102,70 @@ impl QuantumGate {
             | Self::S(q)
             | Self::Sdg(q)
             | Self::T(q)
-            | Self::Tdg(q) => vec![*q],
-            Self::Rz { qubit, .. } => vec![*qubit],
-            Self::Cx { control, target } => vec![*control, *target],
-            Self::Cz { a, b } | Self::Swap { a, b } => vec![*a, *b],
+            | Self::Tdg(q)
+            | Self::Rz { qubit: q, .. } => Qubits::inline(&[*q]),
+            Self::Cx { control, target } => Qubits::inline(&[*control, *target]),
+            Self::Cz { a, b } | Self::Swap { a, b } => Qubits::inline(&[*a, *b]),
             Self::Ccx {
                 control_a,
                 control_b,
                 target,
-            } => vec![*control_a, *control_b, *target],
+            } => Qubits::inline(&[*control_a, *control_b, *target]),
             Self::Mcx { controls, target } => {
-                let mut qubits = controls.clone();
+                let mut qubits = Vec::with_capacity(controls.len() + 1);
+                qubits.extend_from_slice(controls);
                 qubits.push(*target);
-                qubits
+                Qubits(QubitList::Heap(qubits))
             }
-            Self::Mcz { qubits } => qubits.clone(),
+            Self::Mcz { qubits } => Qubits(QubitList::Heap(qubits.clone())),
+        }
+    }
+
+    /// Position of the gate's variant in declaration order (`H` is 0,
+    /// `Mcz` is 14); [`GATE_NAMES`] holds the mnemonics in this order.
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Self::H(_) => 0,
+            Self::X(_) => 1,
+            Self::Y(_) => 2,
+            Self::Z(_) => 3,
+            Self::S(_) => 4,
+            Self::Sdg(_) => 5,
+            Self::T(_) => 6,
+            Self::Tdg(_) => 7,
+            Self::Rz { .. } => 8,
+            Self::Cx { .. } => 9,
+            Self::Cz { .. } => 10,
+            Self::Swap { .. } => 11,
+            Self::Ccx { .. } => 12,
+            Self::Mcx { .. } => 13,
+            Self::Mcz { .. } => 14,
         }
     }
 
     /// Short lower-case mnemonic of the gate (matching OpenQASM names where
     /// they exist).
     pub fn name(&self) -> &'static str {
-        match self {
-            Self::H(_) => "h",
-            Self::X(_) => "x",
-            Self::Y(_) => "y",
-            Self::Z(_) => "z",
-            Self::S(_) => "s",
-            Self::Sdg(_) => "sdg",
-            Self::T(_) => "t",
-            Self::Tdg(_) => "tdg",
-            Self::Rz { .. } => "rz",
-            Self::Cx { .. } => "cx",
-            Self::Cz { .. } => "cz",
-            Self::Swap { .. } => "swap",
-            Self::Ccx { .. } => "ccx",
-            Self::Mcx { .. } => "mcx",
-            Self::Mcz { .. } => "mcz",
-        }
+        GATE_NAMES[self.kind()]
     }
 
     /// Number of qubits the gate acts on.
     pub fn arity(&self) -> usize {
-        self.qubits().len()
+        match self {
+            Self::H(_)
+            | Self::X(_)
+            | Self::Y(_)
+            | Self::Z(_)
+            | Self::S(_)
+            | Self::Sdg(_)
+            | Self::T(_)
+            | Self::Tdg(_)
+            | Self::Rz { .. } => 1,
+            Self::Cx { .. } | Self::Cz { .. } | Self::Swap { .. } => 2,
+            Self::Ccx { .. } => 3,
+            Self::Mcx { controls, .. } => controls.len() + 1,
+            Self::Mcz { qubits } => qubits.len(),
+        }
     }
 
     /// The adjoint (inverse) of the gate.
@@ -251,6 +282,91 @@ impl QuantumGate {
     }
 }
 
+/// The qubits of one gate, as returned by [`QuantumGate::qubits`].
+///
+/// Up to three qubits are held inline; a multiple-controlled gate's list is
+/// a `Vec`. The value derefs to `[usize]` (index it, call `.iter()`, or
+/// `.to_vec()` to keep an owned list) and iterates by value, so
+/// `for qubit in gate.qubits()` yields `usize`s.
+#[derive(Clone)]
+pub struct Qubits(QubitList);
+
+#[derive(Clone)]
+enum QubitList {
+    Inline { len: u8, qubits: [usize; 3] },
+    Heap(Vec<usize>),
+}
+
+impl Qubits {
+    fn inline(qubits: &[usize]) -> Self {
+        let mut inline = [0; 3];
+        inline[..qubits.len()].copy_from_slice(qubits);
+        Self(QubitList::Inline {
+            len: qubits.len() as u8,
+            qubits: inline,
+        })
+    }
+}
+
+impl Deref for Qubits {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match &self.0 {
+            QubitList::Inline { len, qubits } => &qubits[..usize::from(*len)],
+            QubitList::Heap(qubits) => qubits,
+        }
+    }
+}
+
+impl fmt::Debug for Qubits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<Vec<usize>> for Qubits {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        **self == **other
+    }
+}
+
+impl IntoIterator for Qubits {
+    type Item = usize;
+    type IntoIter = QubitsIter;
+
+    fn into_iter(self) -> QubitsIter {
+        QubitsIter {
+            qubits: self,
+            next: 0,
+        }
+    }
+}
+
+/// By-value iterator over [`Qubits`].
+#[derive(Debug, Clone)]
+pub struct QubitsIter {
+    qubits: Qubits,
+    next: usize,
+}
+
+impl Iterator for QubitsIter {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let qubit = self.qubits.get(self.next).copied();
+        self.next += 1;
+        qubit
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.qubits.len().saturating_sub(self.next);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for QubitsIter {}
+
 impl fmt::Display for QuantumGate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -288,6 +404,67 @@ mod tests {
             4
         );
         assert_eq!(QuantumGate::Mcz { qubits: vec![0, 1] }.arity(), 2);
+    }
+
+    #[test]
+    fn qubits_arity_and_name_agree_for_every_variant() {
+        let gates = [
+            QuantumGate::H(0),
+            QuantumGate::X(1),
+            QuantumGate::Y(2),
+            QuantumGate::Z(3),
+            QuantumGate::S(4),
+            QuantumGate::Sdg(5),
+            QuantumGate::T(6),
+            QuantumGate::Tdg(7),
+            QuantumGate::Rz {
+                qubit: 8,
+                angle: 0.5,
+            },
+            QuantumGate::Cx {
+                control: 9,
+                target: 1,
+            },
+            QuantumGate::Cz { a: 2, b: 3 },
+            QuantumGate::Swap { a: 4, b: 5 },
+            QuantumGate::Ccx {
+                control_a: 7,
+                control_b: 6,
+                target: 5,
+            },
+            QuantumGate::Mcx {
+                controls: vec![3, 1, 4, 0],
+                target: 2,
+            },
+            QuantumGate::Mcz {
+                qubits: vec![5, 9, 2, 6, 8],
+            },
+        ];
+        let expected: [&[usize]; 15] = [
+            &[0],
+            &[1],
+            &[2],
+            &[3],
+            &[4],
+            &[5],
+            &[6],
+            &[7],
+            &[8],
+            &[9, 1],
+            &[2, 3],
+            &[4, 5],
+            &[7, 6, 5],
+            &[3, 1, 4, 0, 2],
+            &[5, 9, 2, 6, 8],
+        ];
+        for (kind, (gate, qubits)) in gates.iter().zip(expected).enumerate() {
+            assert_eq!(gate.kind(), kind);
+            assert_eq!(gate.name(), GATE_NAMES[kind]);
+            assert_eq!(&*gate.qubits(), qubits, "{gate:?}");
+            assert_eq!(gate.qubits().into_iter().collect::<Vec<_>>(), qubits);
+            assert_eq!(gate.qubits().into_iter().len(), qubits.len());
+            assert_eq!(gate.arity(), qubits.len());
+        }
     }
 
     #[test]

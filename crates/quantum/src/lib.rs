@@ -51,7 +51,7 @@ pub use circuit::QuantumCircuit;
 pub use complex::Complex;
 pub use error::QuantumError;
 pub use fusion::{ExecConfig, FusedOp, FusedProgram, ProductLayer};
-pub use gate::QuantumGate;
+pub use gate::{QuantumGate, Qubits};
 pub use plan::{DispatchRecord, ExecPlan, OpKind, SoaStatevector};
 pub use reference::{DenseReference, DenseReferenceBackend};
 pub use sampling::CumulativeDistribution;

@@ -190,7 +190,7 @@ impl NoisySimulator {
         let plan = ExecPlan::compile(circuit, &self.config.with_fusion(false));
         let gates: Vec<(Vec<usize>, bool)> = circuit
             .iter()
-            .map(|gate| (gate.qubits(), gate.arity() == 1))
+            .map(|gate| (gate.qubits().to_vec(), gate.arity() == 1))
             .collect();
         debug_assert_eq!(plan.num_records(), gates.len());
         Ok((plan, gates))

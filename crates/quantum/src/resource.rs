@@ -6,6 +6,8 @@
 //! figures of merit (T-count, T-depth, CNOT count) used throughout the
 //! reversible-synthesis literature the paper builds on.
 
+use crate::circuit::Layers;
+use crate::gate::GATE_NAMES;
 use crate::{QuantumCircuit, QuantumGate};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,24 +37,42 @@ pub struct ResourceCounts {
 
 impl ResourceCounts {
     /// Computes resource counts for a circuit.
+    ///
+    /// One pass over the gates schedules depth and T-depth side by side
+    /// (the same layering as [`QuantumCircuit::depth`] and
+    /// [`QuantumCircuit::t_depth`]) and counts gates per variant; the
+    /// `by_gate` map is built once from those counts. Nothing is allocated
+    /// per gate, except the qubit list of a multiple-controlled gate.
     pub fn of(circuit: &QuantumCircuit) -> Self {
+        let mut depth = Layers::new(circuit.num_qubits());
+        let mut t_depth = Layers::new(circuit.num_qubits());
+        let mut per_kind = [0usize; GATE_NAMES.len()];
         let mut counts = Self {
             num_qubits: circuit.num_qubits(),
             total_gates: circuit.num_gates(),
-            t_count: circuit.t_count(),
-            t_depth: circuit.t_depth(),
-            depth: circuit.depth(),
-            multi_qubit_gates: circuit.multi_qubit_count(),
             ..Self::default()
         };
         for gate in circuit {
-            *counts.by_gate.entry(gate.name()).or_insert(0) += 1;
+            let qubits = gate.qubits();
+            let t_count = gate.t_count();
+            depth.place(&qubits, 1);
+            t_depth.place(&qubits, usize::from(t_count > 0));
+            counts.t_count += t_count;
+            counts.multi_qubit_gates += usize::from(qubits.len() >= 2);
+            per_kind[gate.kind()] += 1;
             match gate {
                 QuantumGate::H(_) => counts.h_count += 1,
                 QuantumGate::Cx { .. } => counts.cnot_count += 1,
                 _ => {}
             }
         }
+        counts.depth = depth.depth();
+        counts.t_depth = t_depth.depth();
+        counts.by_gate = GATE_NAMES
+            .into_iter()
+            .zip(per_kind)
+            .filter(|&(_, count)| count > 0)
+            .collect();
         counts
     }
 
@@ -140,6 +160,33 @@ mod tests {
         assert_eq!(counts.by_gate["t"], 1);
         assert_eq!(counts.by_gate["tdg"], 1);
         assert_eq!(counts.clifford_count(), 4);
+    }
+
+    #[test]
+    fn one_pass_counts_match_the_circuit_methods() {
+        let mut circuit = sample_circuit().extended_to(5);
+        circuit.push(QuantumGate::Y(4)).unwrap();
+        circuit
+            .push(QuantumGate::Mcx {
+                controls: vec![0, 1, 3],
+                target: 4,
+            })
+            .unwrap();
+        circuit
+            .push(QuantumGate::Rz {
+                qubit: 3,
+                angle: 3.0 * std::f64::consts::FRAC_PI_4,
+            })
+            .unwrap();
+        circuit.push(QuantumGate::T(4)).unwrap();
+        circuit.push(QuantumGate::Swap { a: 2, b: 3 }).unwrap();
+        let counts = ResourceCounts::of(&circuit);
+        assert_eq!(counts.depth, circuit.depth());
+        assert_eq!(counts.t_depth, circuit.t_depth());
+        assert_eq!(counts.t_count, circuit.t_count());
+        assert_eq!(counts.multi_qubit_gates, circuit.multi_qubit_count());
+        assert_eq!(counts.by_gate, circuit.gate_counts());
+        assert_eq!(counts.t_count, 4);
     }
 
     #[test]

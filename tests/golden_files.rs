@@ -10,12 +10,57 @@
 //! gate lowering, oracle compilation, QASM formatting or the drawer shows up
 //! as a golden diff. To regenerate after an intentional change, run
 //! `UPDATE_GOLDENS=1 cargo test --test golden_files` and review the diff.
+//!
+//! The Section V synthesis table (`table_synthesis`) is pinned here too, as
+//! quality figures that may only improve: each row's T-count and CNOT count
+//! are ceilings and its qubit count is exact.
 
 use qdaflow::codegen::{hidden_shift_driver, permutation_oracle_namespace, QsharpOptions};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
 use qdaflow::quantum::{drawer, qasm};
+use qdaflow::reversible::synthesis::SynthesisMethod;
 use std::path::Path;
+
+const TBS: SynthesisMethod = SynthesisMethod::TransformationBased;
+const DBS: SynthesisMethod = SynthesisMethod::DecompositionBased;
+
+/// The rows `table_synthesis` prints: benchmark, synthesis method, and the
+/// T-count, CNOT count and qubit count of its equation (5) output.
+const SYNTHESIS_TABLE: [(&str, SynthesisMethod, usize, usize, usize); 18] = [
+    ("hwb3", TBS, 24, 28, 3),
+    ("hwb3", DBS, 24, 25, 3),
+    ("hwb4", TBS, 69, 81, 5),
+    ("hwb4", DBS, 87, 99, 5),
+    ("hwb5", TBS, 513, 584, 7),
+    ("hwb5", DBS, 386, 422, 7),
+    ("hwb6", TBS, 1749, 1981, 9),
+    ("hwb6", DBS, 1215, 1340, 9),
+    ("random3", TBS, 0, 2, 3),
+    ("random3", DBS, 0, 2, 3),
+    ("random4", TBS, 97, 107, 5),
+    ("random4", DBS, 75, 87, 5),
+    ("random5", TBS, 488, 555, 7),
+    ("random5", DBS, 404, 448, 7),
+    ("random6", TBS, 1854, 2090, 9),
+    ("random6", DBS, 1402, 1540, 9),
+    ("fig7-pi", TBS, 7, 9, 3),
+    ("fig7-pi", DBS, 19, 19, 3),
+];
+
+/// The specification of a `table_synthesis` benchmark, with the binary's
+/// seeds for the random permutations.
+fn synthesis_table_input(benchmark: &str) -> Permutation {
+    if let Some(n) = benchmark.strip_prefix("hwb") {
+        qdaflow::boolfn::hwb::hwb_permutation(n.parse().unwrap())
+    } else if let Some(n) = benchmark.strip_prefix("random") {
+        let n: usize = n.parse().unwrap();
+        Permutation::random_seeded(n, 0xBEEF + n as u64)
+    } else {
+        assert_eq!(benchmark, "fig7-pi");
+        Permutation::new(vec![0, 2, 3, 5, 7, 1, 4, 6]).unwrap()
+    }
+}
 
 /// The Fig. 4/5 circuit: truth-table phase oracles.
 fn fig5_circuit() -> QuantumCircuit {
@@ -107,4 +152,30 @@ fn fig5_golden_qasm_round_trips_through_the_importer() {
     let exported = qasm::to_qasm(&fig5_circuit());
     let circuit = qasm::from_qasm(&exported).unwrap();
     assert_eq!(qasm::to_qasm(&circuit), exported);
+}
+
+#[test]
+fn synthesis_table_costs_never_rise() {
+    let mut regressions = Vec::new();
+    for (benchmark, method, t_count, cnots, qubits) in SYNTHESIS_TABLE {
+        let input = synthesis_table_input(benchmark);
+        let counts = qdaflow::flow::compile_permutation(&input, method)
+            .unwrap()
+            .optimized;
+        if counts.t_count > t_count || counts.cnot_count > cnots || counts.num_qubits != qubits {
+            regressions.push(format!(
+                "{benchmark}/{}: T-count {} (ceiling {t_count}), CNOTs {} (ceiling {cnots}), \
+                 qubits {} (pinned {qubits})",
+                method.command_name(),
+                counts.t_count,
+                counts.cnot_count,
+                counts.num_qubits
+            ));
+        }
+    }
+    assert!(
+        regressions.is_empty(),
+        "synthesis table rows rose:\n{}",
+        regressions.join("\n")
+    );
 }

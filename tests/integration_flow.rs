@@ -2,7 +2,7 @@
 //! specification → reversible synthesis → Clifford+T mapping → optimization →
 //! simulation.
 
-use qdaflow::flow::{compile_permutation, compile_phase_function};
+use qdaflow::flow::{compile_permutation, compile_phase_function, equation5_pipeline};
 use qdaflow::mapping::phase_oracle::oracle_matches_function;
 use qdaflow::prelude::*;
 use qdaflow::quantum::statevector::Statevector;
@@ -31,6 +31,42 @@ fn hwb4_pipeline_matches_the_specification_for_both_methods() {
         assert!(report.optimized.t_count <= report.mapped.t_count);
         assert_realizes_permutation(&report.circuit, &hwb);
     }
+}
+
+/// The first input the circuit does not map to `π(x)` with every ancilla
+/// back at zero, simulated on the sparse backend, or `None`.
+fn first_wrong_input(circuit: &QuantumCircuit, permutation: &Permutation) -> Option<usize> {
+    (0..permutation.len()).find(|&x| {
+        let mut state = SparseStatevector::basis_state(circuit.num_qubits(), x as u64).unwrap();
+        state.apply_circuit(circuit);
+        state.probability_of(permutation.apply(x) as u64) < 1.0 - 1e-9
+    })
+}
+
+#[test]
+fn equation5_outputs_realize_permutations_of_five_and_six_variables() {
+    // These compiles run `tpar` over more than 128 path variables.
+    let specs = [
+        ("hwb5", qdaflow::boolfn::hwb::hwb_permutation(5)),
+        ("hwb6", qdaflow::boolfn::hwb::hwb_permutation(6)),
+        ("random5", Permutation::random_seeded(5, 0xBEEF + 5)),
+        ("random6", Permutation::random_seeded(6, 0xBEEF + 6)),
+    ];
+    let mut wrong = Vec::new();
+    for (name, permutation) in &specs {
+        for method in [
+            SynthesisMethod::TransformationBased,
+            SynthesisMethod::DecompositionBased,
+        ] {
+            let report = equation5_pipeline(method)
+                .run(permutation.clone().into())
+                .unwrap();
+            if let Some(x) = first_wrong_input(report.final_quantum().unwrap(), permutation) {
+                wrong.push(format!("{name}/{}: input {x}", method.command_name()));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "wrong eq. (5) outputs: {wrong:?}");
 }
 
 #[test]
