@@ -9,7 +9,8 @@
 //! prices the one-record-per-gate mode the differential suites and the
 //! noisy replay run in. `simulate_20q` times what a dense job runs: the
 //! circuit's leading single-qubit layer written as the initial product
-//! state, then the plan of the ops after it.
+//! state, then the plan of the ops after it. `apply_20q_dense2_0_10` prices
+//! one 4×4 record at the lowest stride, the small-stride kernel alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
@@ -42,13 +43,15 @@ fn bench_plan_kernel(c: &mut Criterion) {
     let (_, rest) = FusedProgram::fuse(&circuit).split_product_layer();
     let job_plan = ExecPlan::from_program(&rest, &config);
     println!(
-        "hidden-shift-20q: {} gates -> {} dispatch records ({} pool f64s, block_bits {}); \
-         a job's plan after its product layer: {} records",
+        "hidden-shift-20q: {} gates -> {} dispatch records in {} sweeps ({} pool f64s, \
+         block_bits {}); a job's plan after its product layer: {} records in {} sweeps",
         circuit.num_gates(),
         plan.num_records(),
+        plan.num_segments(),
         plan.matrix_pool().len(),
         plan.block_bits(),
         job_plan.num_records(),
+        job_plan.num_segments(),
     );
 
     let mut group = c.benchmark_group("plan_kernel");
@@ -105,6 +108,27 @@ fn bench_plan_kernel(c: &mut Criterion) {
         b.iter(|| {
             state.reset();
             plan.apply_soa(&mut state, &exact);
+            state.amplitude(0)
+        })
+    });
+
+    // One 4×4 record on qubits (0, 10): a block-local pair at the lowest
+    // stride, which the kernel applies in 8-element lane groups. The
+    // hidden shift's pairs (0, 10), (1, 11) and (2, 12) are of this kind.
+    group.bench_function("apply_20q_dense2_0_10", |b| {
+        let mut pair = QuantumCircuit::new(NUM_QUBITS);
+        for gate in [
+            QuantumGate::Cz { a: 0, b: 10 },
+            QuantumGate::H(0),
+            QuantumGate::H(10),
+        ] {
+            pair.push(gate).expect("qubits 0 and 10 are in range");
+        }
+        let plan = ExecPlan::compile(&pair, &config);
+        assert_eq!(plan.num_records(), 1, "the pair fuses into one 4×4");
+        let mut state = SoaStatevector::zero_state(NUM_QUBITS, plan.block_bits());
+        b.iter(|| {
+            plan.apply_soa(&mut state, &config);
             state.amplitude(0)
         })
     });

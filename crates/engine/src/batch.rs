@@ -114,7 +114,9 @@ impl BatchJob {
 /// Samples a job's shots from its prepared state with the shot-sharded
 /// sampler and builds its [`ExecutionResult`] around the program's stored
 /// resource counts. Every engine uses the same `(seed, shard)` RNG scheme,
-/// so equal-seed jobs agree across backends.
+/// so equal-seed jobs agree across backends. Under tracing, a `sample …
+/// shots` span covers the sampling and a `result assemble …` span the
+/// result built after it.
 fn sample_job(
     state: &dyn PreparedState,
     program: &CompiledProgram,
@@ -138,8 +140,11 @@ fn sample_job(
             &[],
         )
         .add(shots as u64);
-    let _span = telemetry::span!("sampling", "sample {shots} shots ({shards} shards)");
-    let counts = state.sample_sharded(seed, shots, config);
+    let counts = {
+        let _span = telemetry::span!("sampling", "sample {shots} shots ({shards} shards)");
+        state.sample_sharded(seed, shots, config)
+    };
+    let _span = telemetry::span!("batch", "result assemble {shots} shots");
     ExecutionResult::sampled(program.resources().clone(), shots, counts)
 }
 

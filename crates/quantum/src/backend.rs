@@ -230,7 +230,8 @@ pub trait PreparedState {
 ///
 /// Under tracing, `simulate` records a `plan compile` section (record and
 /// segment counts) and a `state prepare` span (qubits absorbed) beside the
-/// kernel's `apply_soa` span.
+/// kernel's `apply_soa` span, and `sample_sharded` a `sample walk` span
+/// around the walk over the sorted draws (after the draws themselves).
 impl PreparedState for SoaStatevector {
     fn backend_name() -> &'static str {
         "statevector-simulator"
@@ -289,6 +290,11 @@ impl PreparedState for SoaStatevector {
         config: &ExecConfig,
     ) -> BTreeMap<usize, usize> {
         let draws = sampling::sharded_draws(seed, shots, config.shot_shard_size);
+        let _span = telemetry::span!(
+            "sampling",
+            "sample walk {shots} draws over {}q",
+            self.num_qubits()
+        );
         sampling::count_draws(self.block_slices(), draws)
     }
 }

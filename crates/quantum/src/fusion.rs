@@ -50,8 +50,10 @@ pub struct ExecConfig {
     /// it.
     pub threads: usize,
     /// Whether circuits are optimized before execution: the gate-fusion
-    /// pass ([`FusedProgram::fuse`]) plus the plan lowering's commuting-op
-    /// clustering and 4×4 batching. A simulation from `|0…0⟩`
+    /// pass ([`FusedProgram::fuse`]) plus the plan lowering's two-qubit
+    /// fusion (a block of dense ops and phases on at most two qubits becomes
+    /// one 2×2 or 4×4 record where that saves kernel time), commuting-op
+    /// clustering and 4×4 batching of global ops. A simulation from `|0…0⟩`
     /// ([`PreparedState::simulate`](crate::backend::PreparedState::simulate))
     /// also writes the fused program's leading single-qubit layer as its
     /// initial product state ([`FusedProgram::split_product_layer`]) instead

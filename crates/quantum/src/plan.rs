@@ -13,15 +13,33 @@
 //!   split `re`/`im` `Vec<f64>` arrays so the dense 2×2/4×4 and phase sweeps
 //!   are branch-free loops over contiguous `f64` data that the compiler
 //!   autovectorizes;
-//! * **4×4 batching**: adjacent dense single-qubit records on two distinct
-//!   qubits merge into one two-qubit [`OpKind::Dense2`] record at lowering
-//!   time (under [`ExecConfig::fusion`]), halving the number of passes over
-//!   the amplitude arrays for dense layers;
+//! * **two-qubit fusion**: under [`ExecConfig::fusion`], one walk groups
+//!   the dense ops and the one- and two-qubit phases into blocks of at most
+//!   two qubits, moving an op back only past ops it commutes with. A
+//!   one-qubit block with two or more dense ops becomes one 2×2, and a
+//!   two-qubit block one [`OpKind::Dense2`] record when that replaces at
+//!   least three records, at least two of them dense, and its high qubit
+//!   is 3 or above: a 4×4 sweep costs about two 2×2 sweeps, so it pays
+//!   only past that, and only where its rows hold whole lane groups of the
+//!   small-stride kernel below. The 20-qubit hidden shift's job plan is one
+//!   4×4 per inner-product pair, 10 records;
+//! * **4×4 batching**: adjacent global dense single-qubit records on two
+//!   distinct qubits merge into one 4×4 (and a global dense on a qubit of an
+//!   adjacent global 4×4 composes into it), one cross-block pass instead of
+//!   two;
 //! * **cache blocking**: the state is tiled into cache-block-sized
 //!   [`SoaStatevector::block_bits`] chunks, and maximal *runs* of block-local
 //!   records (dense ops on low qubits, every diagonal phase, MCX with a low
 //!   target) are applied per block while the block is hot in cache — one
 //!   memory sweep per run instead of one per op;
+//! * **a small-stride 4×4 kernel**: a 4×4 vectorizes along runs as long as
+//!   its low stride, which at strides 1, 2 and 4 is nearly scalar. There
+//!   the kernel reads whole 8-element groups of the two halves of the high
+//!   qubit, and each lane takes its low-qubit partner from the same group,
+//!   with the per-lane matrix rows built once per record. Its sums run in
+//!   the generic kernel's order, so the amplitudes are the same bits. Rows
+//!   shorter than 8 (both qubits among the three lowest, which the fusion
+//!   leaves as separate records) keep the generic kernel;
 //! * a **worker pool per application**: on states of at least
 //!   eight blocks, [`ExecPlan::apply_soa`] opens one `thread::scope` for the
 //!   whole program. For every segment the calling thread moves the owned
@@ -132,7 +150,8 @@ fn kernel_metrics() -> &'static KernelMetrics {
 ///
 /// Gates that act identically on the amplitude arrays lower to the same
 /// kind, mirroring [`FusedOp`]; `Dense2` is produced only by the lowering
-/// pass (two adjacent dense records batched into one 4×4 application).
+/// pass (a fused two-qubit block, or two adjacent global dense records
+/// batched into one 4×4 application).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum OpKind {
@@ -548,10 +567,10 @@ fn matmul_2x2(left: &[[Complex; 2]; 2], right: &[[Complex; 2]; 2]) -> [[Complex;
 }
 
 /// Attempts to batch `later` into `earlier` (both dense): two adjacent
-/// single-qubit denses on distinct qubits become one 4×4, a dense landing on
-/// a qubit of an adjacent 4×4 composes into it, and same-qubit denses
-/// multiply into one 2×2. Adjacent dense ops on disjoint qubits commute, so
-/// the composition is exact (up to one extra rounding in the product).
+/// single-qubit denses on distinct qubits become one 4×4, and a dense
+/// landing on a qubit of an adjacent 4×4 composes into it. Adjacent dense
+/// ops on disjoint qubits commute, so the composition is exact (up to one
+/// extra rounding in the product).
 fn batch_dense(earlier: &Lowered, later: &Lowered) -> Option<Lowered> {
     match (earlier, later) {
         (
@@ -563,22 +582,15 @@ fn batch_dense(earlier: &Lowered, later: &Lowered) -> Option<Lowered> {
                 bit: bit_b,
                 matrix: m_b,
             },
-        ) => {
-            if bit_a == bit_b {
-                Some(Lowered::D1 {
-                    bit: *bit_a,
-                    matrix: matmul_2x2(m_b, m_a),
-                })
-            } else {
-                let (lo, hi) = (*bit_a.min(bit_b), *bit_a.max(bit_b));
-                let first = expand_2x2(m_a, *bit_a == lo);
-                let second = expand_2x2(m_b, *bit_b == lo);
-                Some(Lowered::D2 {
-                    lo,
-                    hi,
-                    matrix: matmul_4x4(&second, &first),
-                })
-            }
+        ) if bit_a != bit_b => {
+            let (lo, hi) = (*bit_a.min(bit_b), *bit_a.max(bit_b));
+            let first = expand_2x2(m_a, *bit_a == lo);
+            let second = expand_2x2(m_b, *bit_b == lo);
+            Some(Lowered::D2 {
+                lo,
+                hi,
+                matrix: matmul_4x4(&second, &first),
+            })
         }
         (Lowered::D2 { lo, hi, matrix }, Lowered::D1 { bit, matrix: m })
             if bit == lo || bit == hi =>
@@ -692,13 +704,144 @@ fn cluster_by_locality(ops: Vec<Lowered>, block_bits: usize) -> Vec<Lowered> {
         .collect()
 }
 
-/// Whether two lowered ops are single-qubit denses on the same qubit (their
-/// product is a single 2×2 — always cheaper than two sweeps).
-fn same_qubit_denses(a: &Lowered, b: &Lowered) -> bool {
-    matches!(
-        (a, b),
-        (Lowered::D1 { bit: bit_a, .. }, Lowered::D1 { bit: bit_b, .. }) if bit_a == bit_b
-    )
+/// One item of [`fuse_two_qubit_blocks`]: a block of dense ops and phases on
+/// at most two qubits, or a single op that no other op joins.
+struct FusionBlock {
+    ops: Vec<Lowered>,
+    /// Union of the members' qubit-support masks.
+    support: u64,
+    /// Whether every member is diagonal (a phase).
+    diagonal: bool,
+    /// Whether later ops may join: the block holds only dense ops and
+    /// phases on one or two qubits.
+    open: bool,
+}
+
+impl FusionBlock {
+    /// Appends the records the block lowers to. A one-qubit block with two
+    /// or more dense ops becomes one 2×2, and a two-qubit block becomes one
+    /// 4×4 when that replaces at least three records, at least two of them
+    /// dense, and its high qubit is 3 or above. Any other block keeps its
+    /// ops: a wide 4×4 sweep costs about two wide 2×2 sweeps, and a phase
+    /// much less than either, so a 4×4 pays only once it replaces more than
+    /// two 2×2s. Below qubit 3 the 4×4's rows are shorter than a lane group
+    /// and run on the generic kernel, which never pays: on 2^20 amplitudes
+    /// a block on qubits (0, 1) costs about 11 ms as one 4×4 against 3 ms
+    /// as its 2×2s and phase.
+    fn lower_into(self, out: &mut Vec<Lowered>) {
+        let dense = self
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Lowered::D1 { .. } | Lowered::D2 { .. }))
+            .count();
+        let lo = (self.support & self.support.wrapping_neg()) as usize;
+        let hi = self.support as usize ^ lo;
+        let fuse = self.open
+            && match self.support.count_ones() {
+                1 => dense >= 2,
+                2 => dense >= 2 && self.ops.len() >= 3 && hi >= LANES,
+                _ => false,
+            };
+        if !fuse {
+            out.extend(self.ops);
+            return;
+        }
+        if hi == 0 {
+            let matrix = self
+                .ops
+                .iter()
+                .map(|op| match op {
+                    Lowered::D1 { matrix, .. } => *matrix,
+                    Lowered::Ph { phase, .. } => {
+                        [[Complex::ONE, Complex::ZERO], [Complex::ZERO, *phase]]
+                    }
+                    _ => unreachable!("a one-qubit block holds 2×2 denses and phases"),
+                })
+                .reduce(|earlier, later| matmul_2x2(&later, &earlier))
+                .expect("a fused block is not empty");
+            out.push(Lowered::D1 { bit: lo, matrix });
+        } else {
+            let matrix = self
+                .ops
+                .iter()
+                .map(|op| match op {
+                    Lowered::D1 { bit, matrix } => expand_2x2(matrix, *bit == lo),
+                    Lowered::D2 { matrix, .. } => *matrix,
+                    Lowered::Ph { mask, phase } => {
+                        // Basis state `2·h + l` is in the phase's subspace
+                        // when every qubit of the mask is set in it.
+                        let mut diagonal = [Complex::ZERO; 16];
+                        for (index, bits) in [0, lo, hi, lo | hi].into_iter().enumerate() {
+                            diagonal[index * 5] = if mask & bits == *mask {
+                                *phase
+                            } else {
+                                Complex::ONE
+                            };
+                        }
+                        diagonal
+                    }
+                    _ => unreachable!("a two-qubit block holds denses and phases"),
+                })
+                .reduce(|earlier, later| matmul_4x4(&later, &earlier))
+                .expect("a fused block is not empty");
+            out.push(Lowered::D2 { lo, hi, matrix });
+        }
+    }
+}
+
+/// Groups the lowered sequence into blocks of dense ops and phases on at
+/// most two qubits, and lowers each block by [`FusionBlock::lower_into`].
+///
+/// One walk places each op: a dense op or a phase on one or two qubits
+/// moves back past earlier items only while it commutes with them (the rule
+/// of [`cluster_by_locality`]: disjoint support, or both diagonal), and
+/// joins the first block it shares a qubit with if the union stays within
+/// two qubits. Every other op (`Mcx`, `Swap`, wider phases) stays where it
+/// is and starts an item no op joins. Like the clustering, this changes
+/// floating-point rounding, so it runs only under [`ExecConfig::fusion`].
+fn fuse_two_qubit_blocks(ops: Vec<Lowered>) -> Vec<Lowered> {
+    let mut blocks: Vec<FusionBlock> = Vec::new();
+    for op in ops {
+        let support = support_of(&op);
+        let diagonal = is_diagonal(&op);
+        let open = match &op {
+            Lowered::D1 { .. } | Lowered::D2 { .. } => true,
+            Lowered::Ph { mask, .. } => matches!(mask.count_ones(), 1 | 2),
+            Lowered::Mcx { .. } | Lowered::Swap { .. } => false,
+        };
+        let mut joined = None;
+        if open {
+            for (index, block) in blocks.iter().enumerate().rev() {
+                let shared = support & block.support != 0;
+                if shared && block.open && (support | block.support).count_ones() <= 2 {
+                    joined = Some(index);
+                    break;
+                }
+                if shared && !(diagonal && block.diagonal) {
+                    break;
+                }
+            }
+        }
+        match joined {
+            Some(index) => {
+                let block = &mut blocks[index];
+                block.ops.push(op);
+                block.support |= support;
+                block.diagonal &= diagonal;
+            }
+            None => blocks.push(FusionBlock {
+                ops: vec![op],
+                support,
+                diagonal,
+                open,
+            }),
+        }
+    }
+    let mut fused = Vec::with_capacity(blocks.len());
+    for block in blocks {
+        block.lower_into(&mut fused);
+    }
+    fused
 }
 
 /// How one record interacts with the block partition.
@@ -734,9 +877,9 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Compiles a circuit end to end: with `config.fusion` the gate-fusion
-    /// pass, commuting-op clustering and 4×4 batching run, without it every
-    /// gate becomes one record; then segment scheduling for the configured
-    /// cache-block size.
+    /// pass, two-qubit fusion, commuting-op clustering and 4×4 batching run,
+    /// without it every gate becomes one record; then segment scheduling for
+    /// the configured cache-block size.
     pub fn compile(circuit: &QuantumCircuit, config: &ExecConfig) -> Self {
         let program = if config.fusion {
             FusedProgram::fuse(circuit)
@@ -748,7 +891,10 @@ impl ExecPlan {
 
     /// Lowers an already fused program into a plan.
     ///
-    /// With `config.fusion` disabled the records correspond 1:1 to the
+    /// With `config.fusion` enabled the lowering fuses two-qubit blocks,
+    /// clusters block-local ops and batches adjacent global denses (see the
+    /// [module docs](self)), so one record can stand for many ops. With
+    /// `config.fusion` disabled the records correspond 1:1 to the
     /// program's ops (degenerate MCX records whose control set contains the
     /// target are kept as explicit no-ops), which the noisy simulator relies
     /// on to interleave stochastic noise between gates.
@@ -781,19 +927,18 @@ impl ExecPlan {
             lowered.push(next);
         }
         if config.fusion {
+            lowered = fuse_two_qubit_blocks(lowered);
             lowered = cluster_by_locality(lowered, block_bits);
-            // Merge only where a 4×4 saves a full memory sweep: same-qubit
-            // 2×2 products are always profitable, and two *global* ops fold
-            // into one cross-block pass. Block-local ops already share one
-            // sweep per run, and a local 4×4's inner runs are as short as
-            // the low stride, which defeats vectorization — measured slower
-            // than the two factored 2×2 passes despite equal multiplies.
+            // Batch what the two-qubit fusion left apart only where a 4×4
+            // saves a full memory sweep: two adjacent *global* ops fold into
+            // one cross-block pass. Block-local ops already share one sweep
+            // per run, so a local 4×4 of two lone 2×2s saves no pass and
+            // costs about as much as the two 2×2s it replaces.
             let block_len = 1usize << block_bits;
             let mut batched: Vec<Lowered> = Vec::with_capacity(lowered.len());
             for next in lowered {
                 let profitable = batched.last().is_some_and(|earlier| {
-                    same_qubit_denses(earlier, &next)
-                        || (!is_local(earlier, block_len) && !is_local(&next, block_len))
+                    !is_local(earlier, block_len) && !is_local(&next, block_len)
                 });
                 if profitable {
                     if let Some(merged) = batched
@@ -850,7 +995,7 @@ impl ExecPlan {
 
     /// Number of segments, the passes over the state one application makes:
     /// one per run of block-local records and one per global record.
-    pub(crate) fn num_segments(&self) -> usize {
+    pub fn num_segments(&self) -> usize {
         self.segments.len()
     }
 
@@ -1718,45 +1863,167 @@ fn dense2_rows(
     }
 }
 
+/// Elements per lane group of the small-stride 4×4 kernel ([`LaneRows`]).
+const LANES: usize = 8;
+
+/// The 4×4 of one record laid out per lane for [`LaneRows::apply`]: lane
+/// `j` of an 8-element group in half `h` (the `hi` bit) is basis state
+/// `2·h + (j & lo != 0)` of its quad, so it computes that row of the matrix.
+struct LaneRows {
+    lo: usize,
+    /// `re[h][col][j]`, `im[h][col][j]`: column `col` of lane `j`'s row.
+    re: [[[f64; LANES]; 4]; 2],
+    im: [[[f64; LANES]; 4]; 2],
+}
+
+impl LaneRows {
+    /// Builds the per-lane rows of a 4×4 whose low qubit has bit value `lo`
+    /// (1, 2 or 4).
+    fn new(m: &[f64; 32], lo: usize) -> Self {
+        debug_assert!(lo < LANES && lo.is_power_of_two());
+        let mut rows = Self {
+            lo,
+            re: [[[0.0; LANES]; 4]; 2],
+            im: [[[0.0; LANES]; 4]; 2],
+        };
+        for half in 0..2 {
+            for col in 0..4 {
+                for lane in 0..LANES {
+                    let row = 2 * half + usize::from(lane & lo != 0);
+                    rows.re[half][col][lane] = m[(row * 4 + col) * 2];
+                    rows.im[half][col][lane] = m[(row * 4 + col) * 2 + 1];
+                }
+            }
+        }
+        rows
+    }
+
+    /// Applies the 4×4 to the quads of two paired `hi` halves whose length
+    /// is a multiple of [`LANES`].
+    fn apply(
+        &self,
+        low_re: &mut [f64],
+        low_im: &mut [f64],
+        high_re: &mut [f64],
+        high_im: &mut [f64],
+    ) {
+        match self.lo {
+            1 => self.apply_groups::<1>(low_re, low_im, high_re, high_im),
+            2 => self.apply_groups::<2>(low_re, low_im, high_re, high_im),
+            4 => self.apply_groups::<4>(low_re, low_im, high_re, high_im),
+            lo => unreachable!("lane groups take a low stride of 1, 2 or 4, not {lo}"),
+        }
+    }
+
+    /// [`dense2_rows`] with the runs of length `LO` packed into whole
+    /// 8-element groups: each group of the two halves is read at once, and
+    /// each lane takes its `lo` partner from the same group (`x[j & !LO]`,
+    /// `x[j | LO]`), so the lanes vectorize however short the runs are. Every
+    /// lane sums its row over columns 0–3 from 0.0 in [`dense2_rows`]'s
+    /// order, so the results are the same bits.
+    fn apply_groups<const LO: usize>(
+        &self,
+        low_re: &mut [f64],
+        low_im: &mut [f64],
+        high_re: &mut [f64],
+        high_im: &mut [f64],
+    ) {
+        for (((lr, li), hr), hi) in low_re
+            .chunks_exact_mut(LANES)
+            .zip(low_im.chunks_exact_mut(LANES))
+            .zip(high_re.chunks_exact_mut(LANES))
+            .zip(high_im.chunks_exact_mut(LANES))
+        {
+            let group = |x: &[f64]| -> [f64; LANES] { x.try_into().expect("whole lane group") };
+            let (lr_in, li_in, hr_in, hi_in) = (group(lr), group(li), group(hr), group(hi));
+            // Column `col` of every lane's quad: `2·h + l` over the halves.
+            let mut v_re = [[0.0f64; LANES]; 4];
+            let mut v_im = [[0.0f64; LANES]; 4];
+            for j in 0..LANES {
+                let (even, odd) = (j & !LO, j | LO);
+                v_re[0][j] = lr_in[even];
+                v_re[1][j] = lr_in[odd];
+                v_re[2][j] = hr_in[even];
+                v_re[3][j] = hr_in[odd];
+                v_im[0][j] = li_in[even];
+                v_im[1][j] = li_in[odd];
+                v_im[2][j] = hi_in[even];
+                v_im[3][j] = hi_in[odd];
+            }
+            for (half, (out_re, out_im)) in [(lr, li), (hr, hi)].into_iter().enumerate() {
+                let (c_re, c_im) = (&self.re[half], &self.im[half]);
+                for j in 0..LANES {
+                    let mut acc_re = 0.0f64;
+                    let mut acc_im = 0.0f64;
+                    for col in 0..4 {
+                        let (mr, mi) = (c_re[col][j], c_im[col][j]);
+                        let (vr, vi) = (v_re[col][j], v_im[col][j]);
+                        acc_re += mr * vr - mi * vi;
+                        acc_im += mr * vi + mi * vr;
+                    }
+                    out_re[j] = acc_re;
+                    out_im[j] = acc_im;
+                }
+            }
+        }
+    }
+}
+
+/// The lane-group rows of a 4×4 when its low stride is below [`LANES`] and
+/// its paired halves hold whole groups; `None` keeps [`dense2_halves`].
+fn lane_rows(m: &[f64; 32], lo: usize, half_len: usize) -> Option<LaneRows> {
+    (lo < LANES && half_len >= LANES).then(|| LaneRows::new(m, lo))
+}
+
+/// Generic 4×4 over two paired `hi` halves: every `2·lo` chunk splits into
+/// its `lo` halves, leaving four contiguous rows per quad group. The rows
+/// vectorize along runs of length `lo`.
+fn dense2_halves(
+    low_re: &mut [f64],
+    low_im: &mut [f64],
+    high_re: &mut [f64],
+    high_im: &mut [f64],
+    lo: usize,
+    m: &[f64; 32],
+) {
+    for (((rl, il), rh), ih) in low_re
+        .chunks_exact_mut(lo << 1)
+        .zip(low_im.chunks_exact_mut(lo << 1))
+        .zip(high_re.chunks_exact_mut(lo << 1))
+        .zip(high_im.chunks_exact_mut(lo << 1))
+    {
+        let (r0, r1) = rl.split_at_mut(lo);
+        let (i0, i1) = il.split_at_mut(lo);
+        let (r2, r3) = rh.split_at_mut(lo);
+        let (i2, i3) = ih.split_at_mut(lo);
+        dense2_rows(r0, i0, r1, i1, r2, i2, r3, i3, m);
+    }
+}
+
 /// In-block dense 4×4 over the quads `(i, i|lo, i|hi, i|lo|hi)`: every
-/// `2·hi` chunk splits into its `hi` halves, every `2·lo` sub-chunk into its
-/// `lo` halves, leaving four contiguous rows per quad group.
+/// `2·hi` chunk splits into its `hi` halves, whose quads the lane-group
+/// kernel applies at a low stride below 8 and [`dense2_halves`] otherwise.
 fn dense2_block(re: &mut [f64], im: &mut [f64], lo: usize, hi: usize, m: &[f64; 32]) {
+    let lanes = lane_rows(m, lo, hi);
     for (re_outer, im_outer) in re
         .chunks_exact_mut(hi << 1)
         .zip(im.chunks_exact_mut(hi << 1))
     {
         let (re_low, re_high) = re_outer.split_at_mut(hi);
         let (im_low, im_high) = im_outer.split_at_mut(hi);
-        for (((rl, il), rh), ih) in re_low
-            .chunks_exact_mut(lo << 1)
-            .zip(im_low.chunks_exact_mut(lo << 1))
-            .zip(re_high.chunks_exact_mut(lo << 1))
-            .zip(im_high.chunks_exact_mut(lo << 1))
-        {
-            let (r0, r1) = rl.split_at_mut(lo);
-            let (i0, i1) = il.split_at_mut(lo);
-            let (r2, r3) = rh.split_at_mut(lo);
-            let (i2, i3) = ih.split_at_mut(lo);
-            dense2_rows(r0, i0, r1, i1, r2, i2, r3, i3, m);
+        match &lanes {
+            Some(lanes) => lanes.apply(re_low, im_low, re_high, im_high),
+            None => dense2_halves(re_low, im_low, re_high, im_high, lo, m),
         }
     }
 }
 
 /// Mixed 4×4 (low qubit in-block, high qubit across a block pair): quads are
-/// `(a[i], a[i|lo], b[i], b[i|lo])`.
+/// `(a[i], a[i|lo], b[i], b[i|lo])`, so the two blocks are the `hi` halves.
 fn dense2_across_pair(m: &[f64; 32], lo: usize, a: &mut AmpBlock, b: &mut AmpBlock) {
-    for (((ar, ai), br), bi) in
-        a.re.chunks_exact_mut(lo << 1)
-            .zip(a.im.chunks_exact_mut(lo << 1))
-            .zip(b.re.chunks_exact_mut(lo << 1))
-            .zip(b.im.chunks_exact_mut(lo << 1))
-    {
-        let (r0, r1) = ar.split_at_mut(lo);
-        let (i0, i1) = ai.split_at_mut(lo);
-        let (r2, r3) = br.split_at_mut(lo);
-        let (i2, i3) = bi.split_at_mut(lo);
-        dense2_rows(r0, i0, r1, i1, r2, i2, r3, i3, m);
+    match lane_rows(m, lo, a.re.len()) {
+        Some(lanes) => lanes.apply(&mut a.re, &mut a.im, &mut b.re, &mut b.im),
+        None => dense2_halves(&mut a.re, &mut a.im, &mut b.re, &mut b.im, lo, m),
     }
 }
 
@@ -1942,6 +2209,126 @@ mod tests {
         );
         let unbatched = ExecPlan::compile(&circuit, &ExecConfig::baseline());
         assert_eq!(unbatched.num_records(), 4);
+    }
+
+    #[test]
+    fn two_qubit_blocks_fuse_into_one_4x4_when_it_replaces_three_records() {
+        // The inner-product pair block of the hidden shift, on qubits 3 and
+        // 0 of a 4-qubit register (so the block's low qubit is `b`).
+        let pair_block = |a: usize, b: usize| {
+            let mut pair = QuantumCircuit::new(4);
+            push_all(
+                &mut pair,
+                [
+                    QuantumGate::Cz { a, b },
+                    QuantumGate::H(b),
+                    QuantumGate::H(a),
+                    QuantumGate::X(a),
+                    QuantumGate::Cz { a, b },
+                    QuantumGate::H(b),
+                    QuantumGate::H(a),
+                ],
+            );
+            pair
+        };
+        let (a, b) = (3, 0);
+        let pair = pair_block(a, b);
+        let config = ExecConfig::sequential();
+        for program in [FusedProgram::fuse(&pair), FusedProgram::lower(&pair)] {
+            let plan = ExecPlan::from_program(&program, &config);
+            assert_eq!(plan.num_records(), 1);
+            let record = plan.records()[0];
+            assert_eq!(
+                (record.kind, record.arg0, record.arg1),
+                (OpKind::Dense2, 0b1, 0b1000)
+            );
+            let input: Vec<Complex> = (0..16)
+                .map(|k| Complex::new(0.1 * k as f64 - 0.3, 0.05 * (k * k) as f64))
+                .collect();
+            let mut fused = input.clone();
+            plan.apply(&mut fused, &config);
+            let mut expected = input;
+            ExecPlan::compile(&pair, &ExecConfig::baseline())
+                .apply(&mut expected, &ExecConfig::baseline());
+            for (index, (x, y)) in fused.iter().zip(&expected).enumerate() {
+                assert!(x.approx_eq(*y, 1e-12), "amplitude {index}: {x:?} vs {y:?}");
+            }
+        }
+        // A lone `H(a); CZ(a, b)` replaces only two records: it stays two.
+        let mut lone = QuantumCircuit::new(4);
+        push_all(&mut lone, [QuantumGate::H(a), QuantumGate::Cz { a, b }]);
+        let plan = ExecPlan::compile(&lone, &config);
+        let kinds: Vec<OpKind> = plan.records().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, vec![OpKind::Dense1, OpKind::Phase]);
+        // On qubits (2, 0) the 4×4's rows would be shorter than a lane
+        // group: the block keeps its records.
+        let plan = ExecPlan::compile(&pair_block(2, 0), &config);
+        assert!(plan.records().iter().all(|r| r.kind != OpKind::Dense2));
+        assert!(plan.num_records() > 1);
+    }
+
+    /// Applies a 4×4 to every quad `(i, i|lo, i|hi, i|lo|hi)` of the arrays
+    /// one at a time, through `dense2_rows` on one-element rows.
+    fn dense2_per_quad(re: &mut [f64], im: &mut [f64], lo: usize, hi: usize, m: &[f64; 32]) {
+        for base in (0..re.len()).filter(|index| index & (lo | hi) == 0) {
+            let quad = [base, base | lo, base | hi, base | lo | hi];
+            let mut r = quad.map(|index| [re[index]]);
+            let mut i = quad.map(|index| [im[index]]);
+            let [r0, r1, r2, r3] = &mut r;
+            let [i0, i1, i2, i3] = &mut i;
+            dense2_rows(r0, i0, r1, i1, r2, i2, r3, i3, m);
+            for (slot, index) in quad.into_iter().enumerate() {
+                re[index] = r[slot][0];
+                im[index] = i[slot][0];
+            }
+        }
+    }
+
+    #[test]
+    fn lane_group_4x4_matches_dense2_rows_bit_for_bit() {
+        let m: [f64; 32] = std::array::from_fn(|k| ((k * 7 + 3) % 11) as f64 / 5.0 - 1.05);
+        let values = |len: usize, salt: usize| -> Vec<f64> {
+            (0..len)
+                .map(|k| ((k * 31 + salt * 17) % 29) as f64 / 13.0 - 1.1)
+                .collect()
+        };
+        let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+        for lo in [1usize, 2, 4] {
+            // Rows of 8, 16 and 64 take the lane groups; rows of 2 and 4
+            // (only those above `lo`) keep the generic rows.
+            for row in [2usize, 4, 8, 16, 64].into_iter().filter(|&row| row > lo) {
+                // In-block: two `2·hi` chunks, with rows of `hi`.
+                let (mut re, mut im) = (values(4 * row, lo), values(4 * row, lo + 1));
+                let (mut want_re, mut want_im) = (re.clone(), im.clone());
+                dense2_block(&mut re, &mut im, lo, row, &m);
+                dense2_per_quad(&mut want_re, &mut want_im, lo, row, &m);
+                assert_eq!(bits(&re), bits(&want_re), "in-block lo {lo}, rows {row}");
+                assert_eq!(bits(&im), bits(&want_im), "in-block lo {lo}, rows {row}");
+                // Across a block pair: the blocks are the `hi` halves.
+                let (flat_re, flat_im) = (values(2 * row, lo + 2), values(2 * row, lo + 3));
+                let mut a = AmpBlock {
+                    re: flat_re[..row].to_vec(),
+                    im: flat_im[..row].to_vec(),
+                };
+                let mut b = AmpBlock {
+                    re: flat_re[row..].to_vec(),
+                    im: flat_im[row..].to_vec(),
+                };
+                let (mut want_re, mut want_im) = (flat_re, flat_im);
+                dense2_across_pair(&m, lo, &mut a, &mut b);
+                dense2_per_quad(&mut want_re, &mut want_im, lo, row, &m);
+                assert_eq!(
+                    bits(&[a.re, b.re].concat()),
+                    bits(&want_re),
+                    "pair lo {lo}, rows {row}"
+                );
+                assert_eq!(
+                    bits(&[a.im, b.im].concat()),
+                    bits(&want_im),
+                    "pair lo {lo}, rows {row}"
+                );
+            }
+        }
     }
 
     #[test]

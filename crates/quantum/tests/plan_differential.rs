@@ -18,7 +18,11 @@
 //! * circuits that open with a random single-qubit layer, which a fused
 //!   simulation writes as its initial product state: within 1e-10 of the
 //!   oracle at several block sizes and thread counts, and with fusion off
-//!   bit for bit the per-gate plan applied to the zero state (suite 6).
+//!   bit for bit the per-gate plan applied to the zero state (suite 6);
+//! * circuits built from two-qubit blocks, the shape the plan's two-qubit
+//!   fusion turns into 4×4 records: within 1e-10 of the oracle at several
+//!   block sizes and thread counts, with fewer records than the unfused
+//!   plan (suite 7).
 //!
 //! `tests/differential.rs` checks the fused, unfused and multi-threaded
 //! configurations against the oracle on 2–8 qubits, with the norm.
@@ -130,6 +134,74 @@ fn layered_circuit(seed: u64) -> QuantumCircuit {
     }
     for gate in &body {
         circuit.push(gate.clone()).expect("body gates are in range");
+    }
+    circuit
+}
+
+/// Random circuits of two-qubit blocks over 4..=12 qubits: each block is
+/// 3–8 gates of `H`, `X`, `Y`, `S`, `T`, `Rz` and `CZ` on one random pair
+/// (a, b), and a `CX` or `CCX` stands between consecutive blocks. A block
+/// opens with `CZ(a, b)` and one dense gate on each of its qubits, the
+/// hidden shift's pair shape, and the first block's higher qubit is 3 or
+/// above, where the plan builds 4×4s. Nothing outside the first block can
+/// come between its opening three gates without commuting past them, so
+/// the plan either merges some gates or fuses that block into a 4×4: it
+/// always has fewer records than gates.
+fn two_qubit_block_circuit(seed: u64) -> QuantumCircuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let num_qubits = rng.gen_range(4..13usize);
+    let mut circuit = QuantumCircuit::new(num_qubits);
+    for block in 0..rng.gen_range(1..7usize) {
+        if block > 0 {
+            let control = rng.gen_range(0..num_qubits);
+            let target = distinct(&mut rng, num_qubits, &[control]);
+            let gate = if rng.gen::<bool>() {
+                QuantumGate::Cx { control, target }
+            } else {
+                let control_b = distinct(&mut rng, num_qubits, &[control, target]);
+                QuantumGate::Ccx {
+                    control_a: control,
+                    control_b,
+                    target,
+                }
+            };
+            circuit.push(gate).expect("generated gates are in range");
+        }
+        let a = if block == 0 {
+            rng.gen_range(3..num_qubits)
+        } else {
+            rng.gen_range(0..num_qubits)
+        };
+        let b = distinct(&mut rng, num_qubits, &[a]);
+        let dense = |rng: &mut StdRng, qubit| match rng.gen_range(0..3u32) {
+            0 => QuantumGate::H(qubit),
+            1 => QuantumGate::X(qubit),
+            _ => QuantumGate::Y(qubit),
+        };
+        let opening = [
+            QuantumGate::Cz { a, b },
+            dense(&mut rng, a),
+            dense(&mut rng, b),
+        ];
+        for gate in opening {
+            circuit.push(gate).expect("generated gates are in range");
+        }
+        for _ in 0..rng.gen_range(0..6usize) {
+            let qubit = if rng.gen::<bool>() { a } else { b };
+            let gate = match rng.gen_range(0..7u32) {
+                0 => QuantumGate::H(qubit),
+                1 => QuantumGate::X(qubit),
+                2 => QuantumGate::Y(qubit),
+                3 => QuantumGate::S(qubit),
+                4 => QuantumGate::T(qubit),
+                5 => QuantumGate::Rz {
+                    qubit,
+                    angle: rng.gen::<f64>() * std::f64::consts::TAU,
+                },
+                _ => QuantumGate::Cz { a, b },
+            };
+            circuit.push(gate).expect("generated gates are in range");
+        }
     }
     circuit
 }
@@ -279,6 +351,44 @@ proptest! {
                 "fusion off (block_bits {}) is not the per-gate plan on the zero state",
                 block_bits
             );
+        }
+    }
+
+    /// Suite 7: circuits of two-qubit blocks, which the plan's two-qubit
+    /// fusion lowers to 4×4 records (in-block at every low stride, across
+    /// block pairs and across block quads at 8- and 16-amplitude blocks).
+    /// The fused plan, applied to the zero state and as a job simulates it
+    /// (product-state start), stays within 1e-10 of the oracle at the auto
+    /// block size and at 8- and 16-amplitude blocks, on one thread and on
+    /// four, and has fewer records than the unfused plan.
+    #[test]
+    fn two_qubit_fusion_matches_dense_reference(seed in any::<u64>()) {
+        let circuit = two_qubit_block_circuit(seed);
+        let reference = DenseReference::from_circuit(&circuit).expect("small register");
+        let unfused = ExecPlan::compile(&circuit, &ExecConfig::baseline()).num_records();
+        for block_bits in [0usize, 3, 4] {
+            for threads in [1usize, 4] {
+                let config = ExecConfig::sequential()
+                    .with_block_bits(block_bits)
+                    .with_threads(threads);
+                let plan = ExecPlan::compile(&circuit, &config);
+                prop_assert!(
+                    plan.num_records() < unfused,
+                    "fused plan has {} records, unfused {}\ncircuit:\n{}",
+                    plan.num_records(), unfused, circuit
+                );
+                let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+                plan.apply_soa(&mut state, &config);
+                for (index, b) in reference.amplitudes().iter().enumerate() {
+                    let a = state.amplitude(index);
+                    prop_assert!(
+                        a.approx_eq(*b, TOLERANCE),
+                        "block_bits {} threads {}: amplitude {} diverges: plan {:?} vs reference {:?}\ncircuit:\n{}",
+                        block_bits, threads, index, a, b, circuit
+                    );
+                }
+                assert_matches_reference(&circuit, &config);
+            }
         }
     }
 }

@@ -117,27 +117,38 @@ fn resource_counter_backend_reports_oracle_costs() {
 
 /// A dense job starts from the product state the 20-qubit hidden shift's
 /// leading Hadamard layer (with the shift's `X` gates fused in) makes of
-/// `|0…0⟩`, so its plan has fewer records than `ExecPlan::compile` of the
-/// circuit — the instance of the `plan_kernel` bench.
+/// `|0…0⟩`. What is left is one independent block per inner-product pair
+/// (i, i + 10), `CZ; H; H·X; CZ; H; H`, and the two-qubit fusion makes each
+/// block one 4×4 record: 10 records, against 54 without it — on the
+/// instance of the `plan_kernel` bench and two more shifts.
 #[test]
 fn twenty_qubit_job_plan_starts_after_the_leading_layer() {
-    use qdaflow::quantum::{ExecPlan, FusedProgram};
+    use qdaflow::quantum::{ExecPlan, FusedProgram, OpKind};
     let mm = MaioranaMcFarland::inner_product(10);
-    let instance = HiddenShiftInstance::from_maiorana_mcfarland(&mm, 0b10_1101_1001).unwrap();
-    let circuit = instance
-        .build_circuit(OracleStyle::MaioranaMcFarland {
-            synthesis: SynthesisChoice::TransformationBased,
-        })
-        .unwrap();
-    let config = ExecConfig::sequential();
-    let compiled = ExecPlan::compile(&circuit, &config);
-    let (layer, rest) = FusedProgram::fuse(&circuit).split_product_layer();
-    let job = ExecPlan::from_program(&rest, &config);
-    assert_eq!(layer.num_absorbed(), 20);
-    assert!(
-        job.num_records() < compiled.num_records(),
-        "job plan {} records, compiled plan {}",
-        job.num_records(),
-        compiled.num_records()
-    );
+    let pairs: Vec<(u64, u64)> = (0..10).map(|i| (1 << i, 1 << (i + 10))).collect();
+    for shift in [0b10_1101_1001, 0xb_6526, 0xf_83e0] {
+        let instance = HiddenShiftInstance::from_maiorana_mcfarland(&mm, shift).unwrap();
+        let circuit = instance
+            .build_circuit(OracleStyle::MaioranaMcFarland {
+                synthesis: SynthesisChoice::TransformationBased,
+            })
+            .unwrap();
+        let config = ExecConfig::sequential();
+        let compiled = ExecPlan::compile(&circuit, &config);
+        let (layer, rest) = FusedProgram::fuse(&circuit).split_product_layer();
+        let job = ExecPlan::from_program(&rest, &config);
+        assert_eq!(layer.num_absorbed(), 20);
+        assert_eq!(job.num_records(), 10, "shift {shift:#x}");
+        assert!(job.num_records() < compiled.num_records());
+        let mut records: Vec<(u64, u64)> = job
+            .records()
+            .iter()
+            .map(|record| {
+                assert_eq!(record.kind, OpKind::Dense2, "shift {shift:#x}");
+                (record.arg0, record.arg1)
+            })
+            .collect();
+        records.sort_unstable();
+        assert_eq!(records, pairs, "shift {shift:#x}: one 4×4 per pair");
+    }
 }

@@ -328,9 +328,16 @@ fn traced_batch_produces_a_linted_chrome_trace_and_unified_stats() {
             "missing layer {expected:?} in {layers:?}"
         );
     }
-    // A dense job's simulation says where its time went: the plan compile
-    // and the initial state beside the kernel's `apply_soa`.
-    for span in ["plan compile", "state prepare", "apply_soa"] {
+    // A dense job says where its time went: the plan compile and the
+    // initial state beside the kernel's `apply_soa`, then the sampling walk
+    // over the state and the result assembled from its counts.
+    for span in [
+        "plan compile",
+        "state prepare",
+        "apply_soa",
+        "sample walk",
+        "result assemble",
+    ] {
         assert!(
             trace.contains(&format!("\"name\":\"{span} ")),
             "missing span {span:?}"
