@@ -7,13 +7,15 @@
 //! path used before the fusion layer existed). The contenders compile the
 //! same circuit to an `ExecPlan`: split re/im amplitude storage and
 //! cache-blocked sweeps. `plan_unfused_sequential` keeps one record per
-//! gate; `plan_sequential` adds fusion — the H/X shift sandwiches merge into
-//! single dense ops, commuting ops cluster into block-local runs and
-//! adjacent dense ops batch into 4×4 applications; `plan_parallel_auto`
-//! adds the worker pool where the host has more than one CPU.
+//! gate; `plan_sequential` adds fusion — the fusion walk makes each
+//! inner-product pair's gates, its `H` and shift `X` gates included, one
+//! 4×4 record, and block-local records share one sweep per run;
+//! `plan_parallel_auto` adds the worker pool where the host has more than
+//! one CPU.
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
+use qdaflow::quantum::plan::ExecPlan;
 use qdaflow::quantum::statevector::Statevector;
 use std::time::Duration;
 
@@ -37,11 +39,11 @@ fn twenty_qubit_hidden_shift() -> QuantumCircuit {
 
 fn bench_fusion_vs_baseline(c: &mut Criterion) {
     let circuit = twenty_qubit_hidden_shift();
-    let fused_ops = FusedProgram::fuse(&circuit).num_ops();
+    let fused_records = ExecPlan::compile(&circuit, &ExecConfig::sequential()).num_records();
     println!(
-        "hidden-shift-20q: {} gates -> {} fused ops",
+        "hidden-shift-20q: {} gates -> {} fused plan records",
         circuit.num_gates(),
-        fused_ops
+        fused_records
     );
 
     let mut group = c.benchmark_group("fusion_vs_baseline");

@@ -40,7 +40,7 @@ fn bench_plan_kernel(c: &mut Criterion) {
     let circuit = twenty_qubit_hidden_shift();
     let config = ExecConfig::sequential();
     let plan = ExecPlan::compile(&circuit, &config);
-    let (_, rest) = FusedProgram::fuse(&circuit).split_product_layer();
+    let (_, rest) = FusedProgram::lower(&circuit).split_product_layer();
     let job_plan = ExecPlan::from_program(&rest, &config);
     println!(
         "hidden-shift-20q: {} gates -> {} dispatch records in {} sweeps ({} pool f64s, \
@@ -115,12 +115,13 @@ fn bench_plan_kernel(c: &mut Criterion) {
     // One 4×4 record on qubits (0, 10): a block-local pair at the lowest
     // stride, which the kernel applies in 8-element lane groups. The
     // hidden shift's pairs (0, 10), (1, 11) and (2, 12) are of this kind.
+    // The `CZ` joins the block of `H(10)` and pulls in that of `H(0)`.
     group.bench_function("apply_20q_dense2_0_10", |b| {
         let mut pair = QuantumCircuit::new(NUM_QUBITS);
         for gate in [
-            QuantumGate::Cz { a: 0, b: 10 },
             QuantumGate::H(0),
             QuantumGate::H(10),
+            QuantumGate::Cz { a: 0, b: 10 },
         ] {
             pair.push(gate).expect("qubits 0 and 10 are in range");
         }

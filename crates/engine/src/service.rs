@@ -70,8 +70,7 @@ use qdaflow_telemetry as telemetry;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -199,6 +198,12 @@ struct ServiceState {
     next_id: u64,
     /// Journal replay map: job digest → checkpointed completion.
     replay: HashMap<SpecKey, JournalEntry>,
+    /// Set once, when the service is dropped. It lives under the state
+    /// lock because a worker reads it under that lock before it waits on
+    /// `wake`: set outside the lock, the drop's notification could land
+    /// between that read and the wait, and the worker would sleep through
+    /// it while the drop joins it.
+    shutdown: bool,
 }
 
 /// Per-service metric handles, registered in the service's own
@@ -305,7 +310,6 @@ struct ServiceInner {
     wake: Condvar,
     /// [`JobService::wait`] callers wait here for terminal transitions.
     done: Condvar,
-    shutdown: AtomicBool,
     metrics: Metrics,
     journal: Option<Mutex<Journal>>,
 }
@@ -380,7 +384,6 @@ impl JobService {
             state: Mutex::new(state),
             wake: Condvar::new(),
             done: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             metrics: Metrics::new(),
             journal,
         });
@@ -600,7 +603,13 @@ impl JobService {
 
 impl Drop for JobService {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // A poisoned lock still guards valid state, and a drop must not
+        // panic.
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         self.inner.wake.notify_all();
         self.inner.done.notify_all();
         for worker in self.workers.drain(..) {
@@ -651,7 +660,7 @@ fn worker_loop(inner: &ServiceInner) {
         let (id, key, job, trace_parent) = {
             let mut state = inner.lock();
             loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
+                if state.shutdown {
                     return;
                 }
                 match next_candidate(&state, Instant::now()) {

@@ -219,14 +219,15 @@ pub trait PreparedState {
 /// sorted draws (see [`crate::sampling`]). Sampling is sequential:
 /// `config.threads` drives only the kernel.
 ///
-/// With [`ExecConfig::fusion`] on, the fused program's leading single-qubit
-/// layer ([`FusedProgram::split_product_layer`]) is written as the initial
-/// product state ([`SoaStatevector::product_state`]), and the plan holds only
-/// the ops after it: a job's plan can have fewer records than
-/// [`ExecPlan::compile`] of its circuit. With fusion off the per-gate plan
-/// runs on [`SoaStatevector::zero_state`], so the amplitudes are the
-/// bit-identical per-gate arithmetic the sparse and stabilizer engines
-/// reproduce.
+/// With [`ExecConfig::fusion`] on, the leading single-qubit layer of the
+/// circuit's per-gate program ([`FusedProgram::lower`],
+/// [`FusedProgram::split_product_layer`]) is written as the initial product
+/// state ([`SoaStatevector::product_state`]), and the plan holds only the
+/// ops after it, fused by the same walk as [`ExecPlan::compile`]. On the
+/// 20-qubit hidden shift both plans are the same 10 records. With fusion
+/// off the per-gate plan runs on [`SoaStatevector::zero_state`], so the
+/// amplitudes are the bit-identical per-gate arithmetic the sparse and
+/// stabilizer engines reproduce.
 ///
 /// Under tracing, `simulate` records a `plan compile` section (record and
 /// segment counts) and a `state prepare` span (qubits absorbed) beside the
@@ -247,7 +248,7 @@ impl PreparedState for SoaStatevector {
         }
         let compile_started = telemetry::enabled().then(Instant::now);
         let (layer, plan) = if config.fusion {
-            let (layer, rest) = FusedProgram::fuse(circuit).split_product_layer();
+            let (layer, rest) = FusedProgram::lower(circuit).split_product_layer();
             (Some(layer), ExecPlan::from_program(&rest, config))
         } else {
             (None, ExecPlan::compile(circuit, config))

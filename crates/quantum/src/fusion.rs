@@ -1,13 +1,11 @@
-//! Gate fusion: the input IR of the dense execution plan.
+//! The input IR of the dense execution plan, and its configuration.
 //!
-//! A circuit is first lowered into a [`FusedProgram`], a list of
-//! [`FusedOp`] kernel operations. With fusion on ([`FusedProgram::fuse`]),
-//! runs of adjacent diagonal gates on the same subspace mask coalesce into a
-//! single phase multiply and adjacent dense single-qubit gates on the same
-//! qubit merge into one 2×2 matrix product; with fusion off
-//! ([`FusedProgram::lower`]) every gate becomes exactly one op. The
+//! [`FusedProgram::lower`] turns a circuit into a [`FusedProgram`], one
+//! [`FusedOp`] kernel operation per gate. The
 //! [`ExecPlan`](crate::plan::ExecPlan) then lowers the program into flat
-//! dispatch records and executes it; this module runs nothing itself.
+//! dispatch records and executes it; with [`ExecConfig::fusion`] on, its
+//! one fusion walk composes ops into 2×2, 4×4 and phase records (see the
+//! [`plan`](crate::plan) module docs). This module runs nothing itself.
 //!
 //! The [`ExecConfig`] knob selects the thread count, the fusion toggle, the
 //! sampler shard size and the plan's cache-block size. It is threaded
@@ -16,7 +14,7 @@
 //! Monte-Carlo noisy simulator, the sampling backends, the engine crate's
 //! `MainEngine` and the RevKit-style shell's `exec` command.
 //!
-//! Correctness of the fused program is established differentially: the
+//! Correctness of the fused plan is established differentially: the
 //! `tests/differential.rs` and `tests/plan_differential.rs` property suites
 //! compare fused and unfused plans amplitude-for-amplitude against the
 //! deliberately naive
@@ -26,10 +24,6 @@ use crate::circuit::QuantumCircuit;
 use crate::complex::Complex;
 use crate::gate::QuantumGate;
 use std::thread;
-
-/// Tolerance under which a fused operation is recognized as the identity and
-/// dropped from the program.
-const IDENTITY_EPS: f64 = 1e-12;
 
 /// Hard cap on the configured thread count; beyond this the memory-bound
 /// amplitude sweeps stop scaling.
@@ -49,15 +43,16 @@ pub struct ExecConfig {
     /// workers; dense and stabilizer sampling are sequential and do not use
     /// it.
     pub threads: usize,
-    /// Whether circuits are optimized before execution: the gate-fusion
-    /// pass ([`FusedProgram::fuse`]) plus the plan lowering's two-qubit
-    /// fusion (a block of dense ops and phases on at most two qubits becomes
-    /// one 2×2 or 4×4 record where that saves kernel time), commuting-op
-    /// clustering and 4×4 batching of global ops. A simulation from `|0…0⟩`
+    /// Whether circuits are optimized before execution: the plan
+    /// lowering's fusion walk (dense ops and phases grouped into blocks of
+    /// at most two qubits; each qubit's run of one-qubit ops becomes one
+    /// 2×2 or phase record, and a block one 4×4 record where that saves
+    /// kernel time), commuting-op clustering and 4×4 batching of global
+    /// ops. A simulation from `|0…0⟩`
     /// ([`PreparedState::simulate`](crate::backend::PreparedState::simulate))
-    /// also writes the fused program's leading single-qubit layer as its
-    /// initial product state ([`FusedProgram::split_product_layer`]) instead
-    /// of applying it as records. Exact up to floating-point rounding
+    /// also writes the program's leading single-qubit layer as its initial
+    /// product state ([`FusedProgram::split_product_layer`]) instead of
+    /// applying it as records. Exact up to floating-point rounding
     /// (reordering only ever swaps commuting ops, merging adds one rounding
     /// per composed matrix). Off, the plan holds one dispatch record per
     /// gate and runs on the zero state, and its amplitudes are bit-identical
@@ -144,25 +139,24 @@ impl Default for ExecConfig {
     }
 }
 
-/// One operation of a compiled [`FusedProgram`], the input instruction set
-/// of the execution plan. Gates that act identically on the amplitudes lower
-/// to the same op (e.g. Z, CZ and MCZ are all a [`FusedOp::Phase`]).
+/// One operation of a [`FusedProgram`], the input instruction set of the
+/// execution plan. Gates that act identically on the amplitudes lower to the
+/// same op (e.g. Z, CZ and MCZ are all a [`FusedOp::Phase`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FusedOp {
-    /// An arbitrary 2×2 unitary on one qubit — a dense single-qubit gate or
-    /// the product of several merged ones.
+    /// An arbitrary 2×2 unitary on one qubit: a dense single-qubit gate.
     Dense {
         /// Target qubit.
         qubit: usize,
-        /// The (possibly fused) 2×2 matrix.
+        /// The 2×2 matrix.
         matrix: [[Complex; 2]; 2],
     },
     /// Multiplies `phase` onto every amplitude whose index has all bits of
-    /// `mask` set — a diagonal gate or the product of several merged ones.
+    /// `mask` set: a diagonal gate.
     Phase {
         /// Basis-state mask selecting the affected subspace.
         mask: usize,
-        /// The accumulated phase factor.
+        /// The phase factor.
         phase: Complex,
     },
     /// Multiple-controlled X: swaps amplitudes across `target` where all
@@ -273,75 +267,12 @@ impl FusedOp {
             Self::Swap { .. } => unreachable!("a swap acts on two qubits"),
         }
     }
-
-    /// Returns `true` if this op commutes with a phase multiply on `mask`.
-    fn commutes_with_phase(&self, mask: usize) -> bool {
-        match self {
-            // Diagonal ops always commute with each other.
-            Self::Phase { .. } => true,
-            Self::Dense { qubit, .. } => mask & (1 << qubit) == 0,
-            // Controls are diagonal; only flipping the target can disturb
-            // membership in the mask subspace.
-            Self::Mcx { target, .. } => mask & (1 << target) == 0,
-            // A swap preserves membership iff both qubits enter the mask the
-            // same way.
-            Self::Swap { a, b } => (mask >> a) & 1 == (mask >> b) & 1,
-        }
-    }
-
-    /// Returns `true` if this op commutes with any dense gate on `qubit`.
-    fn commutes_with_dense(&self, qubit: usize) -> bool {
-        match self {
-            Self::Phase { mask, .. } => mask & (1 << qubit) == 0,
-            Self::Dense { qubit: other, .. } => *other != qubit,
-            Self::Mcx {
-                control_mask,
-                target,
-            } => *target != qubit && control_mask & (1 << qubit) == 0,
-            Self::Swap { a, b } => *a != qubit && *b != qubit,
-        }
-    }
-
-    /// Returns `true` if the two ops provably commute (conservative: `false`
-    /// may simply mean "unknown").
-    fn commutes_with(&self, other: &Self) -> bool {
-        match other {
-            Self::Phase { mask, .. } => self.commutes_with_phase(*mask),
-            Self::Dense { qubit, .. } => self.commutes_with_dense(*qubit),
-            Self::Mcx {
-                control_mask,
-                target,
-            } => match self {
-                Self::Phase { .. } | Self::Dense { .. } => other.commutes_with(self),
-                // Two MCX commute when neither target enters the other's
-                // control set (shared controls and even shared targets are
-                // fine: X's on one qubit commute).
-                Self::Mcx {
-                    control_mask: own_controls,
-                    target: own_target,
-                } => control_mask & (1 << own_target) == 0 && own_controls & (1 << target) == 0,
-                Self::Swap { a, b } => {
-                    let touched = control_mask | (1 << target);
-                    touched & ((1 << a) | (1 << b)) == 0
-                }
-            },
-            Self::Swap { a, b } => match self {
-                Self::Phase { .. } | Self::Dense { .. } | Self::Mcx { .. } => {
-                    other.commutes_with(self)
-                }
-                Self::Swap { a: own_a, b: own_b } => {
-                    let own = (1usize << own_a) | (1 << own_b);
-                    own & ((1 << a) | (1 << b)) == 0
-                }
-            },
-        }
-    }
 }
 
-/// A circuit lowered to kernel operations: an ordered list of [`FusedOp`]s
-/// equivalent (up to floating-point round-off in merged matrices) to the
-/// source gate sequence. [`ExecPlan`](crate::plan::ExecPlan) compiles it
-/// into dispatch records.
+/// A circuit lowered to kernel operations: an ordered list of [`FusedOp`]s,
+/// one per gate of the source circuit.
+/// [`ExecPlan::from_program`](crate::plan::ExecPlan::from_program) compiles
+/// it into dispatch records, fusing them under [`ExecConfig::fusion`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     num_qubits: usize,
@@ -349,32 +280,13 @@ pub struct FusedProgram {
 }
 
 impl FusedProgram {
-    /// Lowers a circuit one gate per op, without any fusion. This reproduces
-    /// the per-gate kernel dispatch exactly.
+    /// Lowers a circuit one gate per op. Fusion is the plan's work: with
+    /// fusion off, its records reproduce the per-gate kernel dispatch
+    /// exactly.
     pub fn lower(circuit: &QuantumCircuit) -> Self {
         Self {
             num_qubits: circuit.num_qubits(),
             ops: circuit.iter().map(FusedOp::from_gate).collect(),
-        }
-    }
-
-    /// Compiles a circuit with the gate-fusion pass.
-    ///
-    /// The pass walks the gate list once, lowering each gate and then
-    /// scanning backwards over provably commuting ops for a merge partner:
-    /// diagonal gates on the same mask multiply their phases into one
-    /// [`FusedOp::Phase`], dense single-qubit gates on the same qubit
-    /// multiply into one [`FusedOp::Dense`] (absorbing single-qubit diagonal
-    /// neighbours), and self-inverse permutation ops cancel in adjacent
-    /// pairs. Merged ops that collapse to the identity are dropped.
-    pub fn fuse(circuit: &QuantumCircuit) -> Self {
-        let mut ops: Vec<FusedOp> = Vec::with_capacity(circuit.num_gates());
-        for gate in circuit {
-            push_fused(&mut ops, FusedOp::from_gate(gate));
-        }
-        Self {
-            num_qubits: circuit.num_qubits(),
-            ops,
         }
     }
 
@@ -383,12 +295,12 @@ impl FusedProgram {
         self.num_qubits
     }
 
-    /// The compiled operations in execution order.
+    /// The operations in execution order.
     pub fn ops(&self) -> &[FusedOp] {
         &self.ops
     }
 
-    /// Number of compiled operations (≤ the source gate count).
+    /// Number of operations.
     pub fn num_ops(&self) -> usize {
         self.ops.len()
     }
@@ -452,115 +364,6 @@ impl ProductLayer {
     }
 }
 
-/// Places `op` into the program: scans backwards over provably commuting
-/// ops for a merge partner, merges (recursively, so chains like H·S·H
-/// collapse to one op) or inserts at the scan frontier.
-///
-/// Moving `op` back past ops it commutes with is semantics-preserving, and a
-/// merged op acts on exactly the qubits of its two constituents, so the
-/// merge result is re-placed from the partner's position with the same
-/// invariant.
-fn push_fused(ops: &mut Vec<FusedOp>, op: FusedOp) {
-    let at = ops.len();
-    push_fused_at(ops, op, at);
-}
-
-/// Like [`push_fused`], but `op` executes logically before `ops[at..]`.
-/// Merging only ever moves the result to an index `<= at`, past ops checked
-/// to commute with it, so ops that logically follow stay behind it.
-fn push_fused_at(ops: &mut Vec<FusedOp>, op: FusedOp, at: usize) {
-    let mut i = at;
-    while i > 0 {
-        if let Some(merged) = merge(&ops[i - 1], &op) {
-            ops.remove(i - 1);
-            if let Some(merged) = merged {
-                push_fused_at(ops, merged, i - 1);
-            }
-            return;
-        }
-        if ops[i - 1].commutes_with(&op) {
-            i -= 1;
-        } else {
-            break;
-        }
-    }
-    ops.insert(i, op);
-}
-
-/// Attempts to merge `later` (applied second) into `earlier` (applied
-/// first). Returns `None` when the pair does not merge, `Some(None)` when it
-/// cancels to the identity, and `Some(Some(op))` for a fused op.
-fn merge(earlier: &FusedOp, later: &FusedOp) -> Option<Option<FusedOp>> {
-    match (earlier, later) {
-        (FusedOp::Phase { mask: a, phase: p }, FusedOp::Phase { mask: b, phase: q }) if a == b => {
-            let phase = *p * *q;
-            Some(
-                (!phase.approx_eq(Complex::ONE, IDENTITY_EPS))
-                    .then_some(FusedOp::Phase { mask: *a, phase }),
-            )
-        }
-        (
-            FusedOp::Dense {
-                qubit: a,
-                matrix: m,
-            },
-            FusedOp::Dense {
-                qubit: b,
-                matrix: n,
-            },
-        ) if a == b => Some(dense_unless_identity(*a, matmul(n, m))),
-        // A dense gate followed by a single-qubit diagonal on the same
-        // qubit: diag(1, p) · M scales the bottom row.
-        (FusedOp::Dense { qubit, matrix }, FusedOp::Phase { mask, phase })
-            if *mask == 1usize << qubit =>
-        {
-            let mut merged = *matrix;
-            merged[1][0] *= *phase;
-            merged[1][1] *= *phase;
-            Some(dense_unless_identity(*qubit, merged))
-        }
-        // A single-qubit diagonal followed by a dense gate on the same
-        // qubit: M · diag(1, p) scales the right column.
-        (FusedOp::Phase { mask, phase }, FusedOp::Dense { qubit, matrix })
-            if *mask == 1usize << qubit =>
-        {
-            let mut merged = *matrix;
-            merged[0][1] *= *phase;
-            merged[1][1] *= *phase;
-            Some(dense_unless_identity(*qubit, merged))
-        }
-        // MCX and SWAP are self-inverse: equal pairs annihilate.
-        (FusedOp::Mcx { .. }, FusedOp::Mcx { .. }) if earlier == later => Some(None),
-        (FusedOp::Swap { a, b }, FusedOp::Swap { a: c, b: d })
-            if (a, b) == (c, d) || (a, b) == (d, c) =>
-        {
-            Some(None)
-        }
-        _ => None,
-    }
-}
-
-/// Wraps a merged 2×2 matrix as a dense op, or signals annihilation when it
-/// has collapsed to the identity.
-fn dense_unless_identity(qubit: usize, matrix: [[Complex; 2]; 2]) -> Option<FusedOp> {
-    let identity = matrix[0][0].approx_eq(Complex::ONE, IDENTITY_EPS)
-        && matrix[1][1].approx_eq(Complex::ONE, IDENTITY_EPS)
-        && matrix[0][1].approx_eq(Complex::ZERO, IDENTITY_EPS)
-        && matrix[1][0].approx_eq(Complex::ZERO, IDENTITY_EPS);
-    (!identity).then_some(FusedOp::Dense { qubit, matrix })
-}
-
-/// 2×2 matrix product `left · right` (i.e. `right` is applied first).
-fn matmul(left: &[[Complex; 2]; 2], right: &[[Complex; 2]; 2]) -> [[Complex; 2]; 2] {
-    let mut out = [[Complex::ZERO; 2]; 2];
-    for (row, out_row) in out.iter_mut().enumerate() {
-        for (col, entry) in out_row.iter_mut().enumerate() {
-            *entry = left[row][0] * right[0][col] + left[row][1] * right[1][col];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,62 +415,65 @@ mod tests {
         }
     }
 
+    /// The record count of the fused plan of `gates`, after checking the
+    /// plan's amplitudes against the kernel.
+    fn fused_records(num_qubits: usize, gates: impl IntoIterator<Item = QuantumGate>) -> usize {
+        let mut circuit = QuantumCircuit::new(num_qubits);
+        for gate in gates {
+            circuit.push(gate).unwrap();
+        }
+        let config = ExecConfig::sequential();
+        assert_matches_kernel(&circuit, &config);
+        ExecPlan::compile(&circuit, &config).num_records()
+    }
+
     #[test]
     fn adjacent_diagonal_gates_coalesce() {
-        let mut circuit = QuantumCircuit::new(2);
-        circuit.push(QuantumGate::T(0)).unwrap();
-        circuit.push(QuantumGate::T(0)).unwrap();
-        circuit.push(QuantumGate::Z(1)).unwrap();
-        circuit.push(QuantumGate::S(1)).unwrap();
-        let program = FusedProgram::fuse(&circuit);
-        assert_eq!(program.num_ops(), 2);
+        let gates = [
+            QuantumGate::T(0),
+            QuantumGate::T(0),
+            QuantumGate::Z(1),
+            QuantumGate::S(1),
+        ];
+        assert_eq!(fused_records(2, gates), 2);
     }
 
     #[test]
     fn commuting_diagonals_merge_across_each_other() {
-        // T(0) · CZ(0,1) · T(0): the two T gates merge across the CZ.
-        let mut circuit = QuantumCircuit::new(2);
-        circuit.push(QuantumGate::T(0)).unwrap();
-        circuit.push(QuantumGate::Cz { a: 0, b: 1 }).unwrap();
-        circuit.push(QuantumGate::T(0)).unwrap();
-        let program = FusedProgram::fuse(&circuit);
-        assert_eq!(program.num_ops(), 2);
-        assert_matches_kernel(&circuit, &ExecConfig::sequential());
+        // T(0) · CZ(0,1) · T(0): the two T gates merge across the CZ, and
+        // across a CX on their control qubit, but not across a CX on their
+        // target.
+        let cz = QuantumGate::Cz { a: 0, b: 1 };
+        assert_eq!(
+            fused_records(2, [QuantumGate::T(0), cz, QuantumGate::T(0)]),
+            2
+        );
+        let cx = QuantumGate::Cx {
+            control: 0,
+            target: 1,
+        };
+        let on_control = [QuantumGate::T(0), cx.clone(), QuantumGate::T(0)];
+        assert_eq!(fused_records(2, on_control), 2);
+        let on_target = [QuantumGate::T(1), cx, QuantumGate::T(1)];
+        assert_eq!(fused_records(2, on_target), 3);
     }
 
     #[test]
     fn inverse_pairs_cancel_entirely() {
-        let mut circuit = QuantumCircuit::new(3);
-        circuit.push(QuantumGate::H(0)).unwrap();
-        circuit.push(QuantumGate::H(0)).unwrap();
-        circuit.push(QuantumGate::S(1)).unwrap();
-        circuit.push(QuantumGate::Sdg(1)).unwrap();
-        circuit
-            .push(QuantumGate::Cx {
-                control: 0,
-                target: 2,
-            })
-            .unwrap();
-        circuit
-            .push(QuantumGate::Cx {
-                control: 0,
-                target: 2,
-            })
-            .unwrap();
-        let program = FusedProgram::fuse(&circuit);
-        assert_eq!(program.num_ops(), 0);
+        let gates = [
+            QuantumGate::H(0),
+            QuantumGate::H(0),
+            QuantumGate::S(1),
+            QuantumGate::Sdg(1),
+        ];
+        assert_eq!(fused_records(2, gates), 0);
     }
 
     #[test]
     fn dense_merges_absorb_single_qubit_diagonals() {
         // H · S · H on one qubit fuses to a single dense op.
-        let mut circuit = QuantumCircuit::new(1);
-        circuit.push(QuantumGate::H(0)).unwrap();
-        circuit.push(QuantumGate::S(0)).unwrap();
-        circuit.push(QuantumGate::H(0)).unwrap();
-        let program = FusedProgram::fuse(&circuit);
-        assert_eq!(program.num_ops(), 1);
-        assert_matches_kernel(&circuit, &ExecConfig::sequential());
+        let gates = [QuantumGate::H(0), QuantumGate::S(0), QuantumGate::H(0)];
+        assert_eq!(fused_records(1, gates), 1);
     }
 
     #[test]
@@ -689,7 +495,7 @@ mod tests {
         ] {
             circuit.push(gate).unwrap();
         }
-        let (layer, rest) = FusedProgram::fuse(&circuit).split_product_layer();
+        let (layer, rest) = FusedProgram::lower(&circuit).split_product_layer();
         assert_eq!(
             rest.ops(),
             [

@@ -13,16 +13,22 @@
 //!   split `re`/`im` `Vec<f64>` arrays so the dense 2×2/4×4 and phase sweeps
 //!   are branch-free loops over contiguous `f64` data that the compiler
 //!   autovectorizes;
-//! * **two-qubit fusion**: under [`ExecConfig::fusion`], one walk groups
-//!   the dense ops and the one- and two-qubit phases into blocks of at most
-//!   two qubits, moving an op back only past ops it commutes with. A
-//!   one-qubit block with two or more dense ops becomes one 2×2, and a
-//!   two-qubit block one [`OpKind::Dense2`] record when that replaces at
-//!   least three records, at least two of them dense, and its high qubit
-//!   is 3 or above: a 4×4 sweep costs about two 2×2 sweeps, so it pays
-//!   only past that, and only where its rows hold whole lane groups of the
-//!   small-stride kernel below. The 20-qubit hidden shift's job plan is one
-//!   4×4 per inner-product pair, 10 records;
+//! * **one fusion walk**: under [`ExecConfig::fusion`], one walk over the
+//!   program's per-gate ops groups the dense ops and the one- and two-qubit
+//!   phases into blocks of at most two qubits. An op moves back past an
+//!   item only when neither changes a bit the other reads, so a phase also
+//!   passes an `Mcx` on its control. When an op on two qubits joins a
+//!   one-qubit block, the nearest earlier one-qubit block on its other
+//!   qubit joins too if nothing between them touches that qubit, so
+//!   `H(a); H(b); CZ(a, b)` is one block. A two-qubit block becomes one
+//!   [`OpKind::Dense2`] record when that replaces at least three records,
+//!   at least two of them dense, and its high qubit is 3 or above: a 4×4
+//!   sweep costs about two 2×2 sweeps, so it pays only past that, and only
+//!   where its rows hold whole lane groups of the small-stride kernel
+//!   below. In any other block each qubit's run of one-qubit ops becomes
+//!   one record (a 2×2 if it holds a dense op, one phase otherwise, none
+//!   if it composes to the identity). The 20-qubit hidden shift's plan is
+//!   one 4×4 per inner-product pair, 10 records;
 //! * **4×4 batching**: adjacent global dense single-qubit records on two
 //!   distinct qubits merge into one 4×4 (and a global dense on a qubit of an
 //!   adjacent global 4×4 composes into it), one cross-block pass instead of
@@ -52,11 +58,12 @@
 //!   does not apply the circuit's leading single-qubit layer as records.
 //!   [`SoaStatevector::product_state`] writes the state that layer makes
 //!   ([`FusedProgram::split_product_layer`]) in the pass that allocates it,
-//!   and the plan holds only the ops after it, so a job's plan can have
-//!   fewer records than [`ExecPlan::compile`] of its circuit. `compile`
-//!   itself makes no such split: its plans also run on other states (the
-//!   noisy replay, `Statevector::apply_circuit_with`, the mapping
-//!   verifier's basis states).
+//!   and the plan holds only the ops after it. [`ExecPlan::compile`] makes
+//!   no such split, since its plans also run on other states (the noisy
+//!   replay, `Statevector::apply_circuit_with`, the mapping verifier's
+//!   basis states). Both lower the same per-gate program through the same
+//!   walk, so on the 20-qubit hidden shift they give the same 10 records,
+//!   and the job differs only in starting from the product state.
 //!
 //! Correctness is established differentially (`tests/differential.rs`,
 //! `tests/plan_differential.rs`): fused and unfused plans match the
@@ -704,31 +711,112 @@ fn cluster_by_locality(ops: Vec<Lowered>, block_bits: usize) -> Vec<Lowered> {
         .collect()
 }
 
-/// One item of [`fuse_two_qubit_blocks`]: a block of dense ops and phases on
-/// at most two qubits, or a single op that no other op joins.
+/// Tolerance under which a composed one-qubit record is recognized as the
+/// identity and dropped from the plan.
+const IDENTITY_EPS: f64 = 1e-12;
+
+/// The bits a lowered op changes or mixes: a dense op's qubits, an `Mcx`
+/// target and both qubits of a `Swap`. A phase changes none.
+fn flips_of(op: &Lowered) -> u64 {
+    match op {
+        Lowered::D1 { bit, .. } => *bit as u64,
+        Lowered::D2 { lo, hi, .. } => (*lo | *hi) as u64,
+        Lowered::Ph { .. } => 0,
+        Lowered::Mcx { target_bit, .. } => *target_bit as u64,
+        Lowered::Swap { bit_a, bit_b } => (*bit_a | *bit_b) as u64,
+    }
+}
+
+/// A one-qubit dense op or phase as its 2×2 matrix.
+fn matrix_2x2(op: &Lowered) -> [[Complex; 2]; 2] {
+    match op {
+        Lowered::D1 { matrix, .. } => *matrix,
+        Lowered::Ph { phase, .. } => [[Complex::ONE, Complex::ZERO], [Complex::ZERO, *phase]],
+        _ => unreachable!("a one-qubit run holds 2×2 denses and phases"),
+    }
+}
+
+/// Composes `later` after `earlier`, two ops on the same one qubit: one
+/// phase when both are phases, their 2×2 product otherwise.
+fn compose_one_qubit(earlier: &Lowered, later: &Lowered) -> Lowered {
+    match (earlier, later) {
+        (Lowered::Ph { mask, phase: p }, Lowered::Ph { phase: q, .. }) => Lowered::Ph {
+            mask: *mask,
+            phase: *p * *q,
+        },
+        _ => Lowered::D1 {
+            bit: support_of(earlier) as usize,
+            matrix: matmul_2x2(&matrix_2x2(later), &matrix_2x2(earlier)),
+        },
+    }
+}
+
+/// Whether a composed one-qubit op is the identity within [`IDENTITY_EPS`].
+fn is_identity(op: &Lowered) -> bool {
+    let near = |z: Complex, w: Complex| z.approx_eq(w, IDENTITY_EPS);
+    let [[a, b], [c, d]] = matrix_2x2(op);
+    near(a, Complex::ONE)
+        && near(b, Complex::ZERO)
+        && near(c, Complex::ZERO)
+        && near(d, Complex::ONE)
+}
+
+/// One qubit's run of one-qubit ops inside a [`FusionBlock`], composed into
+/// one op as it grows, with the number of ops it holds.
+type Run = Option<(Lowered, usize)>;
+
+/// Appends a run's record: its one op as it is, or the composition of two
+/// or more unless that is the identity.
+fn flush_run(run: Run, out: &mut Vec<Lowered>) {
+    match run {
+        Some((op, 1)) => out.push(op),
+        Some((op, _)) if !is_identity(&op) => out.push(op),
+        _ => {}
+    }
+}
+
+/// One item of [`fuse_blocks`]: a block of dense ops and phases on at most
+/// two qubits, a single op that no other op joins, or (emptied by a block
+/// merge) nothing.
+#[derive(Default)]
 struct FusionBlock {
     ops: Vec<Lowered>,
     /// Union of the members' qubit-support masks.
     support: u64,
-    /// Whether every member is diagonal (a phase).
-    diagonal: bool,
+    /// Union of the bits the members change or mix ([`flips_of`]).
+    flips: u64,
     /// Whether later ops may join: the block holds only dense ops and
     /// phases on one or two qubits.
     open: bool,
 }
 
 impl FusionBlock {
-    /// Appends the records the block lowers to. A one-qubit block with two
-    /// or more dense ops becomes one 2×2, and a two-qubit block becomes one
-    /// 4×4 when that replaces at least three records, at least two of them
-    /// dense, and its high qubit is 3 or above. Any other block keeps its
-    /// ops: a wide 4×4 sweep costs about two wide 2×2 sweeps, and a phase
-    /// much less than either, so a 4×4 pays only once it replaces more than
-    /// two 2×2s. Below qubit 3 the 4×4's rows are shorter than a lane group
-    /// and run on the generic kernel, which never pays: on 2^20 amplitudes
-    /// a block on qubits (0, 1) costs about 11 ms as one 4×4 against 3 ms
-    /// as its 2×2s and phase.
+    /// Whether an op moves back past the whole block: neither changes a bit
+    /// the other reads. Disjoint ops and two diagonal ones pass, and so does
+    /// a phase on an `Mcx` control.
+    fn commutes_with(&self, support: u64, flips: u64) -> bool {
+        flips & self.support == 0 && self.flips & support == 0
+    }
+
+    /// Appends the records the block lowers to. A two-qubit block becomes
+    /// one 4×4 when that replaces at least three records, at least two of
+    /// them dense, and its high qubit is 3 or above: a wide 4×4 sweep costs
+    /// about two wide 2×2 sweeps, and a phase much less than either, so a
+    /// 4×4 pays only once it replaces more than two 2×2s. Below qubit 3 the
+    /// 4×4's rows are shorter than a lane group and run on the generic
+    /// kernel, which never pays: on 2^20 amplitudes a block on qubits
+    /// (0, 1) costs about 11 ms as one 4×4 against 3 ms as its 2×2s and
+    /// phase.
+    ///
+    /// Any other open block composes each qubit's run of one-qubit ops into
+    /// one record: a 2×2 if the run holds a dense op, one phase otherwise,
+    /// and none if two or more ops compose to the identity. A run moves
+    /// past a two-qubit phase of the block only while it holds only phases.
     fn lower_into(self, out: &mut Vec<Lowered>) {
+        if !self.open {
+            out.extend(self.ops);
+            return;
+        }
         let dense = self
             .ops
             .iter()
@@ -736,30 +824,30 @@ impl FusionBlock {
             .count();
         let lo = (self.support & self.support.wrapping_neg()) as usize;
         let hi = self.support as usize ^ lo;
-        let fuse = self.open
-            && match self.support.count_ones() {
-                1 => dense >= 2,
-                2 => dense >= 2 && self.ops.len() >= 3 && hi >= LANES,
-                _ => false,
-            };
-        if !fuse {
-            out.extend(self.ops);
-            return;
-        }
-        if hi == 0 {
-            let matrix = self
-                .ops
-                .iter()
-                .map(|op| match op {
-                    Lowered::D1 { matrix, .. } => *matrix,
-                    Lowered::Ph { phase, .. } => {
-                        [[Complex::ONE, Complex::ZERO], [Complex::ZERO, *phase]]
+        if hi < LANES || dense < 2 || self.ops.len() < 3 {
+            // Runs on `lo` and `hi`; before the walk, a block's only
+            // two-qubit members are phases.
+            let mut runs: [Run; 2] = [None, None];
+            for op in self.ops {
+                let support = support_of(&op) as usize;
+                if support.count_ones() == 2 {
+                    for run in &mut runs {
+                        if run.as_ref().is_some_and(|(op, _)| !is_diagonal(op)) {
+                            flush_run(run.take(), out);
+                        }
                     }
-                    _ => unreachable!("a one-qubit block holds 2×2 denses and phases"),
-                })
-                .reduce(|earlier, later| matmul_2x2(&later, &earlier))
-                .expect("a fused block is not empty");
-            out.push(Lowered::D1 { bit: lo, matrix });
+                    out.push(op);
+                } else {
+                    let run = &mut runs[usize::from(support == hi)];
+                    *run = Some(match run.take() {
+                        None => (op, 1),
+                        Some((earlier, count)) => (compose_one_qubit(&earlier, &op), count + 1),
+                    });
+                }
+            }
+            for run in runs {
+                flush_run(run, out);
+            }
         } else {
             let matrix = self
                 .ops
@@ -790,20 +878,24 @@ impl FusionBlock {
 }
 
 /// Groups the lowered sequence into blocks of dense ops and phases on at
-/// most two qubits, and lowers each block by [`FusionBlock::lower_into`].
+/// most two qubits, and lowers each block by [`FusionBlock::lower_into`]:
+/// the plan's one fusion pass.
 ///
 /// One walk places each op: a dense op or a phase on one or two qubits
-/// moves back past earlier items only while it commutes with them (the rule
-/// of [`cluster_by_locality`]: disjoint support, or both diagonal), and
-/// joins the first block it shares a qubit with if the union stays within
-/// two qubits. Every other op (`Mcx`, `Swap`, wider phases) stays where it
-/// is and starts an item no op joins. Like the clustering, this changes
+/// moves back past earlier items only while it commutes with them
+/// ([`FusionBlock::commutes_with`]), and joins the first open block it
+/// shares a qubit with if the union stays within two qubits. When an op on
+/// two qubits joins a one-qubit block, the nearest earlier one-qubit block
+/// on its other qubit joins too, if that block is open and no item between
+/// the two touches that qubit, so `H(a); H(b); CZ(a, b)` is one block.
+/// Every other op (`Mcx`, `Swap`, wider phases) stays where it is and
+/// starts an item no op joins. Like the clustering, this changes
 /// floating-point rounding, so it runs only under [`ExecConfig::fusion`].
-fn fuse_two_qubit_blocks(ops: Vec<Lowered>) -> Vec<Lowered> {
+fn fuse_blocks(ops: Vec<Lowered>) -> Vec<Lowered> {
     let mut blocks: Vec<FusionBlock> = Vec::new();
     for op in ops {
         let support = support_of(&op);
-        let diagonal = is_diagonal(&op);
+        let flips = flips_of(&op);
         let open = match &op {
             Lowered::D1 { .. } | Lowered::D2 { .. } => true,
             Lowered::Ph { mask, .. } => matches!(mask.count_ones(), 1 | 2),
@@ -817,22 +909,40 @@ fn fuse_two_qubit_blocks(ops: Vec<Lowered>) -> Vec<Lowered> {
                     joined = Some(index);
                     break;
                 }
-                if shared && !(diagonal && block.diagonal) {
+                if !block.commutes_with(support, flips) {
                     break;
                 }
             }
         }
         match joined {
             Some(index) => {
+                let other = support & !blocks[index].support;
+                if other != 0 && blocks[index].support.count_ones() == 1 {
+                    // The merged block stands where the joined one does:
+                    // the pulled block moves forward only past items that
+                    // do not touch its qubit.
+                    let nearest = blocks[..index]
+                        .iter()
+                        .rposition(|block| block.support & other != 0);
+                    if let Some(earlier) =
+                        nearest.filter(|&at| blocks[at].open && blocks[at].support == other)
+                    {
+                        let pulled = std::mem::take(&mut blocks[earlier]);
+                        let block = &mut blocks[index];
+                        block.ops.splice(0..0, pulled.ops);
+                        block.support |= pulled.support;
+                        block.flips |= pulled.flips;
+                    }
+                }
                 let block = &mut blocks[index];
                 block.ops.push(op);
                 block.support |= support;
-                block.diagonal &= diagonal;
+                block.flips |= flips;
             }
             None => blocks.push(FusionBlock {
                 ops: vec![op],
                 support,
-                diagonal,
+                flips,
                 open,
             }),
         }
@@ -876,22 +986,19 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compiles a circuit end to end: with `config.fusion` the gate-fusion
-    /// pass, two-qubit fusion, commuting-op clustering and 4×4 batching run,
-    /// without it every gate becomes one record; then segment scheduling for
-    /// the configured cache-block size.
+    /// Compiles a circuit end to end: [`FusedProgram::lower`] makes one op
+    /// per gate, and [`ExecPlan::from_program`] lowers them to records. It
+    /// makes no product-state split, since its plans also run on states
+    /// other than `|0…0⟩`; on the 20-qubit hidden shift it still gives the
+    /// same 10 records in 8 sweeps as a job's plan.
     pub fn compile(circuit: &QuantumCircuit, config: &ExecConfig) -> Self {
-        let program = if config.fusion {
-            FusedProgram::fuse(circuit)
-        } else {
-            FusedProgram::lower(circuit)
-        };
-        Self::from_program(&program, config)
+        Self::from_program(&FusedProgram::lower(circuit), config)
     }
 
-    /// Lowers an already fused program into a plan.
+    /// Lowers a program into a plan.
     ///
-    /// With `config.fusion` enabled the lowering fuses two-qubit blocks,
+    /// With `config.fusion` enabled the lowering runs the fusion walk
+    /// (blocks of at most two qubits, each qubit's one-qubit runs composed),
     /// clusters block-local ops and batches adjacent global denses (see the
     /// [module docs](self)), so one record can stand for many ops. With
     /// `config.fusion` disabled the records correspond 1:1 to the
@@ -927,9 +1034,9 @@ impl ExecPlan {
             lowered.push(next);
         }
         if config.fusion {
-            lowered = fuse_two_qubit_blocks(lowered);
+            lowered = fuse_blocks(lowered);
             lowered = cluster_by_locality(lowered, block_bits);
-            // Batch what the two-qubit fusion left apart only where a 4×4
+            // Batch what the fusion walk left apart only where a 4×4
             // saves a full memory sweep: two adjacent *global* ops fold into
             // one cross-block pass. Block-local ops already share one sweep
             // per run, so a local 4×4 of two lone 2×2s saves no pass and
@@ -988,7 +1095,7 @@ impl ExecPlan {
         &self.pool
     }
 
-    /// Number of dispatch records (≤ the fused op count).
+    /// Number of dispatch records (≤ the program's op count).
     pub fn num_records(&self) -> usize {
         self.records.len()
     }
@@ -2234,25 +2341,23 @@ mod tests {
         let (a, b) = (3, 0);
         let pair = pair_block(a, b);
         let config = ExecConfig::sequential();
-        for program in [FusedProgram::fuse(&pair), FusedProgram::lower(&pair)] {
-            let plan = ExecPlan::from_program(&program, &config);
-            assert_eq!(plan.num_records(), 1);
-            let record = plan.records()[0];
-            assert_eq!(
-                (record.kind, record.arg0, record.arg1),
-                (OpKind::Dense2, 0b1, 0b1000)
-            );
-            let input: Vec<Complex> = (0..16)
-                .map(|k| Complex::new(0.1 * k as f64 - 0.3, 0.05 * (k * k) as f64))
-                .collect();
-            let mut fused = input.clone();
-            plan.apply(&mut fused, &config);
-            let mut expected = input;
-            ExecPlan::compile(&pair, &ExecConfig::baseline())
-                .apply(&mut expected, &ExecConfig::baseline());
-            for (index, (x, y)) in fused.iter().zip(&expected).enumerate() {
-                assert!(x.approx_eq(*y, 1e-12), "amplitude {index}: {x:?} vs {y:?}");
-            }
+        let plan = ExecPlan::from_program(&FusedProgram::lower(&pair), &config);
+        assert_eq!(plan.num_records(), 1);
+        let record = plan.records()[0];
+        assert_eq!(
+            (record.kind, record.arg0, record.arg1),
+            (OpKind::Dense2, 0b1, 0b1000)
+        );
+        let input: Vec<Complex> = (0..16)
+            .map(|k| Complex::new(0.1 * k as f64 - 0.3, 0.05 * (k * k) as f64))
+            .collect();
+        let mut fused = input.clone();
+        plan.apply(&mut fused, &config);
+        let mut expected = input;
+        ExecPlan::compile(&pair, &ExecConfig::baseline())
+            .apply(&mut expected, &ExecConfig::baseline());
+        for (index, (x, y)) in fused.iter().zip(&expected).enumerate() {
+            assert!(x.approx_eq(*y, 1e-12), "amplitude {index}: {x:?} vs {y:?}");
         }
         // A lone `H(a); CZ(a, b)` replaces only two records: it stays two.
         let mut lone = QuantumCircuit::new(4);
@@ -2265,6 +2370,40 @@ mod tests {
         let plan = ExecPlan::compile(&pair_block(2, 0), &config);
         assert!(plan.records().iter().all(|r| r.kind != OpKind::Dense2));
         assert!(plan.num_records() > 1);
+    }
+
+    #[test]
+    fn an_op_across_two_one_qubit_blocks_merges_them() {
+        // `CZ(0, 10)` joins the block of `H(10)` and pulls in the block of
+        // `H(0)`: one 4×4 on bits (1, 1024).
+        let mut circuit = QuantumCircuit::new(11);
+        push_all(
+            &mut circuit,
+            [
+                QuantumGate::H(0),
+                QuantumGate::H(10),
+                QuantumGate::Cz { a: 0, b: 10 },
+            ],
+        );
+        let plan = ExecPlan::compile(&circuit, &ExecConfig::sequential());
+        let shapes: Vec<(OpKind, u64, u64)> = plan
+            .records()
+            .iter()
+            .map(|r| (r.kind, r.arg0, r.arg1))
+            .collect();
+        assert_eq!(shapes, vec![(OpKind::Dense2, 1, 1024)]);
+        let mut state = SoaStatevector::zero_state(11, plan.block_bits());
+        plan.apply_soa(&mut state, &ExecConfig::sequential());
+        let mut expected = vec![Complex::ZERO; 1 << 11];
+        expected[0] = Complex::ONE;
+        kernel::apply_circuit(&mut expected, &circuit);
+        for (index, want) in expected.iter().enumerate() {
+            let got = state.amplitude(index);
+            assert!(
+                got.approx_eq(*want, 1e-12),
+                "amplitude {index}: {got:?} vs {want:?}"
+            );
+        }
     }
 
     /// Applies a 4×4 to every quad `(i, i|lo, i|hi, i|lo|hi)` of the arrays

@@ -22,7 +22,12 @@
 //! * circuits built from two-qubit blocks, the shape the plan's two-qubit
 //!   fusion turns into 4×4 records: within 1e-10 of the oracle at several
 //!   block sizes and thread counts, with fewer records than the unfused
-//!   plan (suite 7).
+//!   plan (suite 7);
+//! * random circuits of one- and two-qubit gates, dense ones mostly, which
+//!   drive every rule of the plan's fusion walk (the commute rule, the
+//!   block merge and each qubit's one-qubit runs): the fused plan from the
+//!   zero state and a job's simulation within 1e-10 of the oracle at
+//!   several block sizes and thread counts (suite 8).
 //!
 //! `tests/differential.rs` checks the fused, unfused and multi-threaded
 //! configurations against the oracle on 2–8 qubits, with the norm.
@@ -202,6 +207,41 @@ fn two_qubit_block_circuit(seed: u64) -> QuantumCircuit {
             };
             circuit.push(gate).expect("generated gates are in range");
         }
+    }
+    circuit
+}
+
+/// Random circuits over 3..=8 qubits of 10–60 gates, drawn by weight out of
+/// 12: `H` 2; `T`, `S`, `X`, `Y` and `Rz` 1 each; `CZ` 2, `CX` 2 and `Swap`
+/// 1, on random qubits. Dense one-qubit gates next to two-qubit ones make
+/// one-qubit blocks that a later `CZ` merges, phases that pass a `CX` on
+/// their control but not on its target, and runs that compose to the
+/// identity.
+fn fusion_walk_circuit(seed: u64) -> QuantumCircuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let num_qubits = rng.gen_range(3..9usize);
+    let mut circuit = QuantumCircuit::new(num_qubits);
+    for _ in 0..rng.gen_range(10..61usize) {
+        let qubit = rng.gen_range(0..num_qubits);
+        let other = distinct(&mut rng, num_qubits, &[qubit]);
+        let gate = match rng.gen_range(0..12u32) {
+            0 | 1 => QuantumGate::H(qubit),
+            2 => QuantumGate::T(qubit),
+            3 => QuantumGate::S(qubit),
+            4 => QuantumGate::X(qubit),
+            5 => QuantumGate::Y(qubit),
+            6 => QuantumGate::Rz {
+                qubit,
+                angle: rng.gen::<f64>() * std::f64::consts::TAU,
+            },
+            7 | 8 => QuantumGate::Cz { a: qubit, b: other },
+            9 | 10 => QuantumGate::Cx {
+                control: qubit,
+                target: other,
+            },
+            _ => QuantumGate::Swap { a: qubit, b: other },
+        };
+        circuit.push(gate).expect("generated gates are in range");
     }
     circuit
 }
@@ -388,6 +428,37 @@ proptest! {
                     );
                 }
                 assert_matches_reference(&circuit, &config);
+            }
+        }
+    }
+
+    /// Suite 8: the fusion walk on random one- and two-qubit circuits. The
+    /// fused plan applied to the zero state, and the job path
+    /// (`SoaStatevector::simulate`, product-state start), stay within 1e-10
+    /// of the oracle at the auto block size and at 4-amplitude blocks, on
+    /// one thread and on four.
+    #[test]
+    fn fusion_walk_matches_dense_reference(seed in any::<u64>()) {
+        let circuit = fusion_walk_circuit(seed);
+        let reference = DenseReference::from_circuit(&circuit).expect("small register");
+        for block_bits in [0usize, 2] {
+            for threads in [1usize, 4] {
+                let config = ExecConfig::sequential()
+                    .with_block_bits(block_bits)
+                    .with_threads(threads);
+                let plan = ExecPlan::compile(&circuit, &config);
+                let mut state = SoaStatevector::zero_state(circuit.num_qubits(), plan.block_bits());
+                plan.apply_soa(&mut state, &config);
+                let simulated = SoaStatevector::simulate(&circuit, &config).expect("small register");
+                for (index, b) in reference.amplitudes().iter().enumerate() {
+                    for (path, a) in [("plan", state.amplitude(index)), ("job", simulated.amplitude(index))] {
+                        prop_assert!(
+                            a.approx_eq(*b, TOLERANCE),
+                            "block_bits {} threads {}: {} amplitude {} diverges: {:?} vs reference {:?}\ncircuit:\n{}",
+                            block_bits, threads, path, index, a, b, circuit
+                        );
+                    }
+                }
             }
         }
     }
