@@ -1,17 +1,15 @@
 //! Criterion benchmark: the fused (and optionally multi-threaded) execution
-//! plan against the PR-1 per-gate sequential kernel on a 20-qubit hidden
+//! plan against the unfused, single-threaded plan on a 20-qubit hidden
 //! shift circuit.
 //!
-//! The baseline replays the circuit gate by gate through
-//! `Statevector::apply_gate` (the single-kernel dispatch every execution
-//! path used before the fusion layer existed). The contenders compile the
-//! same circuit to an `ExecPlan`: split re/im amplitude storage and
-//! cache-blocked sweeps. `plan_unfused_sequential` keeps one record per
-//! gate; `plan_sequential` adds fusion — the fusion walk makes each
-//! inner-product pair's gates, its `H` and shift `X` gates included, one
-//! 4×4 record, and block-local records share one sweep per run;
-//! `plan_parallel_auto` adds the worker pool where the host has more than
-//! one CPU.
+//! Every case compiles the circuit to an `ExecPlan` (split re/im amplitude
+//! storage, cache-blocked sweeps) and runs it from `|0…0⟩`. The baseline,
+//! `plan_unfused_sequential`, keeps one record per gate on one thread: the
+//! per-gate dispatch the other cases improve on. `plan_sequential` adds
+//! fusion — the fusion walk makes each inner-product pair's gates, its `H`
+//! and shift `X` gates included, one 4×4 record, and block-local records
+//! share one sweep per run; `plan_parallel_auto` adds the worker pool where
+//! the host has more than one CPU.
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
@@ -51,19 +49,8 @@ fn bench_fusion_vs_baseline(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
 
-    // PR-1 behaviour: per-gate kernel dispatch, no fusion, no threading.
-    group.bench_function("baseline_sequential_kernel", |b| {
-        b.iter(|| {
-            let mut state = Statevector::new(NUM_QUBITS).unwrap();
-            for gate in &circuit {
-                state.apply_gate(gate);
-            }
-            state.amplitude(0)
-        })
-    });
-
-    // ExecPlan without fusion, single-threaded: one record per gate, which
-    // isolates the plan layout's win from the fusion win.
+    // The baseline: ExecPlan without fusion, single-threaded, one record per
+    // gate.
     group.bench_function("plan_unfused_sequential", |b| {
         b.iter(|| {
             let state = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();

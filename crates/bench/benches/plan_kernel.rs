@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
 use qdaflow::quantum::plan::{ExecPlan, SoaStatevector};
-use qdaflow::quantum::{FusedProgram, PreparedState};
+use qdaflow::quantum::PreparedState;
 use std::time::Duration;
 
 const NUM_QUBITS: usize = 20;
@@ -40,11 +40,11 @@ fn bench_plan_kernel(c: &mut Criterion) {
     let circuit = twenty_qubit_hidden_shift();
     let config = ExecConfig::sequential();
     let plan = ExecPlan::compile(&circuit, &config);
-    let (_, rest) = FusedProgram::lower(&circuit).split_product_layer();
-    let job_plan = ExecPlan::from_program(&rest, &config);
+    let (_, job_plan) = ExecPlan::compile_from_zero(&circuit, &config);
     println!(
         "hidden-shift-20q: {} gates -> {} dispatch records in {} sweeps ({} pool f64s, \
-         block_bits {}); a job's plan after its product layer: {} records in {} sweeps",
+         block_bits {}); a job's plan (`compile_from_zero`, after its product layer): \
+         {} records in {} sweeps",
         circuit.num_gates(),
         plan.num_records(),
         plan.num_segments(),

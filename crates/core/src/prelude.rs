@@ -12,7 +12,7 @@ pub use qdaflow_mapping::map::MappingOptions;
 pub use qdaflow_pipeline::{FlowError, Ir, Pass, Pipeline, PipelineReport, Stage, StageSet};
 pub use qdaflow_quantum::{
     backend::{Backend, ExecutionResult, NoisyHardwareBackend, StatevectorBackend},
-    fusion::{ExecConfig, FusedProgram},
+    fusion::ExecConfig,
     noise::NoiseModel,
     reference::{DenseReference, DenseReferenceBackend},
     resource::ResourceCounts,

@@ -23,7 +23,7 @@
 //! kernel leaves (see [`crate::sampling`]); nothing on the dense path
 //! copies it into interleaved amplitudes or builds a `2^n` distribution.
 
-use crate::fusion::{ExecConfig, FusedProgram, ProductLayer};
+use crate::fusion::ExecConfig;
 use crate::noise::{NoiseModel, NoisySimulator};
 use crate::plan::{ExecPlan, SoaStatevector};
 use crate::resource::ResourceCounts;
@@ -219,15 +219,16 @@ pub trait PreparedState {
 /// sorted draws (see [`crate::sampling`]). Sampling is sequential:
 /// `config.threads` drives only the kernel.
 ///
-/// With [`ExecConfig::fusion`] on, the leading single-qubit layer of the
-/// circuit's per-gate program ([`FusedProgram::lower`],
-/// [`FusedProgram::split_product_layer`]) is written as the initial product
-/// state ([`SoaStatevector::product_state`]), and the plan holds only the
-/// ops after it, fused by the same walk as [`ExecPlan::compile`]. On the
+/// [`ExecPlan::compile_from_zero`] gives the initial state and the plan.
+/// With [`ExecConfig::fusion`] on, the circuit's leading single-qubit layer
+/// is written as the initial product state
+/// ([`SoaStatevector::product_state`]), and the plan holds only the ops
+/// after it, fused by the same walk as [`ExecPlan::compile`]; on the
 /// 20-qubit hidden shift both plans are the same 10 records. With fusion
-/// off the per-gate plan runs on [`SoaStatevector::zero_state`], so the
-/// amplitudes are the bit-identical per-gate arithmetic the sparse and
-/// stabilizer engines reproduce.
+/// off the per-gate plan runs on the all-`|0⟩` product state (what
+/// [`SoaStatevector::zero_state`] makes), so the amplitudes are the
+/// bit-identical per-gate arithmetic the sparse and stabilizer engines
+/// reproduce.
 ///
 /// Under tracing, `simulate` records a `plan compile` section (record and
 /// segment counts) and a `state prepare` span (qubits absorbed) beside the
@@ -247,12 +248,7 @@ impl PreparedState for SoaStatevector {
             });
         }
         let compile_started = telemetry::enabled().then(Instant::now);
-        let (layer, plan) = if config.fusion {
-            let (layer, rest) = FusedProgram::lower(circuit).split_product_layer();
-            (Some(layer), ExecPlan::from_program(&rest, config))
-        } else {
-            (None, ExecPlan::compile(circuit, config))
-        };
+        let (layer, plan) = ExecPlan::compile_from_zero(circuit, config);
         if let Some(started) = compile_started {
             telemetry::complete(
                 "kernel",
@@ -265,15 +261,12 @@ impl PreparedState for SoaStatevector {
             );
         }
         let mut state = {
-            let absorbed = layer.as_ref().map_or(0, ProductLayer::num_absorbed);
             let _span = telemetry::span!(
                 "kernel",
-                "state prepare {num_qubits}q: {absorbed} qubits absorbed"
+                "state prepare {num_qubits}q: {} qubits absorbed",
+                layer.num_absorbed()
             );
-            match &layer {
-                Some(layer) => Self::product_state(layer.factors(), plan.block_bits()),
-                None => Self::zero_state(num_qubits, plan.block_bits()),
-            }
+            Self::product_state(layer.factors(), plan.block_bits())
         };
         plan.apply_soa(&mut state, config);
         Ok(state)

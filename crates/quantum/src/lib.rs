@@ -36,7 +36,6 @@ pub mod drawer;
 pub mod error;
 pub mod fusion;
 pub mod gate;
-pub mod kernel;
 pub mod noise;
 pub mod plan;
 pub mod qasm;
@@ -50,9 +49,9 @@ pub use census::GateCensus;
 pub use circuit::QuantumCircuit;
 pub use complex::Complex;
 pub use error::QuantumError;
-pub use fusion::{ExecConfig, FusedOp, FusedProgram, ProductLayer};
+pub use fusion::ExecConfig;
 pub use gate::{QuantumGate, Qubits};
-pub use plan::{DispatchRecord, ExecPlan, OpKind, SoaStatevector};
+pub use plan::{DispatchRecord, ExecPlan, OpKind, ProductLayer, SoaStatevector};
 pub use reference::{DenseReference, DenseReferenceBackend};
 pub use sampling::CumulativeDistribution;
 pub use statevector::Statevector;

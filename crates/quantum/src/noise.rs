@@ -17,7 +17,7 @@
 //! hidden shift benchmark in the same success-probability regime as the
 //! paper's histogram.
 
-use crate::fusion::{ExecConfig, FusedOp};
+use crate::fusion::ExecConfig;
 use crate::plan::{ExecPlan, SoaStatevector};
 use crate::{QuantumCircuit, QuantumError, QuantumGate, MAX_SIMULATOR_QUBITS};
 use rand::Rng;
@@ -224,8 +224,9 @@ impl NoisySimulator {
 
     /// Applies the depolarizing channel after one gate: each of its qubits
     /// independently suffers an X, Y or Z error with the model's
-    /// probability. The Paulis go through the same dense/phase
-    /// classification as the plan records (X and Y dense, Z a phase).
+    /// probability. Each Pauli is applied as the one record an unfused plan
+    /// holds for it ([`SoaStatevector::apply_gate`]: X and Y a 2×2, Z a
+    /// phase).
     fn apply_depolarizing<R: Rng + ?Sized>(
         &self,
         state: &mut SoaStatevector,
@@ -249,7 +250,7 @@ impl NoisySimulator {
                     1 => QuantumGate::Y(qubit),
                     _ => QuantumGate::Z(qubit),
                 };
-                state.apply_fused_op(&FusedOp::from_gate(&pauli));
+                state.apply_gate(&pauli);
             }
         }
     }

@@ -2,8 +2,9 @@
 //! struct-of-arrays amplitude state.
 //!
 //! This module is the one dense execution layer of the workspace: every
-//! ideal, noisy and batch simulation runs through it. It lowers a
-//! [`FusedProgram`] into an [`ExecPlan`]:
+//! ideal, noisy and batch simulation runs through it. It lowers a circuit,
+//! one op per gate (the only place the dense path encodes a gate), into an
+//! [`ExecPlan`]:
 //!
 //! * a **flat array of uniform [`DispatchRecord`]s** (op kind, bit-mask
 //!   operands, matrix-pool slot) plus one flat `f64` matrix pool. Every
@@ -56,14 +57,15 @@
 //! * a **product-state start**: a fused simulation from `|0…0⟩`
 //!   ([`PreparedState::simulate`](crate::backend::PreparedState::simulate))
 //!   does not apply the circuit's leading single-qubit layer as records.
-//!   [`SoaStatevector::product_state`] writes the state that layer makes
-//!   ([`FusedProgram::split_product_layer`]) in the pass that allocates it,
-//!   and the plan holds only the ops after it. [`ExecPlan::compile`] makes
-//!   no such split, since its plans also run on other states (the noisy
-//!   replay, `Statevector::apply_circuit_with`, the mapping verifier's
-//!   basis states). Both lower the same per-gate program through the same
-//!   walk, so on the 20-qubit hidden shift they give the same 10 records,
-//!   and the job differs only in starting from the product state.
+//!   [`ExecPlan::compile_from_zero`] splits that layer off as a
+//!   [`ProductLayer`], [`SoaStatevector::product_state`] writes the state it
+//!   makes in the pass that allocates it, and the plan holds only the ops
+//!   after it. [`ExecPlan::compile`] makes no such split, since its plans
+//!   also run on other states (the noisy replay,
+//!   `Statevector::apply_circuit_with`, the mapping verifier's basis
+//!   states). Both lower the same per-gate ops through the same walk, so on
+//!   the 20-qubit hidden shift they give the same 10 records, and the job
+//!   differs only in starting from the product state.
 //!
 //! Correctness is established differentially (`tests/differential.rs`,
 //! `tests/plan_differential.rs`): fused and unfused plans match the
@@ -75,8 +77,8 @@
 
 use crate::circuit::QuantumCircuit;
 use crate::complex::Complex;
-use crate::fusion::{ExecConfig, FusedOp, FusedProgram, MAX_THREADS};
-use crate::kernel;
+use crate::fusion::{ExecConfig, MAX_THREADS};
+use crate::gate::QuantumGate;
 use qdaflow_telemetry as telemetry;
 use std::ops::Range;
 use std::sync::mpsc;
@@ -156,9 +158,10 @@ fn kernel_metrics() -> &'static KernelMetrics {
 /// The kind discriminant of a [`DispatchRecord`].
 ///
 /// Gates that act identically on the amplitude arrays lower to the same
-/// kind, mirroring [`FusedOp`]; `Dense2` is produced only by the lowering
-/// pass (a fused two-qubit block, or two adjacent global dense records
-/// batched into one 4×4 application).
+/// kind (Z, CZ and MCZ are all a `Phase`; CX, CCX and MCX all an `Mcx`);
+/// `Dense2` is produced only by the lowering pass (a fused two-qubit block,
+/// or two adjacent global dense records batched into one 4×4
+/// application).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum OpKind {
@@ -288,7 +291,7 @@ impl SoaStatevector {
     ///
     /// Panics if the slice length is not a power of two.
     pub fn from_amplitudes(amplitudes: &[Complex], block_bits: usize) -> Self {
-        let num_qubits = kernel::num_qubits_of(amplitudes);
+        let num_qubits = num_qubits_of(amplitudes);
         let block_bits = block_bits.min(num_qubits);
         let block_len = 1usize << block_bits;
         let blocks = amplitudes
@@ -402,34 +405,114 @@ impl SoaStatevector {
         (self.blocks.len() - 1) * block_len + block_len - 1
     }
 
-    /// Applies one kernel op in place, sequentially, with the arithmetic of
-    /// the equivalent plan record (used by the noisy simulator's stochastic
-    /// Pauli insertions).
+    /// Applies one gate in place, sequentially: the one record an unfused
+    /// plan holds for it (used by the noisy simulator's stochastic Pauli
+    /// insertions).
     ///
     /// # Panics
     ///
-    /// Panics if the op references a qubit outside the register.
-    pub fn apply_fused_op(&mut self, op: &FusedOp) {
-        // The register width the op needs: one past its highest qubit.
-        let width = |mask: usize| (usize::BITS - mask.leading_zeros()) as usize;
-        let needed = match op {
-            FusedOp::Dense { qubit, .. } => qubit + 1,
-            FusedOp::Phase { mask, .. } => width(*mask),
-            FusedOp::Mcx {
-                control_mask,
-                target,
-            } => width(*control_mask).max(target + 1),
-            FusedOp::Swap { a, b } => a.max(b) + 1,
-        };
-        assert!(
-            needed <= self.num_qubits,
-            "{op:?} out of range for a {}-qubit register",
-            self.num_qubits
-        );
-        let record = lower_single(op);
-        let pool = single_op_pool(op);
+    /// Panics if the gate references a qubit outside the register.
+    pub fn apply_gate(&mut self, gate: &QuantumGate) {
+        for qubit in gate.qubits() {
+            assert!(
+                qubit < self.num_qubits,
+                "qubit {qubit} of {gate:?} out of range for a {}-qubit register",
+                self.num_qubits
+            );
+        }
+        let mut pool = Vec::new();
+        let record = emit(&Lowered::from_gate(gate), &mut pool);
         apply_global_sequential(&record, &pool, self);
     }
+}
+
+/// The leading single-qubit layer of a circuit as the product state it
+/// makes of `|0…0⟩`, split off by [`ExecPlan::compile_from_zero`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProductLayer {
+    factors: Vec<[Complex; 2]>,
+    absorbed: usize,
+}
+
+impl ProductLayer {
+    /// Per qubit, its factor of the product state: the amplitudes of `|0⟩`
+    /// and `|1⟩` the absorbed ops make of `|0⟩`; `[1, 0]` on qubits nothing
+    /// was absorbed on.
+    pub fn factors(&self) -> &[[Complex; 2]] {
+        &self.factors
+    }
+
+    /// Number of qubits at least one op was absorbed on.
+    pub fn num_absorbed(&self) -> usize {
+        self.absorbed.count_ones() as usize
+    }
+}
+
+/// Splits the leading single-qubit layer off per-gate ops, in place, and
+/// returns the product state it makes of `|0…0⟩`.
+///
+/// One walk over the ops tracks the qubits the kept ops touch. An op on one
+/// qubit that no kept op has touched yet ([`Lowered::single_qubit`]) is
+/// applied to that qubit's factor, which starts at `|0⟩`, and removed.
+/// Every other op is kept in order and marks its qubits touched. No kept op
+/// touches an absorbed qubit before the ops absorbed on it, so those ops
+/// commute with every kept op ahead of them, and running the kept ops on
+/// the product state is exact.
+fn split_product_layer(num_qubits: usize, ops: &mut Vec<Lowered>) -> ProductLayer {
+    let mut factors = vec![[Complex::ONE, Complex::ZERO]; num_qubits];
+    let mut absorbed = 0usize;
+    let mut touched = 0usize;
+    ops.retain(|op| match op.single_qubit() {
+        Some(bit) if touched & bit == 0 => {
+            op.apply_to_factor(&mut factors[bit.trailing_zeros() as usize]);
+            absorbed |= bit;
+            false
+        }
+        _ => {
+            touched |= support_of(op) as usize;
+            true
+        }
+    });
+    ProductLayer { factors, absorbed }
+}
+
+/// Number of qubits represented by an amplitude slice.
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two.
+fn num_qubits_of(amplitudes: &[Complex]) -> usize {
+    assert!(
+        amplitudes.len().is_power_of_two(),
+        "amplitude slice length {} is not a power of two",
+        amplitudes.len()
+    );
+    amplitudes.len().trailing_zeros() as usize
+}
+
+/// Widens `index` by one bit at position `bit` (a power of two): every bit at
+/// or above the position shifts up, and the freed position is set to `value`.
+///
+/// Iterating a compact counter through `insert_bit` enumerates exactly the
+/// subspace of basis states with a fixed value at `bit`, which is how the
+/// `Mcx` and `Swap` sweeps skip the half (or smaller) of the index space
+/// they never touch.
+fn insert_bit(index: usize, bit: usize, value: bool) -> usize {
+    let below = bit - 1;
+    ((index & !below) << 1) | (index & below) | if value { bit } else { 0 }
+}
+
+/// The bit values (powers of two) present in `mask`, in ascending order —
+/// the order in which [`insert_bit`] expansions must be applied.
+fn mask_bit_values(mask: usize) -> Vec<usize> {
+    let mut positions = Vec::with_capacity(mask.count_ones() as usize);
+    let mut rest = mask;
+    while rest != 0 {
+        let bit = rest & rest.wrapping_neg();
+        positions.push(bit);
+        rest ^= bit;
+    }
+    positions
 }
 
 /// The `2^k` amplitudes of the tensor product of `k` one-qubit factors, in
@@ -447,65 +530,19 @@ fn tensor_product(factors: &[[Complex; 2]]) -> Vec<Complex> {
     product
 }
 
-/// Lowers one [`FusedOp`] to a record whose `slot` is `0` (paired with
-/// [`single_op_pool`]).
-fn lower_single(op: &FusedOp) -> DispatchRecord {
-    match op {
-        FusedOp::Dense { qubit, .. } => DispatchRecord {
-            kind: OpKind::Dense1,
-            arg0: 1u64 << qubit,
-            arg1: 0,
-            slot: 0,
-        },
-        FusedOp::Phase { mask, phase: _ } => DispatchRecord {
-            kind: OpKind::Phase,
-            arg0: *mask as u64,
-            arg1: 0,
-            slot: 0,
-        },
-        FusedOp::Mcx {
-            control_mask,
-            target,
-        } => DispatchRecord {
-            kind: OpKind::Mcx,
-            arg0: *control_mask as u64,
-            arg1: 1u64 << target,
-            slot: 0,
-        },
-        FusedOp::Swap { a, b } => DispatchRecord {
-            kind: OpKind::Swap,
-            arg0: 1u64 << a.min(b),
-            arg1: 1u64 << a.max(b),
-            slot: 0,
-        },
-    }
-}
-
-/// The matrix-pool payload of one ad-hoc op (see [`lower_single`]).
-fn single_op_pool(op: &FusedOp) -> Vec<f64> {
-    match op {
-        FusedOp::Dense { matrix, .. } => flatten_2x2(matrix),
-        FusedOp::Phase { phase, .. } => vec![phase.re, phase.im],
-        _ => Vec::new(),
-    }
-}
-
-fn flatten_2x2(matrix: &[[Complex; 2]; 2]) -> Vec<f64> {
-    matrix
-        .iter()
-        .flatten()
-        .flat_map(|entry| [entry.re, entry.im])
-        .collect()
-}
-
-/// Intermediate lowering IR: records with owned matrices, so the batching
-/// peephole can compose them before the flat pool is emitted.
-#[derive(Debug, Clone)]
+/// The plan's op IR, from gate to dispatch record: each gate lowers to one
+/// op ([`Lowered::from_gate`]), the fusion walk composes ops, and
+/// [`emit`] writes each op as one record. Ops own their matrices, so the
+/// walk and the batching peephole can compose them before the flat pool is
+/// emitted. Qubits are bit values (`1 << q`), as in the records.
+#[derive(Debug, Clone, PartialEq)]
 enum Lowered {
+    /// An arbitrary 2×2 unitary on one qubit.
     D1 {
         bit: usize,
         matrix: [[Complex; 2]; 2],
     },
+    /// A 4×4 unitary on two qubits, made only by fusion.
     D2 {
         /// Lower of the two bit values.
         lo: usize,
@@ -514,18 +551,100 @@ enum Lowered {
         /// Row-major 4×4 over the basis index `2·(hi bit) + (lo bit)`.
         matrix: [Complex; 16],
     },
-    Ph {
-        mask: usize,
-        phase: Complex,
-    },
+    /// Multiplies `phase` onto every amplitude whose index has all bits of
+    /// `mask` set: a diagonal gate (`mask` 0 is a global phase).
+    Ph { mask: usize, phase: Complex },
+    /// Multiple-controlled X: swaps amplitudes across `target_bit` where
+    /// all bits of `control_mask` are set (an empty mask is a plain X).
     Mcx {
         control_mask: usize,
         target_bit: usize,
     },
-    Swap {
-        bit_a: usize,
-        bit_b: usize,
-    },
+    /// Exchange of two qubits; `bit_a` is the lower bit value.
+    Swap { bit_a: usize, bit_b: usize },
+}
+
+impl Lowered {
+    /// Lowers one gate to its op: controlled X gates to an `Mcx`, diagonal
+    /// gates (Z, S, T, Rz, CZ, MCZ and their kin) to a phase, and the other
+    /// one-qubit gates to a 2×2.
+    fn from_gate(gate: &QuantumGate) -> Self {
+        let mask = |qubits: &[usize]| -> usize { qubits.iter().map(|&q| 1usize << q).sum() };
+        match gate {
+            QuantumGate::Cx { control, target } => Self::Mcx {
+                control_mask: 1 << control,
+                target_bit: 1 << target,
+            },
+            QuantumGate::Ccx {
+                control_a,
+                control_b,
+                target,
+            } => Self::Mcx {
+                control_mask: (1 << control_a) | (1 << control_b),
+                target_bit: 1 << target,
+            },
+            QuantumGate::Mcx { controls, target } => Self::Mcx {
+                control_mask: mask(controls),
+                target_bit: 1 << target,
+            },
+            QuantumGate::Cz { a, b } => Self::Ph {
+                mask: (1 << a) | (1 << b),
+                phase: Complex::real(-1.0),
+            },
+            QuantumGate::Mcz { qubits } => Self::Ph {
+                mask: mask(qubits),
+                phase: Complex::real(-1.0),
+            },
+            QuantumGate::Swap { a, b } => Self::Swap {
+                bit_a: 1 << a.min(b),
+                bit_b: 1 << a.max(b),
+            },
+            single => {
+                let bit = 1 << single.qubits()[0];
+                let matrix = single
+                    .single_qubit_matrix()
+                    .expect("all remaining gates are single-qubit");
+                if single.is_diagonal() {
+                    Self::Ph {
+                        mask: bit,
+                        phase: matrix[1][1],
+                    }
+                } else {
+                    Self::D1 { bit, matrix }
+                }
+            }
+        }
+    }
+
+    /// The bit of an op that keeps a product state a product state by
+    /// acting on one factor: a 2×2, a one-qubit phase or a control-free X.
+    fn single_qubit(&self) -> Option<usize> {
+        match self {
+            Self::D1 { bit, .. } => Some(*bit),
+            Self::Ph { mask, .. } if mask.count_ones() == 1 => Some(*mask),
+            Self::Mcx {
+                control_mask: 0,
+                target_bit,
+            } => Some(*target_bit),
+            _ => None,
+        }
+    }
+
+    /// Applies a [`Lowered::single_qubit`] op to its qubit's factor, the
+    /// qubit's amplitudes of `|0⟩` and `|1⟩`.
+    fn apply_to_factor(&self, factor: &mut [Complex; 2]) {
+        let [zero, one] = factor;
+        match self {
+            Self::D1 { matrix, .. } => {
+                let (a, b) = (*zero, *one);
+                *zero = matrix[0][0] * a + matrix[0][1] * b;
+                *one = matrix[1][0] * a + matrix[1][1] * b;
+            }
+            Self::Ph { phase, .. } => *one *= *phase,
+            Self::Mcx { .. } => std::mem::swap(zero, one),
+            Self::D2 { .. } | Self::Swap { .. } => unreachable!("a factor takes one-qubit ops"),
+        }
+    }
 }
 
 /// Expands a 2×2 matrix to the 4×4 acting on the `lo` (when `on_lo`) or `hi`
@@ -974,8 +1093,8 @@ struct Segment {
     locality: Locality,
 }
 
-/// A [`FusedProgram`] lowered to flat dispatch records plus a flat matrix
-/// pool, pre-scheduled into cache-block segments.
+/// A circuit lowered to flat dispatch records plus a flat matrix pool,
+/// pre-scheduled into cache-block segments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     num_qubits: usize,
@@ -986,53 +1105,54 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compiles a circuit end to end: [`FusedProgram::lower`] makes one op
-    /// per gate, and [`ExecPlan::from_program`] lowers them to records. It
-    /// makes no product-state split, since its plans also run on states
-    /// other than `|0…0⟩`; on the 20-qubit hidden shift it still gives the
-    /// same 10 records in 8 sweeps as a job's plan.
+    /// Compiles a circuit to a plan that runs on any state of its register.
+    ///
+    /// Each gate lowers to one op. With `config.fusion` on, the lowering
+    /// runs the fusion walk (blocks of at most two qubits, each qubit's
+    /// one-qubit runs composed), clusters block-local ops and batches
+    /// adjacent global denses (see the [module docs](self)), so one record
+    /// can stand for many gates; on the 20-qubit hidden shift that is the
+    /// same 10 records in 8 sweeps as a job's plan. With `config.fusion`
+    /// off the records correspond 1:1 to the gates (degenerate MCX records
+    /// whose control set contains the target are kept as explicit no-ops),
+    /// which the noisy simulator relies on to interleave stochastic noise
+    /// between gates.
     pub fn compile(circuit: &QuantumCircuit, config: &ExecConfig) -> Self {
-        Self::from_program(&FusedProgram::lower(circuit), config)
+        Self::from_ops(circuit.num_qubits(), lower(circuit), config)
     }
 
-    /// Lowers a program into a plan.
+    /// Compiles a circuit for a run from `|0…0⟩`: the state to start from,
+    /// and the plan to apply to it.
     ///
-    /// With `config.fusion` enabled the lowering runs the fusion walk
-    /// (blocks of at most two qubits, each qubit's one-qubit runs composed),
-    /// clusters block-local ops and batches adjacent global denses (see the
-    /// [module docs](self)), so one record can stand for many ops. With
-    /// `config.fusion` disabled the records correspond 1:1 to the
-    /// program's ops (degenerate MCX records whose control set contains the
-    /// target are kept as explicit no-ops), which the noisy simulator relies
-    /// on to interleave stochastic noise between gates.
-    pub fn from_program(program: &FusedProgram, config: &ExecConfig) -> Self {
-        let num_qubits = program.num_qubits();
+    /// With `config.fusion` on, the circuit's leading single-qubit layer is
+    /// split off as the [`ProductLayer`] it makes of `|0…0⟩` (each op on one
+    /// qubit that no kept op has touched yet folds into that qubit's
+    /// factor), and the plan, compiled as by [`ExecPlan::compile`], holds
+    /// only the ops after it. With `config.fusion` off the layer is all
+    /// `|0⟩`, with no qubit absorbed, and the plan is
+    /// [`ExecPlan::compile`]'s per-gate plan. Either way
+    /// [`SoaStatevector::product_state`] of the layer's factors is the
+    /// state to apply the plan to.
+    pub fn compile_from_zero(
+        circuit: &QuantumCircuit,
+        config: &ExecConfig,
+    ) -> (ProductLayer, Self) {
+        let num_qubits = circuit.num_qubits();
+        let mut ops = lower(circuit);
+        let layer = if config.fusion {
+            split_product_layer(num_qubits, &mut ops)
+        } else {
+            ProductLayer {
+                factors: vec![[Complex::ONE, Complex::ZERO]; num_qubits],
+                absorbed: 0,
+            }
+        };
+        (layer, Self::from_ops(num_qubits, ops, config))
+    }
+
+    /// Lowers per-gate ops into a plan (see [`ExecPlan::compile`]).
+    fn from_ops(num_qubits: usize, mut lowered: Vec<Lowered>, config: &ExecConfig) -> Self {
         let block_bits = effective_block_bits(config, num_qubits);
-        let mut lowered: Vec<Lowered> = Vec::with_capacity(program.num_ops());
-        for op in program.ops() {
-            let next = match op {
-                FusedOp::Dense { qubit, matrix } => Lowered::D1 {
-                    bit: 1usize << qubit,
-                    matrix: *matrix,
-                },
-                FusedOp::Phase { mask, phase } => Lowered::Ph {
-                    mask: *mask,
-                    phase: *phase,
-                },
-                FusedOp::Mcx {
-                    control_mask,
-                    target,
-                } => Lowered::Mcx {
-                    control_mask: *control_mask,
-                    target_bit: 1usize << target,
-                },
-                FusedOp::Swap { a, b } => Lowered::Swap {
-                    bit_a: 1usize << a.min(b),
-                    bit_b: 1usize << a.max(b),
-                },
-            };
-            lowered.push(next);
-        }
         if config.fusion {
             lowered = fuse_blocks(lowered);
             lowered = cluster_by_locality(lowered, block_bits);
@@ -1116,7 +1236,7 @@ impl ExecPlan {
     /// are spectators).
     pub fn apply(&self, amplitudes: &mut [Complex], config: &ExecConfig) {
         assert!(
-            kernel::num_qubits_of(amplitudes) >= self.num_qubits,
+            num_qubits_of(amplitudes) >= self.num_qubits,
             "a {}-qubit plan cannot run on {} amplitudes",
             self.num_qubits,
             amplitudes.len()
@@ -1325,6 +1445,11 @@ impl ExecPlan {
     }
 }
 
+/// Lowers a circuit one op per gate.
+fn lower(circuit: &QuantumCircuit) -> Vec<Lowered> {
+    circuit.iter().map(Lowered::from_gate).collect()
+}
+
 /// Resolves [`ExecConfig::block_bits`] (`0` = [`DEFAULT_BLOCK_BITS`]),
 /// clamped to the register size.
 fn effective_block_bits(config: &ExecConfig, num_qubits: usize) -> usize {
@@ -1342,7 +1467,12 @@ fn emit(op: &Lowered, pool: &mut Vec<f64>) -> DispatchRecord {
     match op {
         Lowered::D1 { bit, matrix } => {
             let slot = pool.len() as u32;
-            pool.extend(flatten_2x2(matrix));
+            pool.extend(
+                matrix
+                    .iter()
+                    .flatten()
+                    .flat_map(|entry| [entry.re, entry.im]),
+            );
             DispatchRecord {
                 kind: OpKind::Dense1,
                 arg0: *bit as u64,
@@ -1721,12 +1851,12 @@ fn apply_pair(
         }
         OpKind::Mcx => {
             let controls_low = (record.arg0 & (block_len - 1)) as usize;
-            let positions = kernel::mask_bit_values(controls_low);
+            let positions = mask_bit_values(controls_low);
             let count = a.re.len() >> positions.len();
             for compact in 0..count {
                 let mut index = compact;
                 for &bit in &positions {
-                    index = kernel::insert_bit(index, bit, true);
+                    index = insert_bit(index, bit, true);
                 }
                 std::mem::swap(&mut a.re[index], &mut b.re[index]);
                 std::mem::swap(&mut a.im[index], &mut b.im[index]);
@@ -1737,7 +1867,7 @@ fn apply_pair(
             // (a=1, b_high=0) ↔ (a=0, b_high=1).
             let bit_a = record.arg0 as usize;
             for compact in 0..a.re.len() / 2 {
-                let index = kernel::insert_bit(compact, bit_a, true);
+                let index = insert_bit(compact, bit_a, true);
                 let partner = index ^ bit_a;
                 std::mem::swap(&mut a.re[index], &mut b.re[partner]);
                 std::mem::swap(&mut a.im[index], &mut b.im[partner]);
@@ -1840,9 +1970,10 @@ fn matrix4(pool: &[f64], slot: u32) -> &[f64; 32] {
 }
 
 /// The vectorizable core of every dense 2×2 application: paired low/high
-/// component rows of equal length. The multiply-add association matches the
-/// `matrix[0][0] * a + matrix[0][1] * b` complex arithmetic of the scalar
-/// [`kernel`] exactly, so both produce the same bits per element.
+/// component rows of equal length. The multiply-add association is exactly
+/// [`Complex`]'s `matrix[0][0] * a + matrix[0][1] * b`, the arithmetic of
+/// the sparse engine's split-merge, so both produce the same bits per
+/// element.
 fn dense1_rows(
     low_re: &mut [f64],
     low_im: &mut [f64],
@@ -2199,23 +2330,31 @@ fn phase_masked(re: &mut [f64], im: &mut [f64], mask: usize, phase_re: f64, phas
     }
 }
 
-/// In-block MCX: swaps across the target bit where the (block-local)
-/// controls are satisfied (mirrors [`kernel::mcx_masked`]).
+/// In-block MCX: swaps each amplitude pair across `target_bit` where the
+/// (block-local) controls are satisfied.
+///
+/// Instead of scanning the block and testing the control and target bits of
+/// every index, it enumerates exactly the swap sources, the indices with
+/// every control bit set and the target bit clear, by expanding a compact
+/// counter through the fixed bit positions ([`insert_bit`]). The caller
+/// skips a control mask that contains the target, which never fires.
 fn mcx_block(re: &mut [f64], im: &mut [f64], control_mask: usize, target_bit: usize) {
     let fixed = control_mask | target_bit;
     let free_bits = re.len().trailing_zeros() as usize - fixed.count_ones() as usize;
-    let positions = kernel::mask_bit_values(fixed);
+    let positions = mask_bit_values(fixed);
     for compact in 0..1usize << free_bits {
         let mut index = compact;
         for &bit in &positions {
-            index = kernel::insert_bit(index, bit, bit != target_bit);
+            index = insert_bit(index, bit, bit != target_bit);
         }
         re.swap(index, index | target_bit);
         im.swap(index, index | target_bit);
     }
 }
 
-/// In-block SWAP of two low qubits (mirrors [`kernel::swap_masked`]).
+/// In-block SWAP of two low qubits: exchanges the `a = 1, b = 0` and
+/// `a = 0, b = 1` amplitudes by enumerating only the quarter of the block
+/// they hold (indices with `bit_a` set and `bit_b` clear).
 fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
     if bit_a == bit_b {
         return;
@@ -2223,8 +2362,7 @@ fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
     let low = bit_a.min(bit_b);
     let high = bit_a.max(bit_b);
     for compact in 0..re.len() / 4 {
-        let index =
-            kernel::insert_bit(kernel::insert_bit(compact, low, false), high, false) | bit_a;
+        let index = insert_bit(insert_bit(compact, low, false), high, false) | bit_a;
         re.swap(index, index ^ (bit_a | bit_b));
         im.swap(index, index ^ (bit_a | bit_b));
     }
@@ -2233,13 +2371,386 @@ fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::QuantumGate;
-    use crate::kernel;
+    use crate::reference::DenseReference;
+    use crate::statevector::Statevector;
 
     fn push_all(circuit: &mut QuantumCircuit, gates: impl IntoIterator<Item = QuantumGate>) {
         for gate in gates {
             circuit.push(gate).unwrap();
         }
+    }
+
+    /// A state whose amplitude `k` encodes `k`, with no zero component (so
+    /// a permutation matrix applied as a 2×2 moves it bit for bit).
+    fn indexed_state(num_qubits: usize) -> Vec<Complex> {
+        (0..1usize << num_qubits)
+            .map(|k| Complex::new(k as f64 + 1.0, -(k as f64) - 0.5))
+            .collect()
+    }
+
+    /// Asserts that `amplitudes` are within 1e-12 of the reference oracle's
+    /// simulation of `circuit` from `|0…0⟩`.
+    fn assert_matches_reference(circuit: &QuantumCircuit, amplitudes: &[Complex]) {
+        let reference = DenseReference::from_circuit(circuit).unwrap();
+        assert_eq!(amplitudes.len(), reference.amplitudes().len());
+        for (index, (a, b)) in amplitudes.iter().zip(reference.amplitudes()).enumerate() {
+            assert!(
+                a.approx_eq(*b, 1e-12),
+                "amplitude {index}: plan {a:?} vs reference {b:?}"
+            );
+        }
+    }
+
+    fn assert_execution_matches_reference(circuit: &QuantumCircuit, config: &ExecConfig) {
+        let state = Statevector::run(circuit, config).unwrap();
+        assert_matches_reference(circuit, state.amplitudes());
+    }
+
+    fn sample_circuit() -> QuantumCircuit {
+        let mut circuit = QuantumCircuit::new(4);
+        push_all(
+            &mut circuit,
+            [
+                QuantumGate::H(0),
+                QuantumGate::T(1),
+                QuantumGate::T(1),
+                QuantumGate::X(2),
+                QuantumGate::Cz { a: 0, b: 3 },
+                QuantumGate::H(0),
+                QuantumGate::H(0),
+                QuantumGate::Cx {
+                    control: 1,
+                    target: 2,
+                },
+                QuantumGate::S(3),
+                QuantumGate::Sdg(3),
+            ],
+        );
+        circuit
+    }
+
+    /// The record count of the fused plan of `gates`, after checking the
+    /// plan's amplitudes against the reference oracle.
+    fn fused_records(num_qubits: usize, gates: impl IntoIterator<Item = QuantumGate>) -> usize {
+        let mut circuit = QuantumCircuit::new(num_qubits);
+        push_all(&mut circuit, gates);
+        let config = ExecConfig::sequential();
+        assert_execution_matches_reference(&circuit, &config);
+        ExecPlan::compile(&circuit, &config).num_records()
+    }
+
+    #[test]
+    fn adjacent_diagonal_gates_coalesce() {
+        let gates = [
+            QuantumGate::T(0),
+            QuantumGate::T(0),
+            QuantumGate::Z(1),
+            QuantumGate::S(1),
+        ];
+        assert_eq!(fused_records(2, gates), 2);
+    }
+
+    #[test]
+    fn commuting_diagonals_merge_across_each_other() {
+        // T(0) · CZ(0,1) · T(0): the two T gates merge across the CZ, and
+        // across a CX on their control qubit, but not across a CX on their
+        // target.
+        let cz = QuantumGate::Cz { a: 0, b: 1 };
+        assert_eq!(
+            fused_records(2, [QuantumGate::T(0), cz, QuantumGate::T(0)]),
+            2
+        );
+        let cx = QuantumGate::Cx {
+            control: 0,
+            target: 1,
+        };
+        let on_control = [QuantumGate::T(0), cx.clone(), QuantumGate::T(0)];
+        assert_eq!(fused_records(2, on_control), 2);
+        let on_target = [QuantumGate::T(1), cx, QuantumGate::T(1)];
+        assert_eq!(fused_records(2, on_target), 3);
+    }
+
+    #[test]
+    fn inverse_pairs_cancel_entirely() {
+        let gates = [
+            QuantumGate::H(0),
+            QuantumGate::H(0),
+            QuantumGate::S(1),
+            QuantumGate::Sdg(1),
+        ];
+        assert_eq!(fused_records(2, gates), 0);
+    }
+
+    #[test]
+    fn dense_merges_absorb_single_qubit_diagonals() {
+        // H · S · H on one qubit fuses to a single dense op.
+        let gates = [QuantumGate::H(0), QuantumGate::S(0), QuantumGate::H(0)];
+        assert_eq!(fused_records(1, gates), 1);
+    }
+
+    #[test]
+    fn fused_execution_matches_the_reference() {
+        assert_execution_matches_reference(&sample_circuit(), &ExecConfig::sequential());
+    }
+
+    #[test]
+    fn unfused_execution_matches_the_reference() {
+        assert_execution_matches_reference(&sample_circuit(), &ExecConfig::baseline());
+    }
+
+    #[test]
+    fn threaded_execution_matches_the_reference() {
+        // One-amplitude-pair cache blocks give the 4-qubit register eight
+        // blocks, enough to start the worker pool.
+        let config = ExecConfig::auto().with_threads(3).with_block_bits(1);
+        assert_execution_matches_reference(&sample_circuit(), &config);
+    }
+
+    #[test]
+    fn leading_single_qubit_layer_splits_off_as_factors() {
+        // H(0) and T(1) come before the CX that first touches their qubits,
+        // S(2) acts on a qubit nothing else touches, and the second H(0)
+        // follows the CX: it stays, with the CX, in the ops.
+        let mut circuit = QuantumCircuit::new(4);
+        let cx = QuantumGate::Cx {
+            control: 0,
+            target: 1,
+        };
+        push_all(
+            &mut circuit,
+            [
+                QuantumGate::H(0),
+                QuantumGate::T(1),
+                cx.clone(),
+                QuantumGate::H(0),
+                QuantumGate::S(2),
+            ],
+        );
+        let mut rest = lower(&circuit);
+        let layer = split_product_layer(4, &mut rest);
+        assert_eq!(
+            rest,
+            [
+                Lowered::from_gate(&cx),
+                Lowered::from_gate(&QuantumGate::H(0))
+            ]
+        );
+        let on_zero = |gate: QuantumGate| {
+            let matrix = gate.single_qubit_matrix().unwrap();
+            [matrix[0][0], matrix[1][0]]
+        };
+        assert_eq!(
+            layer.factors(),
+            [
+                on_zero(QuantumGate::H(0)),
+                on_zero(QuantumGate::T(1)),
+                on_zero(QuantumGate::S(2)),
+                [Complex::ONE, Complex::ZERO],
+            ]
+        );
+        assert_eq!(layer.num_absorbed(), 3);
+    }
+
+    #[test]
+    fn unfused_compile_from_zero_is_compile_on_the_zero_state() {
+        let circuit = sample_circuit();
+        let config = ExecConfig::baseline();
+        let (layer, plan) = ExecPlan::compile_from_zero(&circuit, &config);
+        assert_eq!(layer.num_absorbed(), 0);
+        assert_eq!(layer.factors(), [[Complex::ONE, Complex::ZERO]; 4]);
+        assert_eq!(plan, ExecPlan::compile(&circuit, &config));
+        assert_eq!(plan.num_records(), circuit.num_gates());
+    }
+
+    /// Applies one op to a 5-qubit state through a one-record plan on
+    /// 2-amplitude blocks (sixteen of them, so `threads > 1` runs on the
+    /// worker pool).
+    fn apply_single_op(op: &Lowered, threads: usize) -> Vec<Complex> {
+        let config = ExecConfig::baseline()
+            .with_block_bits(1)
+            .with_threads(threads);
+        let plan = ExecPlan::from_ops(5, vec![op.clone()], &config);
+        let mut state = SoaStatevector::from_amplitudes(&indexed_state(5), plan.block_bits());
+        plan.apply_soa(&mut state, &config);
+        state.to_amplitudes()
+    }
+
+    #[test]
+    fn threaded_ops_match_sequential_ops() {
+        // A controlled S and a global phase: no gate lowers to either.
+        for op in [
+            Lowered::D1 {
+                bit: 1,
+                matrix: QuantumGate::H(0).single_qubit_matrix().unwrap(),
+            },
+            Lowered::D1 {
+                bit: 1 << 4,
+                matrix: QuantumGate::Y(4).single_qubit_matrix().unwrap(),
+            },
+            Lowered::Ph {
+                mask: 0b10010,
+                phase: Complex::I,
+            },
+            Lowered::Ph {
+                mask: 0,
+                phase: Complex::from_angle(0.4),
+            },
+        ] {
+            let sequential = apply_single_op(&op, 1);
+            let threaded = apply_single_op(&op, 4);
+            for (a, b) in threaded.iter().zip(&sequential) {
+                assert!(a.approx_eq(*b, 1e-12), "{op:?}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn global_phase_op_touches_every_amplitude() {
+        let config = ExecConfig::baseline().with_block_bits(1);
+        let minus_one = Lowered::Ph {
+            mask: 0,
+            phase: Complex::real(-1.0),
+        };
+        let plan = ExecPlan::from_ops(2, vec![minus_one], &config);
+        let mut state = SoaStatevector::from_amplitudes(&indexed_state(2), plan.block_bits());
+        plan.apply_soa(&mut state, &config);
+        for amplitude in state.to_amplitudes() {
+            assert!(amplitude.re < 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_qubit_panics() {
+        // Qubit 2 is one past the 2-qubit register.
+        let mut state = SoaStatevector::zero_state(2, 1);
+        state.apply_gate(&QuantumGate::H(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_op_panics() {
+        let mut state = SoaStatevector::zero_state(2, 1);
+        state.apply_gate(&QuantumGate::H(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_phase_mask_panics() {
+        // The phase mask names a qubit outside the 2-qubit register; the
+        // guard must reject it rather than silently touching nothing.
+        let mut state = SoaStatevector::zero_state(2, 1);
+        state.apply_gate(&QuantumGate::Cz { a: 0, b: 2 });
+    }
+
+    #[test]
+    fn permutation_gates_match_the_full_scan() {
+        // The full scan tests every index for the gate's condition and swaps
+        // it with its partner. At 8-amplitude blocks qubits 0–2 are
+        // in-block and 3–4 cross blocks; 2 and 32 amplitudes move the
+        // border.
+        let input = indexed_state(5);
+        let full_scan = |gate: &QuantumGate| -> Vec<Complex> {
+            // Swap each index whose bits under `fixed` read `set` with the
+            // index that differs from it in `flip`.
+            let (set, fixed, flip) = match gate {
+                QuantumGate::Swap { a, b } => {
+                    let both = (1usize << a) | (1usize << b);
+                    (1usize << a, both, both)
+                }
+                _ => {
+                    // The X family lists its target last.
+                    let qubits = gate.qubits();
+                    let (target, controls) = qubits.split_last().unwrap();
+                    let controls: usize = controls.iter().map(|&q| 1usize << q).sum();
+                    let target = 1usize << target;
+                    (controls, controls | target, target)
+                }
+            };
+            let mut out = input.clone();
+            for index in 0..out.len() {
+                if index & fixed == set {
+                    out.swap(index, index ^ flip);
+                }
+            }
+            out
+        };
+        let bits = |amplitudes: &[Complex]| -> Vec<(u64, u64)> {
+            amplitudes
+                .iter()
+                .map(|a| (a.re.to_bits(), a.im.to_bits()))
+                .collect()
+        };
+        let mcx = |controls: &[usize], target: usize| QuantumGate::Mcx {
+            controls: controls.to_vec(),
+            target,
+        };
+        let cx = |control: usize, target: usize| QuantumGate::Cx { control, target };
+        let ccx = |control_a: usize, control_b: usize, target: usize| QuantumGate::Ccx {
+            control_a,
+            control_b,
+            target,
+        };
+        let permutations = [
+            QuantumGate::X(1),
+            QuantumGate::X(4),
+            mcx(&[], 0),
+            mcx(&[], 3),
+            cx(2, 0),
+            cx(4, 1),
+            cx(0, 3),
+            cx(4, 3),
+            ccx(0, 3, 2),
+            ccx(1, 2, 4),
+            ccx(3, 4, 0),
+            mcx(&[0, 1, 3], 4),
+            mcx(&[2, 3, 4], 0),
+            QuantumGate::Swap { a: 0, b: 2 },
+            QuantumGate::Swap { a: 4, b: 1 },
+            QuantumGate::Swap { a: 3, b: 4 },
+        ];
+        // An Mcx whose control is its target never fires.
+        let no_ops = [mcx(&[1], 1), mcx(&[0, 3], 3)];
+        for block_bits in [3, 1, 5] {
+            for gate in &permutations {
+                let mut state = SoaStatevector::from_amplitudes(&input, block_bits);
+                state.apply_gate(gate);
+                assert_eq!(
+                    bits(&state.to_amplitudes()),
+                    bits(&full_scan(gate)),
+                    "{gate:?} at block_bits {block_bits}"
+                );
+            }
+            for gate in &no_ops {
+                let mut state = SoaStatevector::from_amplitudes(&input, block_bits);
+                state.apply_gate(gate);
+                assert_eq!(
+                    bits(&state.to_amplitudes()),
+                    bits(&input),
+                    "{gate:?} at block_bits {block_bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn insert_bit_enumerates_fixed_subspaces() {
+        // Expanding 0..4 over bit 1 (set) lists indices with bit 1 set.
+        let expanded: Vec<usize> = (0..4).map(|k| insert_bit(k, 0b10, true)).collect();
+        assert_eq!(expanded, vec![0b010, 0b011, 0b110, 0b111]);
+        assert_eq!(mask_bit_values(0b10110), vec![0b10, 0b100, 0b10000]);
+    }
+
+    #[test]
+    fn num_qubits_is_log2_of_length() {
+        assert_eq!(num_qubits_of(&indexed_state(0)), 0);
+        assert_eq!(num_qubits_of(&indexed_state(4)), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_slice_panics() {
+        let _ = SoaStatevector::from_amplitudes(&[Complex::ONE; 3], 0);
     }
 
     #[test]
@@ -2260,7 +2771,7 @@ mod tests {
                 QuantumGate::Swap { a: 3, b: 1 },
             ],
         );
-        let plan = ExecPlan::from_program(&FusedProgram::lower(&circuit), &ExecConfig::baseline());
+        let plan = ExecPlan::compile(&circuit, &ExecConfig::baseline());
         let records = plan.records();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].kind, OpKind::Dense1);
@@ -2303,11 +2814,11 @@ mod tests {
                 (OpKind::Dense2, 4, 8),
             ]
         );
-        // Same-qubit denses always merge, even in an unfused program: X·H
-        // collapses to one 2×2 record.
+        // Under fusion same-qubit denses always merge: X·H collapses to one
+        // 2×2 record.
         let mut same = QuantumCircuit::new(2);
         push_all(&mut same, [QuantumGate::H(0), QuantumGate::X(0)]);
-        let merged = ExecPlan::from_program(&FusedProgram::lower(&same), &ExecConfig::sequential());
+        let merged = ExecPlan::compile(&same, &ExecConfig::sequential());
         assert_eq!(merged.num_records(), 1);
         // Without fusion every gate stays one record.
         assert_eq!(
@@ -2341,7 +2852,7 @@ mod tests {
         let (a, b) = (3, 0);
         let pair = pair_block(a, b);
         let config = ExecConfig::sequential();
-        let plan = ExecPlan::from_program(&FusedProgram::lower(&pair), &config);
+        let plan = ExecPlan::compile(&pair, &config);
         assert_eq!(plan.num_records(), 1);
         let record = plan.records()[0];
         assert_eq!(
@@ -2394,16 +2905,7 @@ mod tests {
         assert_eq!(shapes, vec![(OpKind::Dense2, 1, 1024)]);
         let mut state = SoaStatevector::zero_state(11, plan.block_bits());
         plan.apply_soa(&mut state, &ExecConfig::sequential());
-        let mut expected = vec![Complex::ZERO; 1 << 11];
-        expected[0] = Complex::ONE;
-        kernel::apply_circuit(&mut expected, &circuit);
-        for (index, want) in expected.iter().enumerate() {
-            let got = state.amplitude(index);
-            assert!(
-                got.approx_eq(*want, 1e-12),
-                "amplitude {index}: {got:?} vs {want:?}"
-            );
-        }
+        assert_matches_reference(&circuit, &state.to_amplitudes());
     }
 
     /// Applies a 4×4 to every quad `(i, i|lo, i|hi, i|lo|hi)` of the arrays
@@ -2485,7 +2987,7 @@ mod tests {
     #[test]
     fn zero_state_resets_in_place() {
         let mut state = SoaStatevector::zero_state(3, 1);
-        state.apply_fused_op(&FusedOp::from_gate(&QuantumGate::X(2)));
+        state.apply_gate(&QuantumGate::X(2));
         assert_eq!(state.amplitude(0b100), Complex::ONE);
         state.reset();
         assert_eq!(state.amplitude(0), Complex::ONE);
@@ -2512,14 +3014,14 @@ mod tests {
                 QuantumGate::S(4),
             ],
         );
-        let program = FusedProgram::lower(&circuit);
-        let (layer, rest) = program.clone().split_product_layer();
-        assert_eq!(rest.num_ops(), 0);
+        let mut rest = lower(&circuit);
+        let layer = split_product_layer(5, &mut rest);
+        assert!(rest.is_empty());
         assert_eq!(layer.num_absorbed(), 4);
         for block_bits in 0..=5 {
             let mut expected = SoaStatevector::zero_state(5, block_bits);
-            for op in program.ops() {
-                expected.apply_fused_op(op);
+            for gate in &circuit {
+                expected.apply_gate(gate);
             }
             let state = SoaStatevector::product_state(layer.factors(), block_bits);
             assert_eq!(state.block_bits(), block_bits);
@@ -2557,26 +3059,62 @@ mod tests {
     }
 
     #[test]
-    fn ad_hoc_ops_match_the_kernel() {
-        // apply_fused_op (the noise path's entry point) against the scalar
-        // kernel, per gate class, on a non-trivial state and a 2-amp block
-        // size that forces the cross-block branches.
+    fn single_gates_match_the_reference() {
+        // `apply_gate` (the noise path's entry point) against the oracle,
+        // gate by gate over every gate class, on 2-amplitude blocks so that
+        // qubits 1–3 take the cross-block branches.
         let gates = [
+            QuantumGate::H(0),
+            QuantumGate::H(1),
+            QuantumGate::H(2),
+            QuantumGate::H(3),
+            QuantumGate::T(0),
+            QuantumGate::Rz {
+                qubit: 3,
+                angle: 0.7,
+            },
             QuantumGate::X(2),
             QuantumGate::Y(0),
             QuantumGate::Z(1),
             QuantumGate::H(2),
             QuantumGate::S(0),
+            QuantumGate::Cx {
+                control: 0,
+                target: 3,
+            },
+            QuantumGate::Cx {
+                control: 3,
+                target: 0,
+            },
+            QuantumGate::Cz { a: 1, b: 3 },
+            QuantumGate::Swap { a: 0, b: 2 },
+            QuantumGate::Swap { a: 1, b: 3 },
+            QuantumGate::Ccx {
+                control_a: 0,
+                control_b: 1,
+                target: 2,
+            },
+            QuantumGate::Mcx {
+                controls: vec![0, 2, 3],
+                target: 1,
+            },
+            QuantumGate::Mcz {
+                qubits: vec![0, 1, 3],
+            },
         ];
-        let mut expected: Vec<Complex> = (0..8)
-            .map(|k| Complex::new(1.0 / (k as f64 + 1.0), 0.25 * k as f64))
-            .collect();
-        let mut state = SoaStatevector::from_amplitudes(&expected, 1);
+        let mut reference = DenseReference::new(4).unwrap();
+        let mut state = SoaStatevector::zero_state(4, 1);
         for gate in gates {
-            kernel::apply_gate(&mut expected, &gate);
-            state.apply_fused_op(&FusedOp::from_gate(&gate));
+            reference.apply_gate(&gate);
+            state.apply_gate(&gate);
+            for (index, want) in reference.amplitudes().iter().enumerate() {
+                let got = state.amplitude(index);
+                assert!(
+                    got.approx_eq(*want, 1e-12),
+                    "after {gate:?}, amplitude {index}: {got:?} vs {want:?}"
+                );
+            }
         }
-        assert_eq!(state.to_amplitudes(), expected);
     }
 
     #[test]

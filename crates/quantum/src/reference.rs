@@ -4,12 +4,12 @@
 //! application: for each basis state it accumulates the gate's column action
 //! into a freshly allocated output vector, with **no** diagonal fast path,
 //! no in-place pair tricks, no fusion and no threading. Its implementation
-//! shares nothing with the [`kernel`](crate::kernel) or the
-//! [`ExecPlan`](crate::plan::ExecPlan) interpreter, which is exactly what
-//! makes it a useful differential-testing oracle — the only independent one
-//! of the dense path: the property suites in `tests/differential.rs` and
-//! `tests/plan_differential.rs` compare fused, unfused and pooled plans
-//! against it amplitude-for-amplitude on random circuits.
+//! shares nothing with the [`ExecPlan`](crate::plan::ExecPlan) interpreter,
+//! which is exactly what makes it a useful differential-testing oracle —
+//! the only independent one of the dense path: the property suites in
+//! `tests/differential.rs` and `tests/plan_differential.rs`, and the plan's
+//! unit tests, compare fused, unfused and pooled plans against it
+//! amplitude-for-amplitude.
 //!
 //! The same pattern — an optimized production simulator paired with a
 //! trivially-auditable reference implementation — is used by the large
@@ -185,9 +185,10 @@ impl DenseReference {
         self.amplitudes = next;
     }
 
-    /// Samples a measurement of all qubits, mirroring
-    /// [`Statevector::sample`](crate::statevector::Statevector::sample) so
-    /// seeded backends draw identical outcomes.
+    /// Samples a measurement of all qubits by the same one-draw linear scan
+    /// as
+    /// [`Statevector::sample_linear`](crate::statevector::Statevector::sample_linear),
+    /// so seeded backends draw identical outcomes.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let draw: f64 = rng.gen();
         let mut cumulative = 0.0f64;
@@ -253,6 +254,8 @@ impl Backend for DenseReferenceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusion::ExecConfig;
+    use crate::statevector::Statevector;
     use std::f64::consts::FRAC_PI_4;
 
     fn bell() -> QuantumCircuit {
@@ -313,10 +316,13 @@ mod tests {
             circuit.push(gate).unwrap();
         }
         let reference = DenseReference::from_circuit(&circuit).unwrap();
-        let mut kernel_state = vec![Complex::ZERO; 16];
-        kernel_state[0] = Complex::ONE;
-        crate::kernel::apply_circuit(&mut kernel_state, &circuit);
-        for (index, (a, b)) in reference.amplitudes().iter().zip(&kernel_state).enumerate() {
+        let plan = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();
+        for (index, (a, b)) in reference
+            .amplitudes()
+            .iter()
+            .zip(plan.amplitudes())
+            .enumerate()
+        {
             assert!(a.approx_eq(*b, 1e-12), "amplitude {index}: {a:?} vs {b:?}");
         }
     }

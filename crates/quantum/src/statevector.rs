@@ -2,17 +2,15 @@
 //!
 //! The statevector simulator is the "local simulator" backend of the paper's
 //! ProjectQ flow and the reference against which the noisy backend and the
-//! compiled circuits are validated. It stores all `2^n` complex amplitudes.
-//! Whole circuits execute through the [`ExecPlan`] interpreter; single
-//! gates go through the scalar [`kernel`].
+//! compiled circuits are validated. It stores all `2^n` complex amplitudes,
+//! and every circuit it runs executes through the [`ExecPlan`] interpreter.
 
 use crate::backend::PreparedState;
 use crate::complex::Complex;
 use crate::fusion::ExecConfig;
-use crate::kernel;
 use crate::plan::{ExecPlan, SoaStatevector};
 use crate::sampling::CumulativeDistribution;
-use crate::{QuantumCircuit, QuantumError, QuantumGate, MAX_SIMULATOR_QUBITS};
+use crate::{QuantumCircuit, QuantumError, MAX_SIMULATOR_QUBITS};
 use rand::Rng;
 
 /// The state of an `n`-qubit register as a dense vector of `2^n` amplitudes.
@@ -114,9 +112,9 @@ impl Statevector {
         &self.amplitudes
     }
 
-    /// Mutable access to the raw amplitudes, for callers that drive the
-    /// kernel or an [`ExecPlan`] directly (e.g. the mapping verifier's
-    /// per-basis-state replay). Callers must preserve normalization.
+    /// Mutable access to the raw amplitudes, for callers that drive an
+    /// [`ExecPlan`] directly (e.g. the mapping verifier's per-basis-state
+    /// replay). Callers must preserve normalization.
     pub fn amplitudes_mut(&mut self) -> &mut [Complex] {
         &mut self.amplitudes
     }
@@ -166,17 +164,6 @@ impl Statevector {
         self.inner_product(other).norm_sqr()
     }
 
-    /// Applies a single gate in place through the shared
-    /// [`kernel`] dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate references qubits outside of the register; circuits
-    /// built through [`QuantumCircuit::push`] can never trigger this.
-    pub fn apply_gate(&mut self, gate: &QuantumGate) {
-        kernel::apply_gate(&mut self.amplitudes, gate);
-    }
-
     /// Applies every gate of a circuit in order through the default
     /// execution configuration.
     ///
@@ -210,26 +197,15 @@ impl Statevector {
         CumulativeDistribution::from_amplitudes(&self.amplitudes)
     }
 
-    /// Samples a measurement of all qubits in the computational basis,
-    /// returning the observed basis state. The state is not collapsed.
-    ///
-    /// A *single* draw is answered by the early-exiting linear scan — for
-    /// one shot that is both allocation-free and cheaper than building the
-    /// prefix sums (the noisy simulator samples each per-shot state exactly
-    /// once). Callers taking many shots from the same state should use
+    /// Samples one measurement of all qubits by an early-exiting linear scan,
+    /// returning the observed basis state; the state is not collapsed. It is
+    /// the reference the `sampling_differential.rs` property suite compares
+    /// the binary-search sampler against: it consumes one `f64` draw and
+    /// returns the same outcome the cumulative distribution assigns to that
+    /// draw. Callers taking many shots from the same state use
     /// [`Statevector::sample_counts`] /
     /// [`Statevector::sample_counts_sharded`], which build the
-    /// [`CumulativeDistribution`] once and binary-search every draw; both
-    /// samplers map any given draw to the identical outcome.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.sample_linear(rng)
-    }
-
-    /// The per-shot linear scan, the reference implementation the
-    /// `sampling_differential.rs` property suite compares the binary-search
-    /// sampler against (and the one-shot fast path behind
-    /// [`Statevector::sample`]). Consumes one `f64` draw and returns the
-    /// same outcome the cumulative distribution assigns to that draw.
+    /// [`CumulativeDistribution`] once and binary-search every draw.
     pub fn sample_linear<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let draw: f64 = rng.gen();
         let mut cumulative = 0.0f64;
@@ -287,9 +263,17 @@ impl Statevector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantumGate;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::f64::consts::FRAC_1_SQRT_2;
+
+    /// Applies one gate to the state through a one-gate circuit.
+    fn apply(state: &mut Statevector, gate: QuantumGate) {
+        let mut circuit = QuantumCircuit::new(state.num_qubits());
+        circuit.push(gate).unwrap();
+        state.apply_circuit(&circuit);
+    }
 
     fn bell_circuit() -> QuantumCircuit {
         let mut circuit = QuantumCircuit::new(2);
@@ -321,7 +305,7 @@ mod tests {
     #[test]
     fn hadamard_creates_uniform_superposition() {
         let mut state = Statevector::new(1).unwrap();
-        state.apply_gate(&QuantumGate::H(0));
+        apply(&mut state, QuantumGate::H(0));
         assert!((state.amplitude(0).re - FRAC_1_SQRT_2).abs() < 1e-12);
         assert!((state.amplitude(1).re - FRAC_1_SQRT_2).abs() < 1e-12);
     }
@@ -339,35 +323,47 @@ mod tests {
     #[test]
     fn x_and_cnot_act_classically() {
         let mut state = Statevector::new(2).unwrap();
-        state.apply_gate(&QuantumGate::X(0));
-        state.apply_gate(&QuantumGate::Cx {
-            control: 0,
-            target: 1,
-        });
+        apply(&mut state, QuantumGate::X(0));
+        apply(
+            &mut state,
+            QuantumGate::Cx {
+                control: 0,
+                target: 1,
+            },
+        );
         assert_eq!(state.most_likely().0, 0b11);
     }
 
     #[test]
     fn toffoli_and_mcx_act_classically() {
         let mut state = Statevector::basis_state(4, 0b0111).unwrap();
-        state.apply_gate(&QuantumGate::Ccx {
-            control_a: 0,
-            control_b: 1,
-            target: 3,
-        });
+        apply(
+            &mut state,
+            QuantumGate::Ccx {
+                control_a: 0,
+                control_b: 1,
+                target: 3,
+            },
+        );
         assert_eq!(state.most_likely().0, 0b1111);
         let mut state = Statevector::basis_state(4, 0b0111).unwrap();
-        state.apply_gate(&QuantumGate::Mcx {
-            controls: vec![0, 1, 2],
-            target: 3,
-        });
+        apply(
+            &mut state,
+            QuantumGate::Mcx {
+                controls: vec![0, 1, 2],
+                target: 3,
+            },
+        );
         assert_eq!(state.most_likely().0, 0b1111);
         // A blocked control leaves the state unchanged.
         let mut blocked = Statevector::basis_state(4, 0b0101).unwrap();
-        blocked.apply_gate(&QuantumGate::Mcx {
-            controls: vec![0, 1, 2],
-            target: 3,
-        });
+        apply(
+            &mut blocked,
+            QuantumGate::Mcx {
+                controls: vec![0, 1, 2],
+                target: 3,
+            },
+        );
         assert_eq!(blocked.most_likely().0, 0b0101);
     }
 
@@ -375,40 +371,43 @@ mod tests {
     fn z_s_t_phases_compose() {
         // T^2 = S, S^2 = Z on the |1⟩ state.
         let mut with_t = Statevector::basis_state(1, 1).unwrap();
-        with_t.apply_gate(&QuantumGate::T(0));
-        with_t.apply_gate(&QuantumGate::T(0));
+        apply(&mut with_t, QuantumGate::T(0));
+        apply(&mut with_t, QuantumGate::T(0));
         let mut with_s = Statevector::basis_state(1, 1).unwrap();
-        with_s.apply_gate(&QuantumGate::S(0));
+        apply(&mut with_s, QuantumGate::S(0));
         assert!(with_t.fidelity(&with_s) > 1.0 - 1e-12);
         assert!(with_t.amplitude(1).approx_eq(Complex::I, 1e-12));
 
         let mut with_z = Statevector::basis_state(1, 1).unwrap();
-        with_z.apply_gate(&QuantumGate::Z(0));
+        apply(&mut with_z, QuantumGate::Z(0));
         assert!(with_z.amplitude(1).approx_eq(Complex::real(-1.0), 1e-12));
     }
 
     #[test]
     fn cz_and_mcz_flip_phase_of_all_ones() {
         let mut state = Statevector::new(2).unwrap();
-        state.apply_gate(&QuantumGate::H(0));
-        state.apply_gate(&QuantumGate::H(1));
-        state.apply_gate(&QuantumGate::Cz { a: 0, b: 1 });
+        apply(&mut state, QuantumGate::H(0));
+        apply(&mut state, QuantumGate::H(1));
+        apply(&mut state, QuantumGate::Cz { a: 0, b: 1 });
         assert!(state.amplitude(0b11).re < 0.0);
         assert!(state.amplitude(0b00).re > 0.0);
 
         let mut three = Statevector::basis_state(3, 0b111).unwrap();
-        three.apply_gate(&QuantumGate::Mcz {
-            qubits: vec![0, 1, 2],
-        });
+        apply(
+            &mut three,
+            QuantumGate::Mcz {
+                qubits: vec![0, 1, 2],
+            },
+        );
         assert!(three.amplitude(0b111).approx_eq(Complex::real(-1.0), 1e-12));
     }
 
     #[test]
     fn swap_exchanges_qubits() {
         let mut state = Statevector::basis_state(2, 0b01).unwrap();
-        state.apply_gate(&QuantumGate::Swap { a: 0, b: 1 });
+        apply(&mut state, QuantumGate::Swap { a: 0, b: 1 });
         assert_eq!(state.most_likely().0, 0b10);
-        state.apply_gate(&QuantumGate::Swap { a: 0, b: 1 });
+        apply(&mut state, QuantumGate::Swap { a: 0, b: 1 });
         assert_eq!(state.most_likely().0, 0b01);
     }
 

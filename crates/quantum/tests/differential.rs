@@ -5,8 +5,8 @@
 //! Random 2–8 qubit Clifford+T circuits (with Toffoli, MCX, MCZ, SWAP and
 //! π/4-step rotations mixed in) are executed through [`Statevector::run`]
 //! and through the oracle and compared amplitude-for-amplitude. The two
-//! implementations share no code — `Statevector::run` goes through
-//! `FusedProgram` and the `ExecPlan` block sweeps, the reference through
+//! implementations share no code — `Statevector::run` goes through the
+//! `ExecPlan` lowering and block sweeps, the reference through
 //! out-of-place column accumulation — so agreement on every random circuit
 //! is strong evidence that neither is wrong.
 //!

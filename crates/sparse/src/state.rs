@@ -206,8 +206,8 @@ impl SparseStatevector {
                     .single_qubit_matrix()
                     .expect("all remaining gates are single-qubit");
                 if single.is_diagonal() {
-                    // Mirrors the dense kernel's diagonal fast path: only the
-                    // phase on the |1⟩ subspace matters.
+                    // As in the dense plan, a diagonal gate is a phase on
+                    // its |1⟩ subspace: only `matrix[1][1]` matters.
                     self.phase_mask(1u64 << qubit, matrix[1][1]);
                 } else {
                     self.apply_dense(qubit, &matrix);
@@ -264,8 +264,8 @@ impl SparseStatevector {
     fn apply_mcx(&mut self, control_mask: u64, target_bit: u64) {
         if control_mask & target_bit != 0 {
             // A control on the target qubit can never be satisfied alongside
-            // a flip of that same bit (mirrors the dense kernel's no-op for
-            // such degenerate inputs).
+            // a flip of that same bit (the dense plan's `Mcx` record is a
+            // no-op for such degenerate inputs too).
             return;
         }
         self.remap_keys(|key| {
@@ -302,8 +302,8 @@ impl SparseStatevector {
         }
     }
 
-    /// Sign flip on the all-ones subspace of `mask` (CZ/MCZ), mirroring the
-    /// dense kernel's negation.
+    /// Sign flip on the all-ones subspace of `mask` (CZ/MCZ), the dense
+    /// plan's phase record of −1.
     fn negate_mask(&mut self, mask: u64) {
         for (key, amplitude) in self.amplitudes.iter_mut() {
             if key & mask == mask {

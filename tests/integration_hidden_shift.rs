@@ -115,8 +115,9 @@ fn resource_counter_backend_reports_oracle_costs() {
     assert!(outcome.execution.resources.h_count >= 3 * 6);
 }
 
-/// A dense job starts from the product state the 20-qubit hidden shift's
-/// leading Hadamard layer (with the shift's `X` gates) makes of `|0…0⟩`.
+/// A dense job (`ExecPlan::compile_from_zero`) starts from the product
+/// state the 20-qubit hidden shift's leading Hadamard layer (with the
+/// shift's `X` gates) makes of `|0…0⟩`.
 /// What is left is one independent block per inner-product pair
 /// (i, i + 10), `CZ; H; H·X; CZ; H; H`, and the fusion walk makes each
 /// block one 4×4 record: 10 records, against 54 without it — on the
@@ -125,7 +126,7 @@ fn resource_counter_backend_reports_oracle_costs() {
 /// its pair's block, so it gives the same 10 records.
 #[test]
 fn twenty_qubit_job_plan_starts_after_the_leading_layer() {
-    use qdaflow::quantum::{ExecPlan, FusedProgram, OpKind};
+    use qdaflow::quantum::{ExecPlan, OpKind};
     let mm = MaioranaMcFarland::inner_product(10);
     let pairs: Vec<(u64, u64)> = (0..10).map(|i| (1 << i, 1 << (i + 10))).collect();
     for shift in [0b10_1101_1001, 0xb_6526, 0xf_83e0] {
@@ -137,8 +138,7 @@ fn twenty_qubit_job_plan_starts_after_the_leading_layer() {
             .unwrap();
         let config = ExecConfig::sequential();
         let compiled = ExecPlan::compile(&circuit, &config);
-        let (layer, rest) = FusedProgram::lower(&circuit).split_product_layer();
-        let job = ExecPlan::from_program(&rest, &config);
+        let (layer, job) = ExecPlan::compile_from_zero(&circuit, &config);
         assert_eq!(layer.num_absorbed(), 20);
         for (plan, name) in [(&job, "job"), (&compiled, "compile")] {
             assert_eq!(plan.num_records(), 10, "shift {shift:#x}: {name}");
