@@ -2643,55 +2643,73 @@ mod tests {
         state.apply_gate(&QuantumGate::Cz { a: 0, b: 2 });
     }
 
-    #[test]
-    fn permutation_gates_match_the_full_scan() {
-        // The full scan tests every index for the gate's condition and swaps
-        // it with its partner. At 8-amplitude blocks qubits 0–2 are
-        // in-block and 3–4 cross blocks; 2 and 32 amplitudes move the
-        // border.
+    /// The bits of every real and imaginary part, for exact comparison.
+    fn amplitude_bits(amplitudes: &[Complex]) -> Vec<(u64, u64)> {
+        amplitudes
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// Applies each permutation gate to a 5-qubit state whose amplitude k
+    /// encodes k through `SoaStatevector::apply_gate` and checks it bit for
+    /// bit against the full scan, which tests every index for the gate's
+    /// condition and swaps it with its partner. At 8-amplitude blocks
+    /// qubits 0–2 are in-block and 3–4 cross blocks; 2 and 32 amplitudes
+    /// move the border.
+    fn assert_permutations_match_the_full_scan(gates: &[QuantumGate]) {
         let input = indexed_state(5);
-        let full_scan = |gate: &QuantumGate| -> Vec<Complex> {
-            // Swap each index whose bits under `fixed` read `set` with the
-            // index that differs from it in `flip`.
-            let (set, fixed, flip) = match gate {
-                QuantumGate::Swap { a, b } => {
-                    let both = (1usize << a) | (1usize << b);
-                    (1usize << a, both, both)
+        for block_bits in [3, 1, 5] {
+            for gate in gates {
+                // Swap each index whose bits under `fixed` read `set` with
+                // the index that differs from it in `flip`.
+                let (set, fixed, flip) = match gate {
+                    QuantumGate::Swap { a, b } => {
+                        let both = (1usize << a) | (1usize << b);
+                        (1usize << a, both, both)
+                    }
+                    _ => {
+                        // The X family lists its target last.
+                        let qubits = gate.qubits();
+                        let (target, controls) = qubits.split_last().unwrap();
+                        let controls: usize = controls.iter().map(|&q| 1usize << q).sum();
+                        let target = 1usize << target;
+                        (controls, controls | target, target)
+                    }
+                };
+                let mut full_scan = input.clone();
+                for index in 0..full_scan.len() {
+                    if index & fixed == set {
+                        full_scan.swap(index, index ^ flip);
+                    }
                 }
-                _ => {
-                    // The X family lists its target last.
-                    let qubits = gate.qubits();
-                    let (target, controls) = qubits.split_last().unwrap();
-                    let controls: usize = controls.iter().map(|&q| 1usize << q).sum();
-                    let target = 1usize << target;
-                    (controls, controls | target, target)
-                }
-            };
-            let mut out = input.clone();
-            for index in 0..out.len() {
-                if index & fixed == set {
-                    out.swap(index, index ^ flip);
-                }
+                let mut state = SoaStatevector::from_amplitudes(&input, block_bits);
+                state.apply_gate(gate);
+                assert_eq!(
+                    amplitude_bits(&state.to_amplitudes()),
+                    amplitude_bits(&full_scan),
+                    "{gate:?} at block_bits {block_bits}"
+                );
             }
-            out
-        };
-        let bits = |amplitudes: &[Complex]| -> Vec<(u64, u64)> {
-            amplitudes
-                .iter()
-                .map(|a| (a.re.to_bits(), a.im.to_bits()))
-                .collect()
-        };
-        let mcx = |controls: &[usize], target: usize| QuantumGate::Mcx {
+        }
+    }
+
+    fn mcx(controls: &[usize], target: usize) -> QuantumGate {
+        QuantumGate::Mcx {
             controls: controls.to_vec(),
             target,
-        };
+        }
+    }
+
+    #[test]
+    fn half_space_mcx_matches_full_scan() {
         let cx = |control: usize, target: usize| QuantumGate::Cx { control, target };
         let ccx = |control_a: usize, control_b: usize, target: usize| QuantumGate::Ccx {
             control_a,
             control_b,
             target,
         };
-        let permutations = [
+        assert_permutations_match_the_full_scan(&[
             QuantumGate::X(1),
             QuantumGate::X(4),
             mcx(&[], 0),
@@ -2705,28 +2723,30 @@ mod tests {
             ccx(3, 4, 0),
             mcx(&[0, 1, 3], 4),
             mcx(&[2, 3, 4], 0),
+        ]);
+    }
+
+    #[test]
+    fn half_space_swap_matches_full_scan() {
+        assert_permutations_match_the_full_scan(&[
             QuantumGate::Swap { a: 0, b: 2 },
             QuantumGate::Swap { a: 4, b: 1 },
             QuantumGate::Swap { a: 3, b: 4 },
-        ];
-        // An Mcx whose control is its target never fires.
-        let no_ops = [mcx(&[1], 1), mcx(&[0, 3], 3)];
+        ]);
+    }
+
+    #[test]
+    fn control_overlapping_target_is_a_no_op() {
+        // "Control set, target clear" can never hold on one qubit, so an
+        // Mcx whose control is its target never fires.
+        let input = indexed_state(5);
         for block_bits in [3, 1, 5] {
-            for gate in &permutations {
+            for gate in [mcx(&[1], 1), mcx(&[0, 3], 3)] {
                 let mut state = SoaStatevector::from_amplitudes(&input, block_bits);
-                state.apply_gate(gate);
+                state.apply_gate(&gate);
                 assert_eq!(
-                    bits(&state.to_amplitudes()),
-                    bits(&full_scan(gate)),
-                    "{gate:?} at block_bits {block_bits}"
-                );
-            }
-            for gate in &no_ops {
-                let mut state = SoaStatevector::from_amplitudes(&input, block_bits);
-                state.apply_gate(gate);
-                assert_eq!(
-                    bits(&state.to_amplitudes()),
-                    bits(&input),
+                    amplitude_bits(&state.to_amplitudes()),
+                    amplitude_bits(&input),
                     "{gate:?} at block_bits {block_bits}"
                 );
             }
