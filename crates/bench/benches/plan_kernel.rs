@@ -11,6 +11,10 @@
 //! circuit's leading single-qubit layer written as the initial product
 //! state, then the plan of the ops after it. `apply_20q_dense2_0_10` prices
 //! one 4×4 record at the lowest stride, the small-stride kernel alone.
+//! `apply_20q_dense2_5_15` prices one real 4×4 at a wide stride, which takes
+//! the kernels' real-coefficient path, and `apply_20q_dense2_5_15_complex`
+//! the same block with a `T` on qubit 5, a complex 4×4 on the same sweep:
+//! the pair shows what the real path saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
@@ -34,6 +38,30 @@ fn twenty_qubit_hidden_shift() -> QuantumCircuit {
         .unwrap();
     assert_eq!(circuit.num_qubits(), NUM_QUBITS);
     circuit
+}
+
+/// The plan of `H(lo); H(hi); CZ(lo, hi)` and then `extra`: one 4×4 record,
+/// real when `extra` is empty.
+fn one_4x4_plan(lo: usize, hi: usize, extra: &[QuantumGate], config: &ExecConfig) -> ExecPlan {
+    let mut pair = QuantumCircuit::new(NUM_QUBITS);
+    let block = [
+        QuantumGate::H(lo),
+        QuantumGate::H(hi),
+        QuantumGate::Cz { a: lo, b: hi },
+    ];
+    for gate in block.into_iter().chain(extra.iter().cloned()) {
+        pair.push(gate).expect("the pair's qubits are in range");
+    }
+    let plan = ExecPlan::compile(&pair, config);
+    assert_eq!(plan.num_records(), 1, "the pair fuses into one 4×4");
+    let slot = plan.records()[0].slot as usize;
+    let real = (0..16).all(|k| plan.matrix_pool()[slot + 2 * k + 1] == 0.0);
+    assert_eq!(
+        real,
+        extra.is_empty(),
+        "the 4×4 is real exactly without `extra`"
+    );
+    plan
 }
 
 fn bench_plan_kernel(c: &mut Criterion) {
@@ -115,18 +143,33 @@ fn bench_plan_kernel(c: &mut Criterion) {
     // One 4×4 record on qubits (0, 10): a block-local pair at the lowest
     // stride, which the kernel applies in 8-element lane groups. The
     // hidden shift's pairs (0, 10), (1, 11) and (2, 12) are of this kind.
-    // The `CZ` joins the block of `H(10)` and pulls in that of `H(0)`.
+    // The `CZ` joins the block of `H(10)` and pulls in that of `H(0)`; the
+    // 4×4 is real, so the lane groups take the real-coefficient path.
     group.bench_function("apply_20q_dense2_0_10", |b| {
-        let mut pair = QuantumCircuit::new(NUM_QUBITS);
-        for gate in [
-            QuantumGate::H(0),
-            QuantumGate::H(10),
-            QuantumGate::Cz { a: 0, b: 10 },
-        ] {
-            pair.push(gate).expect("qubits 0 and 10 are in range");
-        }
-        let plan = ExecPlan::compile(&pair, &config);
-        assert_eq!(plan.num_records(), 1, "the pair fuses into one 4×4");
+        let plan = one_4x4_plan(0, 10, &[], &config);
+        let mut state = SoaStatevector::zero_state(NUM_QUBITS, plan.block_bits());
+        b.iter(|| {
+            plan.apply_soa(&mut state, &config);
+            state.amplitude(0)
+        })
+    });
+
+    // One real 4×4 on qubits (5, 15): the low qubit inside a block, the
+    // high one across a block pair, at a stride wide enough for the generic
+    // rows. The hidden shift's pairs (3, 13) to (9, 19) are of this kind.
+    group.bench_function("apply_20q_dense2_5_15", |b| {
+        let plan = one_4x4_plan(5, 15, &[], &config);
+        let mut state = SoaStatevector::zero_state(NUM_QUBITS, plan.block_bits());
+        b.iter(|| {
+            plan.apply_soa(&mut state, &config);
+            state.amplitude(0)
+        })
+    });
+
+    // Its complex twin: a `T(5)` joins the block, so the 4×4 has imaginary
+    // entries and runs the complex kernel over the same sweep.
+    group.bench_function("apply_20q_dense2_5_15_complex", |b| {
+        let plan = one_4x4_plan(5, 15, &[QuantumGate::T(5)], &config);
         let mut state = SoaStatevector::zero_state(NUM_QUBITS, plan.block_bits());
         b.iter(|| {
             plan.apply_soa(&mut state, &config);

@@ -12,8 +12,9 @@
 
 use std::thread;
 
-/// Hard cap on the configured thread count; beyond this the memory-bound
-/// amplitude sweeps stop scaling.
+/// Hard cap on the configured thread count. The amplitude sweeps are
+/// compute-bound where measured (a 2-vCPU AVX-512 host, the 16 MiB state of
+/// 20 qubits held in L3), so workers beyond the cores add nothing.
 pub(crate) const MAX_THREADS: usize = 16;
 
 /// How the execution layer runs a circuit: thread count, fusion toggle,

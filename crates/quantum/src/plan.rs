@@ -47,6 +47,17 @@
 //!   the generic kernel's order, so the amplitudes are the same bits. Rows
 //!   shorter than 8 (both qubits among the three lowest, which the fusion
 //!   leaves as separate records) keep the generic kernel;
+//! * **real 4×4 sweeps**: a 4×4 whose 16 imaginary parts are all `== 0.0`
+//!   (a block of `H`, `X`, `Z` and `CZ`, like each of the hidden shift's
+//!   10 records) maps `re` rows to `re` rows and `im` rows to `im` rows, so
+//!   every 4×4 kernel (lane groups, generic rows, block quads) runs it with
+//!   4 multiplies and 4 adds per output component instead of 8 and 8. The
+//!   check is made once per block, block pair or quad, never per row. With
+//!   finite amplitudes the amplitudes are the complex kernels' bits: each
+//!   dropped product `mi·v` is a signed zero, each sum starts at `+0.0` and
+//!   keeps its column order, and a sum from `+0.0` never holds `−0.0`, so
+//!   adding a zero of either sign changes nothing (see `Matrix4`). The
+//!   plan is unchanged: no record kind or field tells the two apart;
 //! * a **worker pool per application**: on states of at least
 //!   eight blocks, [`ExecPlan::apply_soa`] opens one `thread::scope` for the
 //!   whole program. For every segment the calling thread moves the owned
@@ -2043,6 +2054,70 @@ fn dense1_block_fixed<const BIT: usize>(re: &mut [f64], im: &mut [f64], m: &[f64
     }
 }
 
+/// A 4×4 record's coefficients in the form its kernels run, decided once
+/// per kernel call (block, block pair or block quad), never per row.
+///
+/// A matrix whose 16 imaginary parts are all `== 0.0` (of either sign) is
+/// [`Matrix4::Real`]: it maps the `re` rows to `re` rows and the `im` rows
+/// to `im` rows, so each output component costs 4 multiplies and 4 adds
+/// instead of 8 and 8. The real kernels give the complex kernels' bits
+/// whenever the amplitudes are finite. The complex sum is `acc = +0.0; acc
+/// += mr·vr − mi·vi` over the columns in order (and its `im` twin). With
+/// `mi = ±0.0` and `vi` finite, `mi·vi` is a signed zero, so each term
+/// equals `mr·vr` except possibly in the sign of a zero. A round-to-nearest
+/// sum is `−0.0` only when both operands are, so an `acc` that starts at
+/// `+0.0` never holds `−0.0`, and adding a zero of either sign leaves it
+/// unchanged. The real kernels keep the column order and the `+0.0` start.
+enum Matrix4<'a> {
+    /// The real parts, row-major.
+    Real([f64; 16]),
+    /// The pool's interleaved `re`/`im` pairs, row-major.
+    Complex(&'a [f64; 32]),
+}
+
+impl<'a> Matrix4<'a> {
+    fn of(m: &'a [f64; 32]) -> Self {
+        if m.chunks_exact(2).all(|entry| entry[1] == 0.0) {
+            Self::Real(std::array::from_fn(|k| m[2 * k]))
+        } else {
+            Self::Complex(m)
+        }
+    }
+
+    /// Entry `(row, col)` as `(re, im)`.
+    fn entry(&self, row: usize, col: usize) -> (f64, f64) {
+        match self {
+            Self::Real(m) => (m[row * 4 + col], 0.0),
+            Self::Complex(m) => (m[(row * 4 + col) * 2], m[(row * 4 + col) * 2 + 1]),
+        }
+    }
+}
+
+/// The real-coefficient twin of [`dense2_rows`] on one component: four
+/// equal-length rows (all `re` or all `im`) of the quad's basis states,
+/// each output the column-ordered sum of `m[row][col]·x_col` from `+0.0`.
+fn dense2_rows_real(x0: &mut [f64], x1: &mut [f64], x2: &mut [f64], x3: &mut [f64], m: &[f64; 16]) {
+    let n = x0.len();
+    assert!(
+        x1.len() == n && x2.len() == n && x3.len() == n,
+        "dense2 rows must have equal lengths"
+    );
+    for k in 0..n {
+        let v = [x0[k], x1[k], x2[k], x3[k]];
+        let out: [f64; 4] = std::array::from_fn(|row| {
+            let mut acc = 0.0f64;
+            for (col, &x) in v.iter().enumerate() {
+                acc += m[row * 4 + col] * x;
+            }
+            acc
+        });
+        x0[k] = out[0];
+        x1[k] = out[1];
+        x2[k] = out[2];
+        x3[k] = out[3];
+    }
+}
+
 /// The vectorizable core of every dense 4×4 application: four equal-length
 /// component-row pairs holding the quad's basis states in `2·hi + lo` order.
 /// Strided callers carve the rows out of their blocks with `split_at_mut`,
@@ -2109,6 +2184,8 @@ const LANES: usize = 8;
 /// `2·h + (j & lo != 0)` of its quad, so it computes that row of the matrix.
 struct LaneRows {
     lo: usize,
+    /// The matrix is [`Matrix4::Real`]: `im` is all zero and unused.
+    real: bool,
     /// `re[h][col][j]`, `im[h][col][j]`: column `col` of lane `j`'s row.
     re: [[[f64; LANES]; 4]; 2],
     im: [[[f64; LANES]; 4]; 2],
@@ -2117,10 +2194,11 @@ struct LaneRows {
 impl LaneRows {
     /// Builds the per-lane rows of a 4×4 whose low qubit has bit value `lo`
     /// (1, 2 or 4).
-    fn new(m: &[f64; 32], lo: usize) -> Self {
+    fn new(matrix: &Matrix4, lo: usize) -> Self {
         debug_assert!(lo < LANES && lo.is_power_of_two());
         let mut rows = Self {
             lo,
+            real: matches!(matrix, Matrix4::Real(_)),
             re: [[[0.0; LANES]; 4]; 2],
             im: [[[0.0; LANES]; 4]; 2],
         };
@@ -2128,8 +2206,7 @@ impl LaneRows {
             for col in 0..4 {
                 for lane in 0..LANES {
                     let row = 2 * half + usize::from(lane & lo != 0);
-                    rows.re[half][col][lane] = m[(row * 4 + col) * 2];
-                    rows.im[half][col][lane] = m[(row * 4 + col) * 2 + 1];
+                    (rows.re[half][col][lane], rows.im[half][col][lane]) = matrix.entry(row, col);
                 }
             }
         }
@@ -2145,11 +2222,14 @@ impl LaneRows {
         high_re: &mut [f64],
         high_im: &mut [f64],
     ) {
-        match self.lo {
-            1 => self.apply_groups::<1>(low_re, low_im, high_re, high_im),
-            2 => self.apply_groups::<2>(low_re, low_im, high_re, high_im),
-            4 => self.apply_groups::<4>(low_re, low_im, high_re, high_im),
-            lo => unreachable!("lane groups take a low stride of 1, 2 or 4, not {lo}"),
+        match (self.lo, self.real) {
+            (1, false) => self.apply_groups::<1>(low_re, low_im, high_re, high_im),
+            (2, false) => self.apply_groups::<2>(low_re, low_im, high_re, high_im),
+            (4, false) => self.apply_groups::<4>(low_re, low_im, high_re, high_im),
+            (1, true) => self.apply_groups_real::<1>(low_re, low_im, high_re, high_im),
+            (2, true) => self.apply_groups_real::<2>(low_re, low_im, high_re, high_im),
+            (4, true) => self.apply_groups_real::<4>(low_re, low_im, high_re, high_im),
+            (lo, _) => unreachable!("lane groups take a low stride of 1, 2 or 4, not {lo}"),
         }
     }
 
@@ -2172,22 +2252,7 @@ impl LaneRows {
             .zip(high_re.chunks_exact_mut(LANES))
             .zip(high_im.chunks_exact_mut(LANES))
         {
-            let group = |x: &[f64]| -> [f64; LANES] { x.try_into().expect("whole lane group") };
-            let (lr_in, li_in, hr_in, hi_in) = (group(lr), group(li), group(hr), group(hi));
-            // Column `col` of every lane's quad: `2·h + l` over the halves.
-            let mut v_re = [[0.0f64; LANES]; 4];
-            let mut v_im = [[0.0f64; LANES]; 4];
-            for j in 0..LANES {
-                let (even, odd) = (j & !LO, j | LO);
-                v_re[0][j] = lr_in[even];
-                v_re[1][j] = lr_in[odd];
-                v_re[2][j] = hr_in[even];
-                v_re[3][j] = hr_in[odd];
-                v_im[0][j] = li_in[even];
-                v_im[1][j] = li_in[odd];
-                v_im[2][j] = hi_in[even];
-                v_im[3][j] = hi_in[odd];
-            }
+            let (v_re, v_im) = (lane_columns::<LO>(lr, hr), lane_columns::<LO>(li, hi));
             for (half, (out_re, out_im)) in [(lr, li), (hr, hi)].into_iter().enumerate() {
                 let (c_re, c_im) = (&self.re[half], &self.im[half]);
                 for j in 0..LANES {
@@ -2205,36 +2270,106 @@ impl LaneRows {
             }
         }
     }
+
+    /// The real-coefficient twin of [`LaneRows::apply_groups`]: every lane
+    /// sums `m[row][col]·x_col` over columns 0–3 from 0.0, the `re` rows
+    /// from the `re` columns and the `im` rows from the `im` columns, the
+    /// bits of the complex groups (see [`Matrix4`]).
+    fn apply_groups_real<const LO: usize>(
+        &self,
+        low_re: &mut [f64],
+        low_im: &mut [f64],
+        high_re: &mut [f64],
+        high_im: &mut [f64],
+    ) {
+        for (((lr, li), hr), hi) in low_re
+            .chunks_exact_mut(LANES)
+            .zip(low_im.chunks_exact_mut(LANES))
+            .zip(high_re.chunks_exact_mut(LANES))
+            .zip(high_im.chunks_exact_mut(LANES))
+        {
+            let (v_re, v_im) = (lane_columns::<LO>(lr, hr), lane_columns::<LO>(li, hi));
+            for (half, (out_re, out_im)) in [(lr, li), (hr, hi)].into_iter().enumerate() {
+                // Whole-group sums copied out: with stores lane by lane into
+                // the `out` slices these groups did not vectorize by lane.
+                let c = &self.re[half];
+                let sum = |v: &[[f64; LANES]; 4]| -> [f64; LANES] {
+                    std::array::from_fn(|j| {
+                        let mut acc = 0.0f64;
+                        for col in 0..4 {
+                            acc += c[col][j] * v[col][j];
+                        }
+                        acc
+                    })
+                };
+                out_re.copy_from_slice(&sum(&v_re));
+                out_im.copy_from_slice(&sum(&v_im));
+            }
+        }
+    }
+}
+
+/// Column `col` of every lane's quad in one 8-element group of the two
+/// halves of one component: `2·h + l` over the halves, where lane `j` takes
+/// `x[j & !LO]` for `l` = 0 and `x[j | LO]` for `l` = 1.
+fn lane_columns<const LO: usize>(low: &[f64], high: &[f64]) -> [[f64; LANES]; 4] {
+    let group = |x: &[f64]| -> [f64; LANES] { x.try_into().expect("whole lane group") };
+    let (low, high) = (group(low), group(high));
+    let column = |x: &[f64; LANES], l: usize| std::array::from_fn(|j| x[(j & !LO) | l]);
+    [
+        column(&low, 0),
+        column(&low, LO),
+        column(&high, 0),
+        column(&high, LO),
+    ]
 }
 
 /// The lane-group rows of a 4×4 when its low stride is below [`LANES`] and
 /// its paired halves hold whole groups; `None` keeps [`dense2_halves`].
-fn lane_rows(m: &[f64; 32], lo: usize, half_len: usize) -> Option<LaneRows> {
-    (lo < LANES && half_len >= LANES).then(|| LaneRows::new(m, lo))
+fn lane_rows(matrix: &Matrix4, lo: usize, half_len: usize) -> Option<LaneRows> {
+    (lo < LANES && half_len >= LANES).then(|| LaneRows::new(matrix, lo))
 }
 
 /// Generic 4×4 over two paired `hi` halves: every `2·lo` chunk splits into
 /// its `lo` halves, leaving four contiguous rows per quad group. The rows
-/// vectorize along runs of length `lo`.
+/// vectorize along runs of length `lo`. A real matrix runs over the `re`
+/// halves, then over the `im` halves (at `lo` = 8 that measured faster than
+/// one pass over both).
 fn dense2_halves(
     low_re: &mut [f64],
     low_im: &mut [f64],
     high_re: &mut [f64],
     high_im: &mut [f64],
     lo: usize,
-    m: &[f64; 32],
+    matrix: &Matrix4,
 ) {
-    for (((rl, il), rh), ih) in low_re
-        .chunks_exact_mut(lo << 1)
-        .zip(low_im.chunks_exact_mut(lo << 1))
-        .zip(high_re.chunks_exact_mut(lo << 1))
-        .zip(high_im.chunks_exact_mut(lo << 1))
-    {
-        let (r0, r1) = rl.split_at_mut(lo);
-        let (i0, i1) = il.split_at_mut(lo);
-        let (r2, r3) = rh.split_at_mut(lo);
-        let (i2, i3) = ih.split_at_mut(lo);
-        dense2_rows(r0, i0, r1, i1, r2, i2, r3, i3, m);
+    match matrix {
+        Matrix4::Complex(m) => {
+            for (((rl, il), rh), ih) in low_re
+                .chunks_exact_mut(lo << 1)
+                .zip(low_im.chunks_exact_mut(lo << 1))
+                .zip(high_re.chunks_exact_mut(lo << 1))
+                .zip(high_im.chunks_exact_mut(lo << 1))
+            {
+                let (r0, r1) = rl.split_at_mut(lo);
+                let (i0, i1) = il.split_at_mut(lo);
+                let (r2, r3) = rh.split_at_mut(lo);
+                let (i2, i3) = ih.split_at_mut(lo);
+                dense2_rows(r0, i0, r1, i1, r2, i2, r3, i3, m);
+            }
+        }
+        Matrix4::Real(m) => {
+            for (low, high) in [(low_re, high_re), (low_im, high_im)] {
+                for (l, h) in low
+                    .chunks_exact_mut(lo << 1)
+                    .zip(high.chunks_exact_mut(lo << 1))
+                {
+                    let (x0, x1) = l.split_at_mut(lo);
+                    let (x2, x3) = h.split_at_mut(lo);
+                    dense2_rows_real(x0, x1, x2, x3, m);
+                }
+            }
+        }
     }
 }
 
@@ -2242,7 +2377,8 @@ fn dense2_halves(
 /// `2·hi` chunk splits into its `hi` halves, whose quads the lane-group
 /// kernel applies at a low stride below 8 and [`dense2_halves`] otherwise.
 fn dense2_block(re: &mut [f64], im: &mut [f64], lo: usize, hi: usize, m: &[f64; 32]) {
-    let lanes = lane_rows(m, lo, hi);
+    let matrix = Matrix4::of(m);
+    let lanes = lane_rows(&matrix, lo, hi);
     for (re_outer, im_outer) in re
         .chunks_exact_mut(hi << 1)
         .zip(im.chunks_exact_mut(hi << 1))
@@ -2251,7 +2387,7 @@ fn dense2_block(re: &mut [f64], im: &mut [f64], lo: usize, hi: usize, m: &[f64; 
         let (im_low, im_high) = im_outer.split_at_mut(hi);
         match &lanes {
             Some(lanes) => lanes.apply(re_low, im_low, re_high, im_high),
-            None => dense2_halves(re_low, im_low, re_high, im_high, lo, m),
+            None => dense2_halves(re_low, im_low, re_high, im_high, lo, &matrix),
         }
     }
 }
@@ -2259,15 +2395,16 @@ fn dense2_block(re: &mut [f64], im: &mut [f64], lo: usize, hi: usize, m: &[f64; 
 /// Mixed 4×4 (low qubit in-block, high qubit across a block pair): quads are
 /// `(a[i], a[i|lo], b[i], b[i|lo])`, so the two blocks are the `hi` halves.
 fn dense2_across_pair(m: &[f64; 32], lo: usize, a: &mut AmpBlock, b: &mut AmpBlock) {
-    match lane_rows(m, lo, a.re.len()) {
+    let matrix = Matrix4::of(m);
+    match lane_rows(&matrix, lo, a.re.len()) {
         Some(lanes) => lanes.apply(&mut a.re, &mut a.im, &mut b.re, &mut b.im),
-        None => dense2_halves(&mut a.re, &mut a.im, &mut b.re, &mut b.im, lo, m),
+        None => dense2_halves(&mut a.re, &mut a.im, &mut b.re, &mut b.im, lo, &matrix),
     }
 }
 
 /// Both-high 4×4: the four blocks are the four basis combinations of the two
 /// qubits, so the matrix applies elementwise across them — a fully
-/// contiguous four-row sweep.
+/// contiguous four-row sweep (per component, for a real matrix).
 fn dense2_across_quad(
     m: &[f64; 32],
     v0: &mut AmpBlock,
@@ -2275,10 +2412,16 @@ fn dense2_across_quad(
     v2: &mut AmpBlock,
     v3: &mut AmpBlock,
 ) {
-    dense2_rows(
-        &mut v0.re, &mut v0.im, &mut v1.re, &mut v1.im, &mut v2.re, &mut v2.im, &mut v3.re,
-        &mut v3.im, m,
-    );
+    match Matrix4::of(m) {
+        Matrix4::Complex(m) => dense2_rows(
+            &mut v0.re, &mut v0.im, &mut v1.re, &mut v1.im, &mut v2.re, &mut v2.im, &mut v3.re,
+            &mut v3.im, m,
+        ),
+        Matrix4::Real(m) => {
+            dense2_rows_real(&mut v0.re, &mut v1.re, &mut v2.re, &mut v3.re, &m);
+            dense2_rows_real(&mut v0.im, &mut v1.im, &mut v2.im, &mut v3.im, &m);
+        }
+    }
 }
 
 /// Whole-block phase multiply (all mask bits are high, or the mask is 0).
@@ -2945,49 +3088,95 @@ mod tests {
         }
     }
 
+    /// Every 4×4 kernel (the lane groups at `lo` 1, 2 and 4, the generic
+    /// rows in-block and across a block pair, the quad sweep) on a complex
+    /// matrix, a real one and a real one with one `1e-300` imaginary entry,
+    /// against the complex per-quad formula, bit for bit. The real matrix's
+    /// imaginary parts mix `+0.0` and `−0.0`, and the amplitudes hold both
+    /// zeros and exact quarters, whose sums cancel to zero.
     #[test]
     fn lane_group_4x4_matches_dense2_rows_bit_for_bit() {
-        let m: [f64; 32] = std::array::from_fn(|k| ((k * 7 + 3) % 11) as f64 / 5.0 - 1.05);
+        let complex: [f64; 32] = std::array::from_fn(|k| ((k * 7 + 3) % 11) as f64 / 5.0 - 1.05);
+        let real: [f64; 32] = std::array::from_fn(|k| match (k % 2, k / 2 % 6) {
+            (1, _) if k % 3 == 0 => -0.0,
+            (1, _) => 0.0,
+            (_, 0) => 0.5,
+            (_, 1) => -0.5,
+            (_, 2) => 0.0,
+            (_, 3) => -0.0,
+            (_, 4) => 1.0 / 3.0,
+            _ => -0.7,
+        });
+        let mut tiny = real;
+        tiny[13] = 1e-300;
+        assert!(matches!(Matrix4::of(&complex), Matrix4::Complex(_)));
+        assert!(matches!(Matrix4::of(&real), Matrix4::Real(_)));
+        assert!(matches!(Matrix4::of(&tiny), Matrix4::Complex(_)));
         let values = |len: usize, salt: usize| -> Vec<f64> {
             (0..len)
-                .map(|k| ((k * 31 + salt * 17) % 29) as f64 / 13.0 - 1.1)
+                .map(|k| match (k * 7 + salt) % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2..=4 => ((k * 31 + salt * 17) % 9) as f64 / 4.0 - 1.0,
+                    _ => ((k * 31 + salt * 17) % 29) as f64 / 13.0 - 1.1,
+                })
                 .collect()
         };
         let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
-        for lo in [1usize, 2, 4] {
-            // Rows of 8, 16 and 64 take the lane groups; rows of 2 and 4
-            // (only those above `lo`) keep the generic rows.
-            for row in [2usize, 4, 8, 16, 64].into_iter().filter(|&row| row > lo) {
-                // In-block: two `2·hi` chunks, with rows of `hi`.
-                let (mut re, mut im) = (values(4 * row, lo), values(4 * row, lo + 1));
-                let (mut want_re, mut want_im) = (re.clone(), im.clone());
-                dense2_block(&mut re, &mut im, lo, row, &m);
-                dense2_per_quad(&mut want_re, &mut want_im, lo, row, &m);
-                assert_eq!(bits(&re), bits(&want_re), "in-block lo {lo}, rows {row}");
-                assert_eq!(bits(&im), bits(&want_im), "in-block lo {lo}, rows {row}");
-                // Across a block pair: the blocks are the `hi` halves.
-                let (flat_re, flat_im) = (values(2 * row, lo + 2), values(2 * row, lo + 3));
-                let mut a = AmpBlock {
-                    re: flat_re[..row].to_vec(),
-                    im: flat_im[..row].to_vec(),
+        for (name, m) in [("complex", &complex), ("real", &real), ("tiny", &tiny)] {
+            for lo in [1usize, 2, 4, 8, 16] {
+                // Rows of 8 or more take the lane groups at `lo` below 8;
+                // rows of 2 and 4, and every row at `lo` 8 and 16, keep the
+                // generic rows.
+                for row in [2usize, 4, 8, 16, 64].into_iter().filter(|&row| row > lo) {
+                    // In-block: two `2·hi` chunks, with rows of `hi`.
+                    let (mut re, mut im) = (values(4 * row, lo), values(4 * row, lo + 1));
+                    let (mut want_re, mut want_im) = (re.clone(), im.clone());
+                    dense2_block(&mut re, &mut im, lo, row, m);
+                    dense2_per_quad(&mut want_re, &mut want_im, lo, row, m);
+                    let at = format!("{name}: in-block lo {lo}, rows {row}");
+                    assert_eq!(bits(&re), bits(&want_re), "{at}");
+                    assert_eq!(bits(&im), bits(&want_im), "{at}");
+                    // Across a block pair: the blocks are the `hi` halves.
+                    let (flat_re, flat_im) = (values(2 * row, lo + 2), values(2 * row, lo + 3));
+                    let mut a = AmpBlock {
+                        re: flat_re[..row].to_vec(),
+                        im: flat_im[..row].to_vec(),
+                    };
+                    let mut b = AmpBlock {
+                        re: flat_re[row..].to_vec(),
+                        im: flat_im[row..].to_vec(),
+                    };
+                    let (mut want_re, mut want_im) = (flat_re, flat_im);
+                    dense2_across_pair(m, lo, &mut a, &mut b);
+                    dense2_per_quad(&mut want_re, &mut want_im, lo, row, m);
+                    let at = format!("{name}: pair lo {lo}, rows {row}");
+                    assert_eq!(bits(&[a.re, b.re].concat()), bits(&want_re), "{at}");
+                    assert_eq!(bits(&[a.im, b.im].concat()), bits(&want_im), "{at}");
+                }
+            }
+            // Across a block quad: block `k` holds the quads' element `k`.
+            for len in [1usize, 8, 64] {
+                let (flat_re, flat_im) = (values(4 * len, len), values(4 * len, len + 1));
+                let mut blocks: Vec<AmpBlock> = (0..4)
+                    .map(|k| AmpBlock {
+                        re: flat_re[k * len..(k + 1) * len].to_vec(),
+                        im: flat_im[k * len..(k + 1) * len].to_vec(),
+                    })
+                    .collect();
+                let [v0, v1, v2, v3] = &mut blocks[..] else {
+                    unreachable!("four blocks")
                 };
-                let mut b = AmpBlock {
-                    re: flat_re[row..].to_vec(),
-                    im: flat_im[row..].to_vec(),
-                };
+                dense2_across_quad(m, v0, v1, v2, v3);
                 let (mut want_re, mut want_im) = (flat_re, flat_im);
-                dense2_across_pair(&m, lo, &mut a, &mut b);
-                dense2_per_quad(&mut want_re, &mut want_im, lo, row, &m);
-                assert_eq!(
-                    bits(&[a.re, b.re].concat()),
-                    bits(&want_re),
-                    "pair lo {lo}, rows {row}"
-                );
-                assert_eq!(
-                    bits(&[a.im, b.im].concat()),
-                    bits(&want_im),
-                    "pair lo {lo}, rows {row}"
-                );
+                dense2_per_quad(&mut want_re, &mut want_im, len, 2 * len, m);
+                let (got_re, got_im): (Vec<f64>, Vec<f64>) = blocks
+                    .iter()
+                    .flat_map(|block| block.re.iter().copied().zip(block.im.iter().copied()))
+                    .unzip();
+                let at = format!("{name}: quad, blocks of {len}");
+                assert_eq!(bits(&got_re), bits(&want_re), "{at}");
+                assert_eq!(bits(&got_im), bits(&want_im), "{at}");
             }
         }
     }

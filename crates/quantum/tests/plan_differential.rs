@@ -20,9 +20,10 @@
 //!   oracle at several block sizes and thread counts, and with fusion off
 //!   bit for bit the per-gate plan applied to the zero state (suite 6);
 //! * circuits built from two-qubit blocks, the shape the plan's two-qubit
-//!   fusion turns into 4×4 records: within 1e-10 of the oracle at several
-//!   block sizes and thread counts, with fewer records than the unfused
-//!   plan (suite 7);
+//!   fusion turns into 4×4 records, half of them real (the kernels'
+//!   real-coefficient path): within 1e-10 of the oracle at several block
+//!   sizes and thread counts, with fewer records than the unfused plan
+//!   (suite 7);
 //! * random circuits of one- and two-qubit gates, dense ones mostly, which
 //!   drive every rule of the plan's fusion walk (the commute rule, the
 //!   block merge and each qubit's one-qubit runs): the fused plan from the
@@ -144,14 +145,17 @@ fn layered_circuit(seed: u64) -> QuantumCircuit {
 }
 
 /// Random circuits of two-qubit blocks over 4..=12 qubits: each block is
-/// 3–8 gates of `H`, `X`, `Y`, `S`, `T`, `Rz` and `CZ` on one random pair
-/// (a, b), and a `CX` or `CCX` stands between consecutive blocks. A block
-/// opens with `CZ(a, b)` and one dense gate on each of its qubits, the
-/// hidden shift's pair shape, and the first block's higher qubit is 3 or
-/// above, where the plan builds 4×4s. Nothing outside the first block can
-/// come between its opening three gates without commuting past them, so
-/// the plan either merges some gates or fuses that block into a 4×4: it
-/// always has fewer records than gates.
+/// 3–8 gates on one random pair (a, b), and a `CX` or `CCX` stands between
+/// consecutive blocks. A block opens with `CZ(a, b)` and one dense gate on
+/// each of its qubits, the hidden shift's pair shape, and the first block's
+/// higher qubit is 3 or above, where the plan builds 4×4s. Half of the
+/// blocks are real: `H` or `X` opens them and `H`, `X`, `Z` and `CZ` follow,
+/// so their 4×4s take the kernels' real-coefficient path. The others open
+/// with `H`, `X` or `Y` and draw from `H`, `X`, `Y`, `S`, `T`, `Rz` and
+/// `CZ`. Nothing outside the first block can come between its opening
+/// three gates without commuting past them, so the plan either merges some
+/// gates or fuses that block into a 4×4: it always has fewer records than
+/// gates.
 fn two_qubit_block_circuit(seed: u64) -> QuantumCircuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let num_qubits = rng.gen_range(4..13usize);
@@ -178,7 +182,10 @@ fn two_qubit_block_circuit(seed: u64) -> QuantumCircuit {
             rng.gen_range(0..num_qubits)
         };
         let b = distinct(&mut rng, num_qubits, &[a]);
-        let dense = |rng: &mut StdRng, qubit| match rng.gen_range(0..3u32) {
+        let real = rng.gen::<bool>();
+        // A real block opens with `H` or `X`, any other with `H`, `X` or `Y`.
+        let opening_kinds = if real { 2 } else { 3u32 };
+        let dense = |rng: &mut StdRng, qubit| match rng.gen_range(0..opening_kinds) {
             0 => QuantumGate::H(qubit),
             1 => QuantumGate::X(qubit),
             _ => QuantumGate::Y(qubit),
@@ -193,17 +200,26 @@ fn two_qubit_block_circuit(seed: u64) -> QuantumCircuit {
         }
         for _ in 0..rng.gen_range(0..6usize) {
             let qubit = if rng.gen::<bool>() { a } else { b };
-            let gate = match rng.gen_range(0..7u32) {
-                0 => QuantumGate::H(qubit),
-                1 => QuantumGate::X(qubit),
-                2 => QuantumGate::Y(qubit),
-                3 => QuantumGate::S(qubit),
-                4 => QuantumGate::T(qubit),
-                5 => QuantumGate::Rz {
-                    qubit,
-                    angle: rng.gen::<f64>() * std::f64::consts::TAU,
-                },
-                _ => QuantumGate::Cz { a, b },
+            let gate = if real {
+                match rng.gen_range(0..4u32) {
+                    0 => QuantumGate::H(qubit),
+                    1 => QuantumGate::X(qubit),
+                    2 => QuantumGate::Z(qubit),
+                    _ => QuantumGate::Cz { a, b },
+                }
+            } else {
+                match rng.gen_range(0..7u32) {
+                    0 => QuantumGate::H(qubit),
+                    1 => QuantumGate::X(qubit),
+                    2 => QuantumGate::Y(qubit),
+                    3 => QuantumGate::S(qubit),
+                    4 => QuantumGate::T(qubit),
+                    5 => QuantumGate::Rz {
+                        qubit,
+                        angle: rng.gen::<f64>() * std::f64::consts::TAU,
+                    },
+                    _ => QuantumGate::Cz { a, b },
+                }
             };
             circuit.push(gate).expect("generated gates are in range");
         }
@@ -396,7 +412,9 @@ proptest! {
 
     /// Suite 7: circuits of two-qubit blocks, which the plan's two-qubit
     /// fusion lowers to 4×4 records (in-block at every low stride, across
-    /// block pairs and across block quads at 8- and 16-amplitude blocks).
+    /// block pairs and across block quads at 8- and 16-amplitude blocks),
+    /// half of the blocks real, so both the complex and the
+    /// real-coefficient kernels run.
     /// The fused plan, applied to the zero state and as a job simulates it
     /// (product-state start), stays within 1e-10 of the oracle at the auto
     /// block size and at 8- and 16-amplitude blocks, on one thread and on

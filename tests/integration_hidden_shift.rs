@@ -123,7 +123,10 @@ fn resource_counter_backend_reports_oracle_costs() {
 /// block one 4×4 record: 10 records, against 54 without it — on the
 /// instance of the `plan_kernel` bench and two more shifts. `ExecPlan::compile`
 /// makes no product split, yet the walk merges each leading `H` pair into
-/// its pair's block, so it gives the same 10 records.
+/// its pair's block, so it gives the same 10 records. Every block is `H`,
+/// `X` and `CZ`, so every 4×4 is real (its 16 imaginary pool entries are
+/// zero) and takes the kernels' real-coefficient path, half the arithmetic
+/// of a complex one.
 #[test]
 fn twenty_qubit_job_plan_starts_after_the_leading_layer() {
     use qdaflow::quantum::{ExecPlan, OpKind};
@@ -147,6 +150,13 @@ fn twenty_qubit_job_plan_starts_after_the_leading_layer() {
                 .iter()
                 .map(|record| {
                     assert_eq!(record.kind, OpKind::Dense2, "shift {shift:#x}: {name}");
+                    let slot = record.slot as usize;
+                    assert!(
+                        (0..16).all(|k| plan.matrix_pool()[slot + 2 * k + 1] == 0.0),
+                        "shift {shift:#x}: {name}, the 4×4 on ({}, {}) is not real",
+                        record.arg0,
+                        record.arg1
+                    );
                     (record.arg0, record.arg1)
                 })
                 .collect();
