@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::prelude::*;
-use qdaflow::quantum::Statevector;
+use qdaflow::quantum::{CumulativeDistribution, PreparedState, SoaStatevector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -58,7 +58,8 @@ fn bench_sampling(c: &mut Criterion) {
     for qubit in 0..16 {
         circuit.push(QuantumGate::H(qubit)).unwrap();
     }
-    let state = Statevector::from_circuit(&circuit).unwrap();
+    let state = SoaStatevector::simulate(&circuit, &ExecConfig::default()).unwrap();
+    let amplitudes = state.to_amplitudes();
 
     // The retired baseline, at 1/50 of the shot count (see module docs).
     group.bench_function("sample_linear_scan/16q/2000_shots", |b| {
@@ -75,13 +76,20 @@ fn bench_sampling(c: &mut Criterion) {
     group.bench_function("sample_cdf/16q/100000_shots", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(7);
-            state.sample_counts(&mut rng, 100_000)
+            CumulativeDistribution::from_amplitudes(&amplitudes).sample_counts(&mut rng, 100_000)
         })
     });
 
     let auto = ExecConfig::auto();
     group.bench_function("sample_sharded/16q/100000_shots", |b| {
-        b.iter(|| state.sample_counts_sharded(7, 100_000, &auto))
+        b.iter(|| {
+            CumulativeDistribution::from_amplitudes(&amplitudes).sample_sharded(
+                7,
+                100_000,
+                auto.threads,
+                auto.shot_shard_size,
+            )
+        })
     });
     group.finish();
 }

@@ -13,8 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::hidden_shift::{HiddenShiftInstance, OracleStyle};
 use qdaflow::prelude::*;
-use qdaflow::quantum::plan::ExecPlan;
-use qdaflow::quantum::statevector::Statevector;
+use qdaflow::quantum::{ExecPlan, PreparedState, SoaStatevector};
 use std::time::Duration;
 
 const NUM_QUBITS: usize = 20;
@@ -53,7 +52,7 @@ fn bench_fusion_vs_baseline(c: &mut Criterion) {
     // gate.
     group.bench_function("plan_unfused_sequential", |b| {
         b.iter(|| {
-            let state = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();
+            let state = SoaStatevector::simulate(&circuit, &ExecConfig::baseline()).unwrap();
             state.amplitude(0)
         })
     });
@@ -62,7 +61,7 @@ fn bench_fusion_vs_baseline(c: &mut Criterion) {
     // batching and cache-blocked local runs, no worker pool.
     group.bench_function("plan_sequential", |b| {
         b.iter(|| {
-            let state = Statevector::run(&circuit, &ExecConfig::sequential()).unwrap();
+            let state = SoaStatevector::simulate(&circuit, &ExecConfig::sequential()).unwrap();
             state.amplitude(0)
         })
     });
@@ -71,7 +70,7 @@ fn bench_fusion_vs_baseline(c: &mut Criterion) {
     // block batches where the host has more than one CPU.
     group.bench_function("plan_parallel_auto", |b| {
         b.iter(|| {
-            let state = Statevector::run(&circuit, &ExecConfig::auto()).unwrap();
+            let state = SoaStatevector::simulate(&circuit, &ExecConfig::auto()).unwrap();
             state.amplitude(0)
         })
     });

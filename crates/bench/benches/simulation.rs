@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdaflow::prelude::*;
 use qdaflow::quantum::noise::NoisySimulator;
-use qdaflow::quantum::statevector::Statevector;
+use qdaflow::quantum::{PreparedState, SoaStatevector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -33,7 +33,7 @@ fn bench_simulation(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("ghz_plus_layer", n),
             &circuit,
-            |b, circ| b.iter(|| Statevector::from_circuit(circ).unwrap()),
+            |b, circ| b.iter(|| SoaStatevector::simulate(circ, &ExecConfig::default()).unwrap()),
         );
     }
     group.finish();

@@ -21,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdaflow::prelude::*;
-use qdaflow::quantum::{PreparedState, QuantumError, Statevector, MAX_SIMULATOR_QUBITS};
+use qdaflow::quantum::{PreparedState, QuantumError, SoaStatevector, MAX_SIMULATOR_QUBITS};
 use std::time::Duration;
 
 /// Register width of the beyond-dense-ceiling demonstration.
@@ -81,7 +81,7 @@ fn bench_beyond_dense_ceiling(c: &mut Criterion) {
     group.bench_function("dense_cannot_allocate/100q", |b| {
         const _: () = assert!(LARGE_QUBITS > MAX_SIMULATOR_QUBITS);
         b.iter(|| {
-            let denied = Statevector::new(LARGE_QUBITS);
+            let denied = SoaStatevector::simulate(&circuit, &ExecConfig::default());
             assert!(matches!(
                 denied,
                 Err(QuantumError::TooManyQubits { requested: 100, .. })

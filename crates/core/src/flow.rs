@@ -145,7 +145,7 @@ mod tests {
     use super::*;
     use qdaflow_boolfn::Expr;
     use qdaflow_mapping::phase_oracle;
-    use qdaflow_quantum::statevector::Statevector;
+    use qdaflow_sparse::SparseStatevector;
 
     #[test]
     fn compile_permutation_produces_a_correct_clifford_t_circuit() {
@@ -160,10 +160,11 @@ mod tests {
             assert!(report.simplified_gates <= report.reversible_gates);
             for basis in 0..8usize {
                 let mut state =
-                    Statevector::basis_state(report.circuit.num_qubits(), basis).unwrap();
+                    SparseStatevector::basis_state(report.circuit.num_qubits(), basis as u64)
+                        .unwrap();
                 state.apply_circuit(&report.circuit);
                 assert!(
-                    state.probability_of(pi.apply(basis)) > 1.0 - 1e-9,
+                    state.probability_of(pi.apply(basis) as u64) > 1.0 - 1e-9,
                     "{method:?} basis {basis}"
                 );
             }

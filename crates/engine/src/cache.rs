@@ -449,7 +449,7 @@ impl OracleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdaflow_quantum::Statevector;
+    use qdaflow_sparse::SparseStatevector;
 
     fn example_permutation() -> Permutation {
         Permutation::new(vec![0, 2, 3, 5, 7, 1, 4, 6]).unwrap()
@@ -499,10 +499,11 @@ mod tests {
         assert!(program.resources().total_gates > 0);
         for basis in 0..8usize {
             let mut state =
-                Statevector::basis_state(program.circuit().num_qubits(), basis).unwrap();
+                SparseStatevector::basis_state(program.circuit().num_qubits(), basis as u64)
+                    .unwrap();
             state.apply_circuit(program.circuit());
             assert!(
-                state.probability_of(pi.apply(basis)) > 1.0 - 1e-9,
+                state.probability_of(pi.apply(basis) as u64) > 1.0 - 1e-9,
                 "{basis}"
             );
         }

@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use qdaflow_boolfn::Expr;
     use qdaflow_mapping::phase_oracle;
-    use qdaflow_quantum::statevector::Statevector;
+    use qdaflow_sparse::SparseStatevector;
 
     #[test]
     fn phase_oracle_for_paper_function() {
@@ -108,10 +108,11 @@ mod tests {
         ] {
             let oracle = compile_permutation_oracle(&pi, choice).unwrap();
             for basis in 0..8usize {
-                let mut state = Statevector::basis_state(oracle.num_qubits(), basis).unwrap();
+                let mut state =
+                    SparseStatevector::basis_state(oracle.num_qubits(), basis as u64).unwrap();
                 state.apply_circuit(&oracle);
                 assert!(
-                    state.probability_of(pi.apply(basis)) > 1.0 - 1e-9,
+                    state.probability_of(pi.apply(basis) as u64) > 1.0 - 1e-9,
                     "{choice:?} basis {basis}"
                 );
             }

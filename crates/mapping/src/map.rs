@@ -176,8 +176,8 @@ fn append_positive_mcx(
 mod tests {
     use super::*;
     use qdaflow_boolfn::Permutation;
-    use qdaflow_quantum::statevector::Statevector;
     use qdaflow_reversible::{synthesis, Control};
+    use qdaflow_sparse::SparseStatevector;
 
     /// Checks that the mapped quantum circuit acts on computational basis
     /// states exactly like the reversible circuit (ancillas in and out |0⟩).
@@ -185,11 +185,12 @@ mod tests {
         let quantum = to_clifford_t(reversible, options).unwrap();
         let lines = reversible.num_lines();
         for basis in 0..(1usize << lines) {
-            let mut state = Statevector::basis_state(quantum.num_qubits(), basis).unwrap();
+            let mut state =
+                SparseStatevector::basis_state(quantum.num_qubits(), basis as u64).unwrap();
             state.apply_circuit(&quantum);
             let expected = reversible.apply(basis);
             assert!(
-                state.probability_of(expected) > 1.0 - 1e-9,
+                state.probability_of(expected as u64) > 1.0 - 1e-9,
                 "basis {basis:b}: expected {expected:b}"
             );
         }

@@ -313,7 +313,7 @@ fn phase_gates_for_exponent(exponent: u8, qubit: usize) -> impl Iterator<Item = 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdaflow_quantum::statevector::Statevector;
+    use qdaflow_quantum::{ExecConfig, PreparedState, SoaStatevector};
 
     /// Checks unitary equivalence up to global phase by comparing the states
     /// produced from a register prepared in a superposition that is sensitive
@@ -335,8 +335,8 @@ mod tests {
         lhs.append(original).unwrap();
         let mut rhs = preparation;
         rhs.append(optimized).unwrap();
-        let a = Statevector::from_circuit(&lhs).unwrap();
-        let b = Statevector::from_circuit(&rhs).unwrap();
+        let a = SoaStatevector::simulate(&lhs, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&rhs, &ExecConfig::default()).unwrap();
         assert!(
             a.fidelity(&b) > 1.0 - 1e-9,
             "optimization changed the circuit semantics (fidelity {})",

@@ -131,7 +131,7 @@ fn append_cube_phase(
 /// unitary of `function`: applying the oracle to `H^{⊗n}|0⟩` must produce the
 /// state `2^{-n/2} Σ_x (-1)^{f(x)} |x⟩`.
 pub fn oracle_matches_function(oracle: &QuantumCircuit, function: &TruthTable) -> bool {
-    use qdaflow_quantum::statevector::Statevector;
+    use qdaflow_quantum::{ExecConfig, PreparedState, SoaStatevector};
     let n = function.num_vars();
     if oracle.num_qubits() < n {
         return false;
@@ -145,7 +145,8 @@ pub fn oracle_matches_function(oracle: &QuantumCircuit, function: &TruthTable) -
     if circuit.append(oracle).is_err() {
         return false;
     }
-    let state = Statevector::from_circuit(&circuit).expect("oracle widths are small");
+    let state = SoaStatevector::simulate(&circuit, &ExecConfig::default())
+        .expect("oracle widths are small");
     let magnitude = (1.0 / (1usize << n) as f64).sqrt();
     // A diagonal oracle is only defined up to a global phase (for example,
     // the constant-one ESOP cube contributes an unobservable overall -1), so

@@ -170,7 +170,12 @@ pub fn required_ancillas(num_controls: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdaflow_quantum::{circuit::QuantumCircuit, statevector::Statevector, QuantumError};
+    use crate::verify::quantum_matches_reversible;
+    use qdaflow_quantum::{
+        ExecConfig, PreparedState, QuantumCircuit, QuantumError, SoaStatevector,
+    };
+    use qdaflow_reversible::ReversibleCircuit;
+    use qdaflow_sparse::SparseStatevector;
 
     /// Builds a circuit from raw gates over `n` qubits.
     fn circuit_of(n: usize, gates: &[QuantumGate]) -> Result<QuantumCircuit, QuantumError> {
@@ -186,11 +191,11 @@ mod tests {
     fn assert_classical_action(n: usize, gates: &[QuantumGate], f: impl Fn(usize) -> usize) {
         let circuit = circuit_of(n, gates).unwrap();
         for basis in 0..(1usize << n) {
-            let mut state = Statevector::basis_state(n, basis).unwrap();
+            let mut state = SparseStatevector::basis_state(n, basis as u64).unwrap();
             state.apply_circuit(&circuit);
             let expected = f(basis);
             assert!(
-                state.probability_of(expected) > 1.0 - 1e-9,
+                state.probability_of(expected as u64) > 1.0 - 1e-9,
                 "basis {basis:0width$b} mapped incorrectly",
                 width = n
             );
@@ -228,8 +233,8 @@ mod tests {
             ];
             circuit_of(3, &gates).unwrap()
         };
-        let a = Statevector::from_circuit(&decomposed).unwrap();
-        let b = Statevector::from_circuit(&native).unwrap();
+        let a = SoaStatevector::simulate(&decomposed, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&native, &ExecConfig::default()).unwrap();
         assert!(a.fidelity(&b) > 1.0 - 1e-9, "fidelity {}", a.fidelity(&b));
     }
 
@@ -252,12 +257,13 @@ mod tests {
                 qubits: vec![0, 1, 2],
             })
             .unwrap();
-        for basis in 0..8usize {
-            let mut lhs = Statevector::basis_state(3, basis).unwrap();
+        for basis in 0..8u64 {
+            let mut lhs = SparseStatevector::basis_state(3, basis).unwrap();
             lhs.apply_circuit(&circuit);
-            let mut rhs = Statevector::basis_state(3, basis).unwrap();
+            let mut rhs = SparseStatevector::basis_state(3, basis).unwrap();
             rhs.apply_circuit(&native);
-            assert!(lhs.fidelity(&rhs) > 1.0 - 1e-9, "basis {basis}");
+            let overlap = lhs.amplitude(basis).conj() * rhs.amplitude(basis);
+            assert!(overlap.norm_sqr() > 1.0 - 1e-9, "basis {basis}");
         }
         // Phase check on a superposed input.
         let mut superposed = QuantumCircuit::new(3);
@@ -274,8 +280,8 @@ mod tests {
                 qubits: vec![0, 1, 2],
             })
             .unwrap();
-        let a = Statevector::from_circuit(&with_ccz).unwrap();
-        let b = Statevector::from_circuit(&with_native).unwrap();
+        let a = SoaStatevector::simulate(&with_ccz, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&with_native, &ExecConfig::default()).unwrap();
         assert!(a.fidelity(&b) > 1.0 - 1e-9);
     }
 
@@ -295,9 +301,21 @@ mod tests {
             &[QuantumGate::H(0), QuantumGate::H(1), QuantumGate::H(2)],
         )
         .unwrap();
-        let a = Statevector::from_circuit(&circuit).unwrap();
-        let b = Statevector::from_circuit(&reference).unwrap();
+        let a = SoaStatevector::simulate(&circuit, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&reference, &ExecConfig::default()).unwrap();
         assert!(a.fidelity(&b) > 1.0 - 1e-9);
+    }
+
+    #[test]
+    fn relative_phase_toffoli_is_not_verified_as_a_toffoli() {
+        // Its basis action is the Toffoli's, but inputs 011, 110 and 111
+        // carry the phases i, −1 and −i: no single global phase.
+        let mut toffoli = ReversibleCircuit::new(3);
+        toffoli.add_toffoli(0, 1, 2).unwrap();
+        let rtof = circuit_of(3, &relative_phase_ccx(0, 1, 2)).unwrap();
+        assert!(!quantum_matches_reversible(&rtof, &toffoli).unwrap());
+        let exact = circuit_of(3, &ccx_clifford_t(0, 1, 2)).unwrap();
+        assert!(quantum_matches_reversible(&exact, &toffoli).unwrap());
     }
 
     #[test]
@@ -317,7 +335,7 @@ mod tests {
             // Check action on every basis state of the control+target block
             // with ancillas initialised to zero.
             for basis in 0..(1usize << (num_controls + 1)) {
-                let mut state = Statevector::basis_state(total_qubits, basis).unwrap();
+                let mut state = SparseStatevector::basis_state(total_qubits, basis as u64).unwrap();
                 state.apply_circuit(&circuit_of(total_qubits, &gates).unwrap());
                 let all_controls = (0..num_controls).all(|c| (basis >> c) & 1 == 1);
                 let expected = if all_controls {
@@ -326,7 +344,7 @@ mod tests {
                     basis
                 };
                 assert!(
-                    state.probability_of(expected) > 1.0 - 1e-9,
+                    state.probability_of(expected as u64) > 1.0 - 1e-9,
                     "controls={num_controls}, basis={basis:b}"
                 );
             }

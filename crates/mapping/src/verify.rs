@@ -4,18 +4,22 @@
 //! This is the one implementation behind the shell's `simulate` command and
 //! the pipeline test-suites: it checks, by exhaustive basis-state
 //! simulation, that a Clifford+T circuit produced by the mapping realizes
-//! the same permutation as the reversible circuit it was mapped from.
+//! the same permutation as the reversible circuit it was mapped from, up to
+//! one global phase.
 
 use crate::MappingError;
-use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::plan::ExecPlan;
-use qdaflow_quantum::statevector::Statevector;
-use qdaflow_quantum::QuantumCircuit;
+use qdaflow_quantum::{
+    Complex, ExecConfig, ExecPlan, QuantumCircuit, QuantumError, SoaStatevector,
+    MAX_SIMULATOR_QUBITS,
+};
 use qdaflow_reversible::ReversibleCircuit;
 
-/// Verifies (by exhaustive basis-state simulation) that `quantum` realizes
-/// the same permutation as `reversible` on the original lines, with
-/// ancillas returned to zero. Uses the default execution configuration.
+/// Verifies (by exhaustive basis-state simulation) that `quantum` maps every
+/// basis state `|x⟩` of the original lines, ancillas at zero, to
+/// `c·|π(x)⟩`, where `π` is the permutation `reversible` computes and `c` is
+/// one global phase shared by all inputs: each amplitude `a_x` at `π(x)`
+/// has `|a_x|² > 1 − 1e-9` and `|a_x − a_0| < 1e-9`. Uses the default
+/// execution configuration.
 ///
 /// # Errors
 ///
@@ -29,8 +33,8 @@ pub fn quantum_matches_reversible(
 }
 
 /// [`quantum_matches_reversible`] with an explicit execution configuration.
-/// The quantum circuit is compiled once to an [`ExecPlan`] and replayed on
-/// every basis state.
+/// The quantum circuit is compiled once to an [`ExecPlan`], and each input
+/// runs it on its basis state, written as a [`SoaStatevector::product_state`].
 ///
 /// # Errors
 ///
@@ -41,13 +45,32 @@ pub fn quantum_matches_reversible_with(
     reversible: &ReversibleCircuit,
     config: &ExecConfig,
 ) -> Result<bool, MappingError> {
-    let plan = ExecPlan::compile(quantum, config);
+    let num_qubits = quantum.num_qubits();
+    if num_qubits > MAX_SIMULATOR_QUBITS {
+        return Err(QuantumError::TooManyQubits {
+            requested: num_qubits,
+            maximum: MAX_SIMULATOR_QUBITS,
+        }
+        .into());
+    }
     let lines = reversible.num_lines();
-    for basis in 0..(1usize << lines) {
-        let mut state = Statevector::basis_state(quantum.num_qubits(), basis)?;
-        plan.apply(state.amplitudes_mut(), config);
-        let expected = reversible.apply(basis);
-        if state.probability_of(expected) < 1.0 - 1e-9 {
+    if lines > num_qubits {
+        return Ok(false);
+    }
+    let plan = ExecPlan::compile(quantum, config);
+    let mut global_phase = None;
+    for input in 0..(1usize << lines) {
+        let factors: Vec<[Complex; 2]> = (0..num_qubits)
+            .map(|qubit| match (input >> qubit) & 1 {
+                0 => [Complex::ONE, Complex::ZERO],
+                _ => [Complex::ZERO, Complex::ONE],
+            })
+            .collect();
+        let mut state = SoaStatevector::product_state(&factors, plan.block_bits());
+        plan.apply_soa(&mut state, config);
+        let amplitude = state.amplitude(reversible.apply(input));
+        let phase = *global_phase.get_or_insert(amplitude);
+        if amplitude.norm_sqr() <= 1.0 - 1e-9 || (amplitude - phase).norm() >= 1e-9 {
             return Ok(false);
         }
     }
@@ -79,5 +102,17 @@ mod tests {
         let wrong = synthesis::transformation_based(&other).unwrap();
         let quantum = map::to_clifford_t(&wrong, &map::MappingOptions::default()).unwrap();
         assert!(!quantum_matches_reversible(&quantum, &reversible).unwrap());
+        // A circuit on fewer qubits than the specification has lines.
+        let narrow = QuantumCircuit::new(1);
+        assert!(!quantum_matches_reversible(&narrow, &reversible).unwrap());
+    }
+
+    #[test]
+    fn an_oversized_circuit_is_a_typed_error() {
+        let wide = QuantumCircuit::new(MAX_SIMULATOR_QUBITS + 1);
+        assert!(matches!(
+            quantum_matches_reversible(&wide, &ReversibleCircuit::new(1)),
+            Err(MappingError::Quantum(QuantumError::TooManyQubits { .. }))
+        ));
     }
 }

@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use qdaflow_boolfn::{Permutation, TruthTable};
 use qdaflow_mapping::{map, optimize, phase_oracle};
-use qdaflow_quantum::statevector::Statevector;
-use qdaflow_quantum::{QuantumCircuit, QuantumGate};
+use qdaflow_quantum::{ExecConfig, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 use qdaflow_reversible::synthesis;
+use qdaflow_sparse::SparseStatevector;
 
 fn permutation(n: usize) -> impl Strategy<Value = Permutation> {
     any::<u64>().prop_map(move |seed| Permutation::random_seeded(n, seed))
@@ -115,8 +115,8 @@ fn states_match(a: &QuantumCircuit, b: &QuantumCircuit) -> bool {
     lhs.append(&a.extended_to(n)).unwrap();
     let mut rhs = preparation;
     rhs.append(&b.extended_to(n)).unwrap();
-    let x = Statevector::from_circuit(&lhs).unwrap();
-    let y = Statevector::from_circuit(&rhs).unwrap();
+    let x = SoaStatevector::simulate(&lhs, &ExecConfig::default()).unwrap();
+    let y = SoaStatevector::simulate(&rhs, &ExecConfig::default()).unwrap();
     x.fidelity(&y) > 1.0 - 1e-9
 }
 
@@ -128,9 +128,10 @@ proptest! {
         let reversible = synthesis::transformation_based(&p).unwrap();
         let quantum = map::to_clifford_t(&reversible, &map::MappingOptions::default()).unwrap();
         for basis in 0..8usize {
-            let mut state = Statevector::basis_state(quantum.num_qubits(), basis).unwrap();
+            let mut state =
+                SparseStatevector::basis_state(quantum.num_qubits(), basis as u64).unwrap();
             state.apply_circuit(&quantum);
-            prop_assert!(state.probability_of(p.apply(basis)) > 1.0 - 1e-9);
+            prop_assert!(state.probability_of(p.apply(basis) as u64) > 1.0 - 1e-9);
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::ir::{Ir, StageSet};
 use crate::FlowError;
+use qdaflow_quantum::resource::ResourceCounts;
 
 /// A single compilation pass, the unit a [`Pipeline`](crate::Pipeline) is
 /// composed of.
@@ -93,9 +94,10 @@ pub trait Pass {
 
     /// An optional human-readable note about `output`, recorded in the
     /// [`PassRecord`](crate::PassRecord) (used by reporting passes like
-    /// `ps`).
-    fn summarize(&self, output: &Ir) -> Option<String> {
-        let _ = output;
+    /// `ps`). When `output` is a quantum circuit, `resources` are its counts,
+    /// the ones the record holds, so a note need not count it again.
+    fn summarize(&self, output: &Ir, resources: Option<&ResourceCounts>) -> Option<String> {
+        let _ = (output, resources);
         None
     }
 }

@@ -515,8 +515,8 @@ impl Pass for Ps {
         Ok(input)
     }
 
-    fn summarize(&self, output: &Ir) -> Option<String> {
-        Some(statistics(output))
+    fn summarize(&self, output: &Ir, resources: Option<&ResourceCounts>) -> Option<String> {
+        Some(resources.map_or_else(|| statistics(output), quantum_statistics))
     }
 }
 
@@ -545,24 +545,18 @@ pub fn statistics(ir: &Ir) -> String {
             c.gate_profile(),
             c.quantum_cost()
         ),
-        Ir::Quantum(c) => {
-            let counts = ResourceCounts::of(c);
-            format!(
-                "quantum circuit: {} qubits, {} gates, depth {}, T-count {}, T-depth {}, CNOTs {}",
-                counts.num_qubits,
-                counts.total_gates,
-                counts.depth,
-                counts.t_count,
-                counts.t_depth,
-                counts.cnot_count
-            )
-        }
+        Ir::Quantum(c) => quantum_statistics(&ResourceCounts::of(c)),
         Ir::QasmSource(source) => format!(
             "openqasm source: {} bytes, {} lines",
             source.len(),
             source.lines().count()
         ),
     }
+}
+
+/// The `ps` statistics of a quantum circuit with these resource counts.
+fn quantum_statistics(counts: &ResourceCounts) -> String {
+    format!("quantum circuit: {}", counts.summary())
 }
 
 /// `qasmin` — OpenQASM 2.0 import (openqasm source → quantum), the front
@@ -791,7 +785,7 @@ mod tests {
             Ir::Quantum(qdaflow_quantum::QuantumCircuit::new(2)),
             Ir::QasmSource("qreg q[1];\nh q[0];".to_owned()),
         ] {
-            assert!(Ps.summarize(&ir).is_some());
+            assert!(Ps.summarize(&ir, None).is_some());
         }
     }
 

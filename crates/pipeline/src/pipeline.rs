@@ -389,13 +389,14 @@ impl PassRecord {
             ),
             _ => (None, None, None),
         };
+        let note = pass.summarize(output, resources.as_ref());
         Self {
             pass: pass.describe(),
             stage: output.stage(),
             reversible_gates,
             resources,
             census,
-            note: pass.summarize(output),
+            note,
             duration,
         }
     }
@@ -532,8 +533,11 @@ mod tests {
         let mapped = report.resources_after("rptm").unwrap();
         let optimized = report.resources_after("tpar").unwrap();
         assert!(optimized.t_count <= mapped.t_count);
-        // The ps pass recorded a statistics note.
-        assert!(report.record_of("ps").unwrap().note.is_some());
+        // The ps pass recorded the statistics line of its output.
+        assert_eq!(
+            report.record_of("ps").unwrap().note,
+            Some(crate::passes::statistics(&report.output))
+        );
         // Quantum-stage passes record a gate census; reversible ones don't.
         let mapped = report.record_of("rptm").unwrap().census.unwrap();
         assert_eq!(mapped.total, mapped.clifford + mapped.t);

@@ -4,7 +4,7 @@
 //! sampler shard size and the plan's cache-block size. It is threaded
 //! through every execution path of the workspace: the
 //! [`ExecPlan`](crate::plan::ExecPlan) interpreter behind the
-//! [`Statevector`](crate::statevector::Statevector) simulator and the dense
+//! [`SoaStatevector`](crate::plan::SoaStatevector) simulator and the dense
 //! backend, the Monte-Carlo noisy simulator, the sampling backends, the
 //! engine crate's `MainEngine` and the RevKit-style shell's `exec` command.
 //! What fusion does is the [`plan`](crate::plan) module's business (see its

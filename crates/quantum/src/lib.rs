@@ -10,17 +10,16 @@
 //! # Example
 //!
 //! ```
-//! use qdaflow_quantum::{circuit::QuantumCircuit, gate::QuantumGate, statevector::Statevector};
+//! use qdaflow_quantum::{ExecConfig, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 //!
 //! # fn main() -> Result<(), qdaflow_quantum::QuantumError> {
 //! // Build the entangling circuit from Fig. 1(a) of the paper.
 //! let mut circuit = QuantumCircuit::new(2);
 //! circuit.push(QuantumGate::H(0))?;
 //! circuit.push(QuantumGate::Cx { control: 0, target: 1 })?;
-//! let state = Statevector::from_circuit(&circuit)?;
-//! let probabilities = state.probabilities();
-//! assert!((probabilities[0b00] - 0.5).abs() < 1e-12);
-//! assert!((probabilities[0b11] - 0.5).abs() < 1e-12);
+//! let state = SoaStatevector::simulate(&circuit, &ExecConfig::default())?;
+//! assert!((state.amplitude(0b00).norm_sqr() - 0.5).abs() < 1e-12);
+//! assert!((state.amplitude(0b11).norm_sqr() - 0.5).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```
@@ -42,7 +41,6 @@ pub mod qasm;
 pub mod reference;
 pub mod resource;
 pub mod sampling;
-pub mod statevector;
 
 pub use backend::{Backend, ExactBackend, ExecutionResult, PreparedState};
 pub use census::GateCensus;
@@ -54,7 +52,6 @@ pub use gate::{QuantumGate, Qubits};
 pub use plan::{DispatchRecord, ExecPlan, OpKind, ProductLayer, SoaStatevector};
 pub use reference::{DenseReference, DenseReferenceBackend};
 pub use sampling::CumulativeDistribution;
-pub use statevector::Statevector;
 
 /// Maximum number of qubits supported by the statevector simulator.
 ///

@@ -72,11 +72,10 @@
 //!   [`ProductLayer`], [`SoaStatevector::product_state`] writes the state it
 //!   makes in the pass that allocates it, and the plan holds only the ops
 //!   after it. [`ExecPlan::compile`] makes no such split, since its plans
-//!   also run on other states (the noisy replay,
-//!   `Statevector::apply_circuit_with`, the mapping verifier's basis
-//!   states). Both lower the same per-gate ops through the same walk, so on
-//!   the 20-qubit hidden shift they give the same 10 records, and the job
-//!   differs only in starting from the product state.
+//!   also run on other states (the noisy replay, the mapping verifier's
+//!   basis states). Both lower the same per-gate ops through the same
+//!   walk, so on the 20-qubit hidden shift they give the same 10 records,
+//!   and the job differs only in starting from the product state.
 //!
 //! Correctness is established differentially (`tests/differential.rs`,
 //! `tests/plan_differential.rs`): fused and unfused plans match the
@@ -229,8 +228,7 @@ struct AmpBlock {
 /// [`SoaStatevector::block_bits`]); within a block the real and imaginary
 /// components live in two separate contiguous `f64` arrays. Basis state `k`
 /// lives in block `k >> b` at local index `k & (2^b - 1)`, with qubit 0 as
-/// the least significant bit — the same indexing contract as the dense
-/// [`Statevector`](crate::statevector::Statevector).
+/// the least significant bit.
 ///
 /// It is also the dense engine's
 /// [`PreparedState`](crate::backend::PreparedState): the
@@ -319,33 +317,19 @@ impl SoaStatevector {
         }
     }
 
-    /// Writes the state back into an interleaved amplitude slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length differs from `2^num_qubits`.
-    pub fn write_to(&self, amplitudes: &mut [Complex]) {
-        assert_eq!(
-            amplitudes.len(),
-            1usize << self.num_qubits,
-            "amplitude slice length mismatch"
-        );
-        let block_len = 1usize << self.block_bits;
-        for (block, chunk) in self
-            .blocks
-            .iter()
-            .zip(amplitudes.chunks_exact_mut(block_len))
-        {
-            for ((out, &re), &im) in chunk.iter_mut().zip(&block.re).zip(&block.im) {
-                *out = Complex::new(re, im);
-            }
-        }
-    }
-
-    /// The state as a freshly allocated interleaved amplitude vector.
+    /// The state as a freshly allocated interleaved amplitude vector, in
+    /// basis order.
     pub fn to_amplitudes(&self) -> Vec<Complex> {
-        let mut amplitudes = vec![Complex::ZERO; 1usize << self.num_qubits];
-        self.write_to(&mut amplitudes);
+        let mut amplitudes = Vec::with_capacity(1usize << self.num_qubits);
+        for block in &self.blocks {
+            amplitudes.extend(
+                block
+                    .re
+                    .iter()
+                    .zip(&block.im)
+                    .map(|(&re, &im)| Complex::new(re, im)),
+            );
+        }
         amplitudes
     }
 
@@ -387,6 +371,24 @@ impl SoaStatevector {
             .sum()
     }
 
+    /// Fidelity `|⟨self|other⟩|²` between two pure states, whatever their
+    /// block sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the states have different numbers of qubits.
+    pub fn fidelity(&self, other: &Self) -> f64 {
+        assert_eq!(
+            self.num_qubits, other.num_qubits,
+            "states must have the same number of qubits"
+        );
+        (0..1usize << self.num_qubits)
+            .fold(Complex::ZERO, |sum, basis| {
+                sum + self.amplitude(basis).conj() * other.amplitude(basis)
+            })
+            .norm_sqr()
+    }
+
     /// Resets the state to `|0...0⟩` in place, reusing the allocations.
     pub fn reset(&mut self) {
         for block in &mut self.blocks {
@@ -396,11 +398,12 @@ impl SoaStatevector {
         self.blocks[0].re[0] = 1.0;
     }
 
-    /// Samples a measurement of all qubits by the same early-exiting linear
-    /// scan (and the same single `f64` draw) as
-    /// [`Statevector::sample_linear`](crate::statevector::Statevector::sample_linear),
-    /// so a given RNG state maps to the identical outcome on either layout.
-    /// The state is not collapsed.
+    /// Samples a measurement of all qubits by an early-exiting linear scan
+    /// over one `f64` draw, returning the observed basis state; the state is
+    /// not collapsed. Its running sum is the one
+    /// [`CumulativeDistribution`](crate::sampling::CumulativeDistribution)
+    /// stores, so it is the reference the `sampling_differential.rs` suite
+    /// holds the binary-search sampler to, draw for draw.
     pub fn sample_linear<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let draw: f64 = rng.gen();
         let mut cumulative = 0.0f64;
@@ -1235,26 +1238,6 @@ impl ExecPlan {
     /// one per run of block-local records and one per global record.
     pub fn num_segments(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Applies the plan in place to a `2^n` interleaved amplitude slice: the
-    /// slice is transposed into blocked SoA layout, interpreted by
-    /// [`ExecPlan::apply_soa`], and transposed back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is shorter than the plan's register (extra qubits
-    /// are spectators).
-    pub fn apply(&self, amplitudes: &mut [Complex], config: &ExecConfig) {
-        assert!(
-            num_qubits_of(amplitudes) >= self.num_qubits,
-            "a {}-qubit plan cannot run on {} amplitudes",
-            self.num_qubits,
-            amplitudes.len()
-        );
-        let mut state = SoaStatevector::from_amplitudes(amplitudes, self.block_bits);
-        self.apply_soa(&mut state, config);
-        state.write_to(amplitudes);
     }
 
     /// Applies the plan in place to a blocked SoA state, on the worker pool
@@ -2514,8 +2497,8 @@ fn swap_block(re: &mut [f64], im: &mut [f64], bit_a: usize, bit_b: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PreparedState;
     use crate::reference::DenseReference;
-    use crate::statevector::Statevector;
 
     fn push_all(circuit: &mut QuantumCircuit, gates: impl IntoIterator<Item = QuantumGate>) {
         for gate in gates {
@@ -2545,8 +2528,8 @@ mod tests {
     }
 
     fn assert_execution_matches_reference(circuit: &QuantumCircuit, config: &ExecConfig) {
-        let state = Statevector::run(circuit, config).unwrap();
-        assert_matches_reference(circuit, state.amplitudes());
+        let state = SoaStatevector::simulate(circuit, config).unwrap();
+        assert_matches_reference(circuit, &state.to_amplitudes());
     }
 
     fn sample_circuit() -> QuantumCircuit {
@@ -3025,11 +3008,12 @@ mod tests {
         let input: Vec<Complex> = (0..16)
             .map(|k| Complex::new(0.1 * k as f64 - 0.3, 0.05 * (k * k) as f64))
             .collect();
-        let mut fused = input.clone();
-        plan.apply(&mut fused, &config);
-        let mut expected = input;
-        ExecPlan::compile(&pair, &ExecConfig::baseline())
-            .apply(&mut expected, &ExecConfig::baseline());
+        let mut fused = SoaStatevector::from_amplitudes(&input, plan.block_bits());
+        plan.apply_soa(&mut fused, &config);
+        let unfused = ExecPlan::compile(&pair, &ExecConfig::baseline());
+        let mut expected = SoaStatevector::from_amplitudes(&input, unfused.block_bits());
+        unfused.apply_soa(&mut expected, &ExecConfig::baseline());
+        let (fused, expected) = (fused.to_amplitudes(), expected.to_amplitudes());
         for (index, (x, y)) in fused.iter().zip(&expected).enumerate() {
             assert!(x.approx_eq(*y, 1e-12), "amplitude {index}: {x:?} vs {y:?}");
         }
@@ -3201,6 +3185,30 @@ mod tests {
         state.reset();
         assert_eq!(state.amplitude(0), Complex::ONE);
         assert!((state.norm() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn z_s_t_phases_compose() {
+        // T² = S and S² = Z on |1⟩: phases i and −1.
+        let one = || SoaStatevector::product_state(&[[Complex::ZERO, Complex::ONE]], 0);
+        let mut with_t = one();
+        with_t.apply_gate(&QuantumGate::T(0));
+        with_t.apply_gate(&QuantumGate::T(0));
+        let mut with_s = one();
+        with_s.apply_gate(&QuantumGate::S(0));
+        assert!(with_t.fidelity(&with_s) > 1.0 - 1e-12);
+        assert!(with_t.amplitude(1).approx_eq(Complex::I, 1e-12));
+        let mut with_z = one();
+        with_z.apply_gate(&QuantumGate::Z(0));
+        assert!(with_z.amplitude(1).approx_eq(Complex::real(-1.0), 1e-12));
+    }
+
+    #[test]
+    fn fidelity_of_orthogonal_states_is_zero() {
+        let zero = SoaStatevector::zero_state(2, 1);
+        let three = SoaStatevector::product_state(&[[Complex::ZERO, Complex::ONE]; 2], 0);
+        assert_eq!(zero.fidelity(&three), 0.0);
+        assert!((zero.fidelity(&zero) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1496,7 +1496,9 @@ impl Importer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::statevector::Statevector;
+    use crate::backend::PreparedState;
+    use crate::fusion::ExecConfig;
+    use crate::plan::SoaStatevector;
 
     fn sample_circuit() -> QuantumCircuit {
         let mut circuit = QuantumCircuit::new(3);
@@ -1547,8 +1549,8 @@ mod tests {
     fn round_trip_preserves_semantics() {
         let original = sample_circuit();
         let parsed = from_qasm(&to_qasm(&original)).unwrap();
-        let a = Statevector::from_circuit(&original).unwrap();
-        let b = Statevector::from_circuit(&parsed).unwrap();
+        let a = SoaStatevector::simulate(&original, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&parsed, &ExecConfig::default()).unwrap();
         assert!(a.fidelity(&b) > 1.0 - 1e-12);
     }
 
@@ -1752,9 +1754,9 @@ mod tests {
         reference.push(QuantumGate::H(0)).unwrap();
         reference.push(QuantumGate::H(1)).unwrap();
         reference.push(QuantumGate::Cz { a: 0, b: 1 }).unwrap();
-        let a = Statevector::from_circuit(&imported).unwrap();
-        let b = Statevector::from_circuit(&reference).unwrap();
-        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+        let a = SoaStatevector::simulate(&imported, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&reference, &ExecConfig::default()).unwrap();
+        for (x, y) in a.to_amplitudes().iter().zip(b.to_amplitudes()) {
             assert!((x.re - y.re).abs() < 1e-12 && (x.im - y.im).abs() < 1e-12);
         }
         // cy = diag-basis conjugated cx: check against S-conjugation by
@@ -1773,8 +1775,8 @@ mod tests {
         ] {
             expect.push(gate).unwrap();
         }
-        let a = Statevector::from_circuit(&cy).unwrap();
-        let b = Statevector::from_circuit(&expect).unwrap();
+        let a = SoaStatevector::simulate(&cy, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&expect, &ExecConfig::default()).unwrap();
         assert!(a.fidelity(&b) > 1.0 - 1e-12);
     }
 

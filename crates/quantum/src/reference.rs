@@ -187,7 +187,7 @@ impl DenseReference {
 
     /// Samples a measurement of all qubits by the same one-draw linear scan
     /// as
-    /// [`Statevector::sample_linear`](crate::statevector::Statevector::sample_linear),
+    /// [`SoaStatevector::sample_linear`](crate::plan::SoaStatevector::sample_linear),
     /// so seeded backends draw identical outcomes.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let draw: f64 = rng.gen();
@@ -254,8 +254,9 @@ impl Backend for DenseReferenceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PreparedState;
     use crate::fusion::ExecConfig;
-    use crate::statevector::Statevector;
+    use crate::plan::SoaStatevector;
     use std::f64::consts::FRAC_PI_4;
 
     fn bell() -> QuantumCircuit {
@@ -316,14 +317,14 @@ mod tests {
             circuit.push(gate).unwrap();
         }
         let reference = DenseReference::from_circuit(&circuit).unwrap();
-        let plan = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();
+        let plan = SoaStatevector::simulate(&circuit, &ExecConfig::baseline()).unwrap();
         for (index, (a, b)) in reference
             .amplitudes()
             .iter()
-            .zip(plan.amplitudes())
+            .zip(plan.to_amplitudes())
             .enumerate()
         {
-            assert!(a.approx_eq(*b, 1e-12), "amplitude {index}: {a:?} vs {b:?}");
+            assert!(a.approx_eq(b, 1e-12), "amplitude {index}: {a:?} vs {b:?}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! very same floating-point partial sums the linear scan produced, a draw
 //! lands on the *bit-identical* outcome — the `sampling_differential.rs`
 //! property suite enforces this against the retained
-//! [`Statevector::sample_linear`](crate::statevector::Statevector::sample_linear)
+//! [`SoaStatevector::sample_linear`](crate::plan::SoaStatevector::sample_linear)
 //! reference.
 //!
 //! On top of the distribution sits the **shot-sharded** sampler

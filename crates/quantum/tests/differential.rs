@@ -3,9 +3,10 @@
 //! [`DenseReference`] oracle.
 //!
 //! Random 2–8 qubit Clifford+T circuits (with Toffoli, MCX, MCZ, SWAP and
-//! π/4-step rotations mixed in) are executed through [`Statevector::run`]
-//! and through the oracle and compared amplitude-for-amplitude. The two
-//! implementations share no code — `Statevector::run` goes through the
+//! π/4-step rotations mixed in) are executed through
+//! [`SoaStatevector::simulate`](PreparedState::simulate) and through the
+//! oracle and compared amplitude-for-amplitude. The two implementations
+//! share no code — the simulation goes through the
 //! `ExecPlan` lowering and block sweeps, the reference through
 //! out-of-place column accumulation — so agreement on every random circuit
 //! is strong evidence that neither is wrong.
@@ -17,7 +18,7 @@
 use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::reference::DenseReference;
-use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
+use qdaflow_quantum::{PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,9 +108,9 @@ fn distinct(rng: &mut StdRng, num_qubits: usize, used: &[usize]) -> usize {
 
 fn assert_matches_reference(circuit: &QuantumCircuit, config: &ExecConfig) {
     let reference = DenseReference::from_circuit(circuit).expect("small register");
-    let optimized = Statevector::run(circuit, config).expect("small register");
+    let optimized = SoaStatevector::simulate(circuit, config).expect("small register");
     for (index, (a, b)) in optimized
-        .amplitudes()
+        .to_amplitudes()
         .iter()
         .zip(reference.amplitudes())
         .enumerate()
@@ -160,7 +161,7 @@ proptest! {
         let config = ExecConfig::default()
             .with_threads(4)
             .with_block_bits(1);
-        let state = Statevector::run(&circuit, &config).expect("small register");
+        let state = SoaStatevector::simulate(&circuit, &config).expect("small register");
         prop_assert!((state.norm() - 1.0).abs() < TOLERANCE);
         let reference = DenseReference::from_circuit(&circuit).expect("small register");
         prop_assert!((reference.norm() - 1.0).abs() < TOLERANCE);

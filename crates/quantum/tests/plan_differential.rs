@@ -37,9 +37,8 @@ use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::noise::{NoiseModel, NoisySimulator};
 use qdaflow_quantum::reference::DenseReference;
-use qdaflow_quantum::{
-    ExecPlan, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector, Statevector,
-};
+use qdaflow_quantum::sampling::CumulativeDistribution;
+use qdaflow_quantum::{ExecPlan, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -284,9 +283,9 @@ fn distinct(rng: &mut StdRng, num_qubits: usize, used: &[usize]) -> usize {
 
 fn assert_matches_reference(circuit: &QuantumCircuit, config: &ExecConfig) {
     let reference = DenseReference::from_circuit(circuit).expect("small register");
-    let optimized = Statevector::run(circuit, config).expect("small register");
+    let optimized = SoaStatevector::simulate(circuit, config).expect("small register");
     for (index, (a, b)) in optimized
-        .amplitudes()
+        .to_amplitudes()
         .iter()
         .zip(reference.amplitudes())
         .enumerate()
@@ -333,16 +332,16 @@ proptest! {
     #[test]
     fn unfused_plan_is_block_size_invariant(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
-        let single_block = Statevector::run(&circuit, &ExecConfig::baseline())
+        let single_block = SoaStatevector::simulate(&circuit, &ExecConfig::baseline())
             .expect("small register");
         for block_bits in [1usize, 2, 3] {
-            let blocked = Statevector::run(
+            let blocked = SoaStatevector::simulate(
                 &circuit,
                 &ExecConfig::baseline().with_block_bits(block_bits),
             ).expect("small register");
             prop_assert_eq!(
-                blocked.amplitudes(),
-                single_block.amplitudes(),
+                blocked.to_amplitudes(),
+                single_block.to_amplitudes(),
                 "block_bits {} diverges from the single-block run", block_bits
             );
         }
@@ -357,19 +356,24 @@ proptest! {
         let circuit = random_circuit(seed);
         for block_bits in [1usize, 3] {
             let config = ExecConfig::baseline().with_block_bits(block_bits);
-            let sequential = Statevector::run(&circuit, &config).expect("small register");
+            let sequential = SoaStatevector::simulate(&circuit, &config)
+                .expect("small register")
+                .to_amplitudes();
             let mut sequential_rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-            let expected = sequential.sample_counts(&mut sequential_rng, 512);
+            let expected = CumulativeDistribution::from_amplitudes(&sequential)
+                .sample_counts(&mut sequential_rng, 512);
             for threads in [2usize, 4, 8] {
-                let threaded = Statevector::run(&circuit, &config.with_threads(threads))
-                    .expect("small register");
+                let threaded = SoaStatevector::simulate(&circuit, &config.with_threads(threads))
+                    .expect("small register")
+                    .to_amplitudes();
                 prop_assert_eq!(
-                    threaded.amplitudes(),
-                    sequential.amplitudes(),
+                    &threaded,
+                    &sequential,
                     "{} threads (block_bits {}) diverge from one thread", threads, block_bits
                 );
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-                let histogram = threaded.sample_counts(&mut rng, 512);
+                let histogram = CumulativeDistribution::from_amplitudes(&threaded)
+                    .sample_counts(&mut rng, 512);
                 prop_assert_eq!(
                     &histogram,
                     &expected,

@@ -1,7 +1,9 @@
 //! Property-based tests for the quantum circuit layer.
 
 use proptest::prelude::*;
-use qdaflow_quantum::{circuit::QuantumCircuit, gate::QuantumGate, qasm, statevector::Statevector};
+use qdaflow_quantum::{
+    qasm, ExecConfig, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector,
+};
 
 /// Strategy producing a random Clifford+T gate over `n` qubits (n >= 2).
 fn gate(n: usize) -> impl Strategy<Value = QuantumGate> {
@@ -40,16 +42,16 @@ proptest! {
 
     #[test]
     fn circuits_preserve_norm(c in circuit(4, 30)) {
-        let state = Statevector::from_circuit(&c).unwrap();
+        let state = SoaStatevector::simulate(&c, &ExecConfig::default()).unwrap();
         prop_assert!((state.norm() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn dagger_restores_the_initial_state(c in circuit(4, 25)) {
-        let mut state = Statevector::new(4).unwrap();
-        state.apply_circuit(&c);
-        state.apply_circuit(&c.dagger());
-        prop_assert!((state.probability_of(0) - 1.0).abs() < 1e-9);
+        let mut round_trip = c.clone();
+        round_trip.append(&c.dagger()).unwrap();
+        let state = SoaStatevector::simulate(&round_trip, &ExecConfig::default()).unwrap();
+        prop_assert!((state.amplitude(0).norm_sqr() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -60,8 +62,8 @@ proptest! {
     #[test]
     fn qasm_round_trip_preserves_semantics(c in circuit(3, 20)) {
         let parsed = qasm::from_qasm(&qasm::to_qasm(&c)).unwrap();
-        let a = Statevector::from_circuit(&c).unwrap();
-        let b = Statevector::from_circuit(&parsed).unwrap();
+        let a = SoaStatevector::simulate(&c, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&parsed, &ExecConfig::default()).unwrap();
         prop_assert!(a.fidelity(&b) > 1.0 - 1e-9);
     }
 
@@ -73,8 +75,8 @@ proptest! {
 
     #[test]
     fn probabilities_sum_to_one(c in circuit(4, 30)) {
-        let state = Statevector::from_circuit(&c).unwrap();
-        let total: f64 = state.probabilities().iter().sum();
+        let state = SoaStatevector::simulate(&c, &ExecConfig::default()).unwrap();
+        let total: f64 = state.to_amplitudes().iter().map(|a| a.norm_sqr()).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
     }
 }

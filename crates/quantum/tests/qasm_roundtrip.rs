@@ -6,7 +6,9 @@
 //! pair of bugs where exporter and importer disagree with the simulator.
 
 use proptest::prelude::*;
-use qdaflow_quantum::{circuit::QuantumCircuit, gate::QuantumGate, qasm, statevector::Statevector};
+use qdaflow_quantum::{
+    qasm, ExecConfig, PreparedState, QuantumCircuit, QuantumGate, SoaStatevector,
+};
 
 /// Strategy producing a random exporter-supported gate over `n` qubits
 /// (n >= 2). Encoded as (kind, qubit, qubit pair, Rz step) and decoded in
@@ -63,8 +65,8 @@ proptest! {
         let parsed = qasm::from_qasm(&text).unwrap();
         prop_assert_eq!(parsed.num_qubits(), c.num_qubits());
         prop_assert_eq!(parsed.gates(), c.gates());
-        let a = Statevector::from_circuit(&c).unwrap();
-        let b = Statevector::from_circuit(&parsed).unwrap();
+        let a = SoaStatevector::simulate(&c, &ExecConfig::default()).unwrap();
+        let b = SoaStatevector::simulate(&parsed, &ExecConfig::default()).unwrap();
         prop_assert!(a.fidelity(&b) > 1.0 - 1e-12);
     }
 }

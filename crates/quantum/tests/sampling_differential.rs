@@ -4,12 +4,13 @@
 //! counts, and the dense engine's sorted-draw sampler against the CDF.
 //!
 //! Random states of up to 10 qubits are produced by random circuits; each
-//! case then checks, for the *same* seeded RNG stream, that
-//! `Statevector::sample_counts` (CDF + binary search) reproduces the
-//! histogram of the per-shot linear scan bit for bit — not merely
-//! statistically — and that the sharded sampler's merged histogram is
-//! invariant under the worker count (1/2/4/8 threads), which is the
-//! reproducibility contract of the batch execution subsystem. Suite 5
+//! case then checks, for the *same* seeded RNG stream, that the
+//! [`CumulativeDistribution`] of the state's amplitudes (CDF + binary
+//! search) reproduces the histogram of `SoaStatevector::sample_linear`'s
+//! per-shot linear scan bit for bit — not merely statistically — and that
+//! the distribution's sharded sampler merges to a histogram invariant under
+//! the worker count (1/2/4/8 threads), which is the reproducibility
+//! contract of the batch execution subsystem. Suite 5
 //! holds the sampler every dense job and `StatevectorBackend::run` use —
 //! `SoaStatevector`'s `PreparedState` impl, which walks the blocked state
 //! once over sorted draws — to the CDF samplers, draw for draw.
@@ -17,15 +18,15 @@
 use proptest::prelude::*;
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::sampling::CumulativeDistribution;
-use qdaflow_quantum::{PreparedState, QuantumCircuit, QuantumGate, SoaStatevector, Statevector};
+use qdaflow_quantum::{PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Builds a random state over 1..=10 qubits from a seed, via a random
 /// circuit mixing superposition, phases and entanglement.
-fn random_state(seed: u64) -> Statevector {
-    Statevector::from_circuit(&random_circuit(seed)).expect("small register")
+fn random_state(seed: u64) -> SoaStatevector {
+    SoaStatevector::simulate(&random_circuit(seed), &ExecConfig::default()).expect("small register")
 }
 
 /// The random circuit behind [`random_state`].
@@ -70,9 +71,9 @@ fn nonzero(histogram: &[usize]) -> BTreeMap<usize, usize> {
 
 /// Histogram drawn with the retired per-shot linear scan — the reference
 /// implementation the fast path must match exactly.
-fn linear_scan_counts(state: &Statevector, rng_seed: u64, shots: usize) -> Vec<usize> {
+fn linear_scan_counts(state: &SoaStatevector, rng_seed: u64, shots: usize) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut histogram = vec![0usize; state.amplitudes().len()];
+    let mut histogram = vec![0usize; 1 << state.num_qubits()];
     for _ in 0..shots {
         histogram[state.sample_linear(&mut rng)] += 1;
     }
@@ -90,7 +91,8 @@ proptest! {
         let rng_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
         let shots = 200 + (seed % 300) as usize;
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let fast = state.sample_counts(&mut rng, shots);
+        let fast = CumulativeDistribution::from_amplitudes(&state.to_amplitudes())
+            .sample_counts(&mut rng, shots);
         let slow = linear_scan_counts(&state, rng_seed, shots);
         prop_assert_eq!(fast, slow);
     }
@@ -100,7 +102,7 @@ proptest! {
     #[test]
     fn cdf_sampler_matches_linear_scan_shot_for_shot(seed in any::<u64>()) {
         let state = random_state(seed);
-        let dist = state.cumulative_distribution();
+        let dist = CumulativeDistribution::from_amplitudes(&state.to_amplitudes());
         let mut fast_rng = StdRng::seed_from_u64(seed);
         let mut slow_rng = StdRng::seed_from_u64(seed);
         for shot in 0..64 {
@@ -114,32 +116,30 @@ proptest! {
     /// to an identical histogram at 1, 2, 4 and 8 worker threads.
     #[test]
     fn sharded_sampling_is_thread_count_invariant(seed in any::<u64>()) {
-        let state = random_state(seed);
+        let dist = CumulativeDistribution::from_amplitudes(&random_state(seed).to_amplitudes());
         let shots = 1000 + (seed % 2000) as usize;
-        let config = ExecConfig::sequential().with_shot_shard_size(128);
-        let reference = state.sample_counts_sharded(seed, shots, &config);
+        let reference = dist.sample_sharded(seed, shots, 1, 128);
         prop_assert_eq!(reference.iter().sum::<usize>(), shots);
         for threads in [2usize, 4, 8] {
-            let threaded =
-                state.sample_counts_sharded(seed, shots, &config.with_threads(threads));
+            let threaded = dist.sample_sharded(seed, shots, threads, 128);
             prop_assert_eq!(&threaded, &reference, "threads={} diverged", threads);
         }
     }
 
     /// Suite 4: the sharded histogram is determined by (seed, shots, shard
-    /// size) alone — recomputing it from the raw probability vector through
-    /// the public [`CumulativeDistribution`] API gives the same counts.
+    /// size) and the outcome probabilities alone — the distribution built
+    /// from the state's amplitudes and the one built from its raw
+    /// probability vector give the same counts.
     #[test]
     fn sharded_sampling_matches_raw_distribution_path(seed in any::<u64>()) {
-        let state = random_state(seed);
+        let amplitudes = random_state(seed).to_amplitudes();
         let shots = 500 + (seed % 500) as usize;
-        let config = ExecConfig::sequential()
-            .with_threads(4)
-            .with_shot_shard_size(64);
-        let via_state = state.sample_counts_sharded(seed, shots, &config);
-        let dist = CumulativeDistribution::from_probabilities(&state.probabilities());
-        let via_dist = dist.sample_sharded(seed, shots, 4, 64);
-        prop_assert_eq!(via_state, via_dist);
+        let probabilities: Vec<f64> = amplitudes.iter().map(|a| a.norm_sqr()).collect();
+        let via_amplitudes =
+            CumulativeDistribution::from_amplitudes(&amplitudes).sample_sharded(seed, shots, 4, 64);
+        let via_probabilities = CumulativeDistribution::from_probabilities(&probabilities)
+            .sample_sharded(seed, shots, 4, 64);
+        prop_assert_eq!(via_amplitudes, via_probabilities);
     }
 
     /// Suite 5: the dense engine's sampler places every draw where the CDF

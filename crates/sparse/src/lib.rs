@@ -6,8 +6,8 @@
 //! mapped to Clifford+T. On a computational basis state (or a superposition
 //! over a few basis states) such circuits keep almost every one of the `2^n`
 //! dense amplitudes provably zero — exactly the regime where the dense
-//! [`Statevector`](qdaflow_quantum::Statevector)'s `Vec` of `2^n` complex
-//! numbers (capped at
+//! [`SoaStatevector`](qdaflow_quantum::SoaStatevector)'s `2^n` complex
+//! amplitudes (capped at
 //! [`MAX_SIMULATOR_QUBITS`](qdaflow_quantum::MAX_SIMULATOR_QUBITS) qubits)
 //! wastes all of its memory. This crate stores only the nonzero amplitudes in
 //! a hash map keyed by basis state, with three specialized application paths:

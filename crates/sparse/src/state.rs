@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 ///
 /// Basis states are indexed with qubit 0 as the least significant bit of the
 /// `u64` key, exactly like the dense
-/// [`Statevector`](qdaflow_quantum::Statevector). Only amplitudes whose
+/// [`SoaStatevector`](qdaflow_quantum::SoaStatevector). Only amplitudes whose
 /// squared magnitude exceeds [`PRUNE_NORM_EPS`] are stored; everything else
 /// is implicitly zero. Memory and per-gate cost scale with the number of
 /// nonzero entries ([`SparseStatevector::num_nonzero`]), not with `2^n`.
@@ -380,10 +380,9 @@ impl SparseStatevector {
         collect_counts(&keys, &distribution.sample_counts(rng, shots))
     }
 
-    /// Shot-sharded parallel sampling over the nonzero entries: the same
-    /// deterministic `(seed, shard)` scheme as
-    /// [`Statevector::sample_counts_sharded`](qdaflow_quantum::Statevector::sample_counts_sharded),
-    /// reproducible at any `config.threads` value and fully determined by
+    /// Shot-sharded parallel sampling over the nonzero entries, by
+    /// [`CumulativeDistribution::sample_sharded`]'s deterministic
+    /// `(seed, shard)` scheme, reproducible at any `config.threads` value and fully determined by
     /// `(seed, shots, config.shot_shard_size)`.
     pub fn sample_counts_sharded(
         &self,
@@ -414,7 +413,7 @@ fn collect_counts(keys: &[u64], histogram: &[usize]) -> BTreeMap<u64, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdaflow_quantum::Statevector;
+    use qdaflow_quantum::{PreparedState, SoaStatevector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::f64::consts::FRAC_1_SQRT_2;
@@ -454,8 +453,8 @@ mod tests {
         assert!((sparse.probability_of(0b00) - 0.5).abs() < 1e-12);
         assert!((sparse.probability_of(0b11) - 0.5).abs() < 1e-12);
         assert!((sparse.amplitude(0b00).re - FRAC_1_SQRT_2).abs() < 1e-12);
-        let dense = Statevector::from_circuit(&bell_circuit()).unwrap();
-        for (index, expected) in dense.amplitudes().iter().enumerate() {
+        let dense = SoaStatevector::simulate(&bell_circuit(), &ExecConfig::default()).unwrap();
+        for (index, expected) in dense.to_amplitudes().iter().enumerate() {
             assert!(sparse.amplitude(index as u64).approx_eq(*expected, 1e-12));
         }
     }
@@ -553,11 +552,12 @@ mod tests {
     fn sampling_matches_the_dense_cdf_sampler_draw_for_draw() {
         let circuit = bell_circuit();
         let sparse = SparseStatevector::from_circuit(&circuit).unwrap();
-        let dense = Statevector::from_circuit(&circuit).unwrap();
+        let dense = SoaStatevector::simulate(&circuit, &ExecConfig::default()).unwrap();
         let mut sparse_rng = StdRng::seed_from_u64(99);
         let mut dense_rng = StdRng::seed_from_u64(99);
         let sparse_counts = sparse.sample_counts(&mut sparse_rng, 512);
-        let dense_histogram = dense.sample_counts(&mut dense_rng, 512);
+        let dense_histogram = CumulativeDistribution::from_amplitudes(&dense.to_amplitudes())
+            .sample_counts(&mut dense_rng, 512);
         for (outcome, &count) in dense_histogram.iter().enumerate() {
             assert_eq!(
                 sparse_counts.get(&(outcome as u64)).copied().unwrap_or(0),

@@ -19,7 +19,8 @@
 use proptest::prelude::*;
 use qdaflow_quantum::backend::{Backend, StatevectorBackend};
 use qdaflow_quantum::fusion::ExecConfig;
-use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
+use qdaflow_quantum::sampling::CumulativeDistribution;
+use qdaflow_quantum::{PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 use qdaflow_sparse::{SparseBackend, SparseStatevector, PRUNE_NORM_EPS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,9 +105,9 @@ proptest! {
     fn sparse_amplitudes_match_the_dense_fused_engine(seed in any::<u64>()) {
         let circuit = random_circuit(seed);
         let sparse = SparseStatevector::from_circuit(&circuit).unwrap();
-        let dense = Statevector::run(&circuit, &ExecConfig::default()).unwrap();
+        let dense = SoaStatevector::simulate(&circuit, &ExecConfig::default()).unwrap();
         prop_assert!((sparse.norm() - 1.0).abs() < 1e-9);
-        for (index, expected) in dense.amplitudes().iter().enumerate() {
+        for (index, expected) in dense.to_amplitudes().iter().enumerate() {
             let actual = sparse.amplitude(index as u64);
             prop_assert!(
                 actual.approx_eq(*expected, 1e-10),
@@ -126,11 +127,12 @@ proptest! {
         let sample_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let base = ExecConfig::baseline().with_shot_shard_size(128);
         let sparse = SparseStatevector::from_circuit(&circuit).unwrap();
-        let dense = Statevector::run(&circuit, &base).unwrap();
+        let dense = SoaStatevector::simulate(&circuit, &base).unwrap();
+        let dense = CumulativeDistribution::from_amplitudes(&dense.to_amplitudes());
         for threads in [1usize, 2, 4, 8] {
             let config = base.with_threads(threads);
             let sparse_counts = sparse.sample_counts_sharded(sample_seed, shots, &config);
-            let dense_histogram = dense.sample_counts_sharded(sample_seed, shots, &config);
+            let dense_histogram = dense.sample_sharded(sample_seed, shots, threads, 128);
             prop_assert_eq!(
                 sparse_counts.values().sum::<usize>(), shots, "threads={}", threads
             );

@@ -4,7 +4,7 @@
 //! The paper's hidden-shift workloads are Clifford-dominated: H/CZ/Z layers
 //! with the non-Clifford content concentrated in the oracle's T gates. Both
 //! amplitude-based engines — the dense
-//! [`Statevector`](qdaflow_quantum::Statevector) (capped at
+//! [`SoaStatevector`](qdaflow_quantum::SoaStatevector) (capped at
 //! [`MAX_SIMULATOR_QUBITS`](qdaflow_quantum::MAX_SIMULATOR_QUBITS) qubits)
 //! and the sparse `SparseStatevector` of `qdaflow_sparse` (capped at
 //! `MAX_SPARSE_QUBITS`, and exponential in the intermediate support of an

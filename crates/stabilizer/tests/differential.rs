@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use qdaflow_quantum::backend::{Backend, StatevectorBackend};
 use qdaflow_quantum::fusion::ExecConfig;
 use qdaflow_quantum::sampling::CumulativeDistribution;
-use qdaflow_quantum::{QuantumCircuit, QuantumGate, Statevector};
+use qdaflow_quantum::{PreparedState, QuantumCircuit, QuantumGate, SoaStatevector};
 use qdaflow_stabilizer::{StabilizerBackend, StabilizerError, StabilizerTableau};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,11 +117,12 @@ proptest! {
         let sample_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let base = ExecConfig::baseline().with_shot_shard_size(128);
         let sampler = StabilizerTableau::from_circuit(&circuit).unwrap().sampler().unwrap();
-        let dense = Statevector::run(&circuit, &base).unwrap();
+        let dense = SoaStatevector::simulate(&circuit, &base).unwrap();
+        let dense = CumulativeDistribution::from_amplitudes(&dense.to_amplitudes());
         for threads in [1usize, 2, 4, 8] {
             let config = base.with_threads(threads);
             let stab_counts = sampler.sample_counts_sharded(sample_seed, shots, &config);
-            let dense_histogram = dense.sample_counts_sharded(sample_seed, shots, &config);
+            let dense_histogram = dense.sample_sharded(sample_seed, shots, threads, 128);
             prop_assert_eq!(
                 stab_counts.values().sum::<usize>(), shots, "threads={}", threads
             );
@@ -200,12 +201,12 @@ proptest! {
     fn closed_form_matches_the_enumerated_support_draw_for_draw(seed in any::<u64>()) {
         let circuit = wide_support_clifford_circuit(seed);
         let sampler = StabilizerTableau::from_circuit(&circuit).unwrap().sampler().unwrap();
-        let dense = Statevector::run(&circuit, &ExecConfig::baseline()).unwrap();
+        let dense = SoaStatevector::simulate(&circuit, &ExecConfig::baseline()).unwrap();
         let support: Vec<usize> = dense
-            .probabilities()
+            .to_amplitudes()
             .iter()
             .enumerate()
-            .filter(|&(_, &probability)| probability > 1e-9)
+            .filter(|&(_, amplitude)| amplitude.norm_sqr() > 1e-9)
             .map(|(outcome, _)| outcome)
             .collect();
         prop_assert_eq!(sampler.support().collect::<Vec<_>>(), support.clone());

@@ -4,20 +4,9 @@
 
 use qdaflow::flow::{compile_permutation, compile_phase_function, equation5_pipeline};
 use qdaflow::mapping::phase_oracle::oracle_matches_function;
+use qdaflow::mapping::verify::quantum_matches_reversible;
 use qdaflow::prelude::*;
-use qdaflow::quantum::statevector::Statevector;
 use qdaflow::reversible::synthesis::SynthesisMethod;
-
-fn assert_realizes_permutation(circuit: &QuantumCircuit, permutation: &Permutation) {
-    for basis in 0..permutation.len() {
-        let mut state = Statevector::basis_state(circuit.num_qubits(), basis).unwrap();
-        state.apply_circuit(circuit);
-        assert!(
-            state.probability_of(permutation.apply(basis)) > 1.0 - 1e-9,
-            "basis {basis} mapped incorrectly"
-        );
-    }
-}
 
 #[test]
 fn hwb4_pipeline_matches_the_specification_for_both_methods() {
@@ -29,7 +18,7 @@ fn hwb4_pipeline_matches_the_specification_for_both_methods() {
         let report = compile_permutation(&hwb, method).unwrap();
         assert!(report.circuit.is_clifford_t(), "{method:?}");
         assert!(report.optimized.t_count <= report.mapped.t_count);
-        assert_realizes_permutation(&report.circuit, &hwb);
+        assert_eq!(first_wrong_input(&report.circuit, &hwb), None, "{method:?}");
     }
 }
 
@@ -70,12 +59,35 @@ fn equation5_outputs_realize_permutations_of_five_and_six_variables() {
 }
 
 #[test]
+fn equation5_output_with_a_phase_tail_is_rejected() {
+    // `Z(0); T(1)` keeps every input's basis image but gives the inputs
+    // four different phases: no single global phase.
+    let hwb = qdaflow::boolfn::hwb::hwb_permutation(4);
+    for method in [
+        SynthesisMethod::TransformationBased,
+        SynthesisMethod::DecompositionBased,
+    ] {
+        let report = equation5_pipeline(method).run(hwb.clone().into()).unwrap();
+        let reversible = report.artifacts.reversible.as_ref().unwrap();
+        let mut circuit = report.final_quantum().unwrap().clone();
+        assert!(quantum_matches_reversible(&circuit, reversible).unwrap());
+        circuit.push(QuantumGate::Z(0)).unwrap();
+        circuit.push(QuantumGate::T(1)).unwrap();
+        assert_eq!(first_wrong_input(&circuit, &hwb), None, "{method:?}");
+        assert!(
+            !quantum_matches_reversible(&circuit, reversible).unwrap(),
+            "{method:?}"
+        );
+    }
+}
+
+#[test]
 fn random_permutations_compile_correctly_end_to_end() {
     for seed in 0..5u64 {
         let permutation = Permutation::random_seeded(3, seed * 7 + 1);
         let report =
             compile_permutation(&permutation, SynthesisMethod::TransformationBased).unwrap();
-        assert_realizes_permutation(&report.circuit, &permutation);
+        assert_eq!(first_wrong_input(&report.circuit, &permutation), None);
     }
 }
 

@@ -2,7 +2,7 @@
 //! mathematical definitions from the Boolean-function layer.
 
 use qdaflow::prelude::*;
-use qdaflow::quantum::statevector::Statevector;
+use qdaflow::quantum::{PreparedState, SoaStatevector};
 
 /// Applies the compiled phase oracle to a uniform superposition and checks
 /// the signs against the function.
@@ -12,7 +12,7 @@ fn phase_oracle_signs_match(function: &TruthTable) {
     engine.all_h(&qubits).unwrap();
     engine.phase_oracle(function, &qubits).unwrap();
     let circuit = engine.circuit();
-    let state = Statevector::from_circuit(&circuit).unwrap();
+    let state = SoaStatevector::simulate(&circuit, &ExecConfig::default()).unwrap();
     let reference = state.amplitude(0).re.signum();
     let magnitude = (1.0 / function.len() as f64).sqrt();
     let base_sign = if function.get(0) {

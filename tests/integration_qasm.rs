@@ -87,11 +87,11 @@ fn qasm_source_pipelines_and_batch_jobs_share_cache_keys() {
 #[test]
 fn imported_circuit_agrees_between_dense_and_sparse_statevectors() {
     use qdaflow::quantum::qasm::from_qasm;
-    use qdaflow::quantum::statevector::Statevector;
+    use qdaflow::quantum::{PreparedState, SoaStatevector};
 
     let circuit = from_qasm(&golden_source()).unwrap();
-    let dense = Statevector::from_circuit(&circuit).unwrap();
-    assert!((dense.probability_of(5) - 1.0).abs() < 1e-9);
+    let dense = SoaStatevector::simulate(&circuit, &ExecConfig::default()).unwrap();
+    assert!((dense.amplitude(5).norm_sqr() - 1.0).abs() < 1e-9);
     let mut sparse = SparseStatevector::new(circuit.num_qubits()).unwrap();
     sparse.apply_circuit(&circuit);
     assert!((sparse.probability_of(5) - 1.0).abs() < 1e-9);
